@@ -11,10 +11,12 @@ H^0 at tensor weight <= n is computed from the degree-0 part: for a
 connected algebra that part is spanned by words in the degree-1 basis,
 the bar differential maps it into degree 1, and the cycle-invariant
 subcomplex is cut out by one more linear condition (sigma - 1).  Kernels
-are computed weight-filtered so that the basis at weight bound n extends
-the basis at n-1; over the integers the extension step completes a basis
-of the saturated submodule instead of testing span membership, which
-greedy extension alone would get wrong.
+are weight-filtered (filtered_kernel): one echelon form, with coordinates
+ordered highest weight first, gives a basis whose members of weight <= p
+span the kernel at weight <= p, so the basis at weight bound n extends
+the basis at n-1.  Over Z/m the echelon form is the Howell form and the
+kernel comes as a generating sequence; ranks_per_weight counts its
+members, which can exceed the minimal number of generators.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from itertools import product as iproduct
 from math import gcd
 
 from .dga import FiniteDGA
-from .rings import (
-    IntMatrix,
-    Ring,
-    in_column_span,
-    kernel_basis,
-    matrix_inverse,
-    row_canonical_form,
-    smith_normal_form,
-    solve,
-)
+from .rings import IntMatrix, Ring, _echelon, smith_normal_form
 from .tensors import BraidingTensor
 from .words import GenSet
 
@@ -360,18 +353,6 @@ def connecting_map(x: BarElement) -> CycElement:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_vec(ring: Ring, v):
-    lead = next((c for c in v if c != ring.zero()), None)
-    if lead is None:
-        return list(v)
-    if ring.kind == "Z" and lead < 0:
-        return [ring.neg(c) for c in v]
-    if ring.kind == "Q" and lead != ring.one():
-        inv = ring.inv(lead)
-        return [ring.mul(c, inv) for c in v]
-    return list(v)
-
-
 def _vector_annihilator(ring: Ring, v) -> int:
     if ring.kind != "Zmod":
         return 0
@@ -383,90 +364,47 @@ def _vector_annihilator(ring: Ring, v) -> int:
     return 0 if d == m else d % m
 
 
-def _greedy_extend(ring: Ring, chosen, candidates, length):
-    new = []
-    for v in candidates:
-        if all(c == ring.zero() for c in v):
-            continue
-        current = chosen + new
-        if current:
-            M = IntMatrix.from_columns(ring, current, length)
-            if in_column_span(M, v):
-                continue
-        new.append(_normalize_vec(ring, v))
-    return new
+def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
+    """Kernel generators of M, filtered by column weight.
 
+    Returns (vectors, added_at_weight, annihilators), ordered by the
+    weight at which each vector enters.  Columns of weight > up_to are
+    left out.  The vectors entering at weight <= p span ker M restricted
+    to the columns of weight <= p, so the result for up_to = p is a
+    prefix of the result for any larger bound.  Over Z and Q they form a
+    basis; over Z/m a generating sequence with per-vector annihilators,
+    which can be longer than the minimal number of generators.
 
-def _complete_lattice_basis(ring: Ring, chosen, new_basis, length):
-    """Extend the integer vectors `chosen` (a basis of a saturated
-    submodule of the lattice spanned by `new_basis`) to a basis of that
-    lattice.  Writes the old vectors in the new basis, Smith-reduces the
-    coordinate matrix (all invariant factors are 1 by saturation) and
-    takes the complementary columns of the adapted basis."""
-    k, r = len(chosen), len(new_basis)
-    if r == k:
-        return []
-    B = IntMatrix.from_columns(ring, new_basis, length)
-    coord_cols = []
-    for v in chosen:
-        c = solve(B, v)
-        if c is None:
-            raise AssertionError("previous kernel vector left the new kernel")
-        coord_cols.append(c)
-    C = IntMatrix.from_columns(ring, coord_cols, r)
-    U, D, _ = smith_normal_form(C)
-    diag = [D.get(i, i) for i in range(min(D.rows, D.cols))]
-    if any(d != 1 for d in diag) or len(diag) != k:
-        raise AssertionError("filtered kernel is not saturated")
-    Uinv = matrix_inverse(U)
-    out = []
-    for j in range(k, r):
-        col = Uinv.column(j)
-        vec = B.apply(col)
-        out.append(_normalize_vec(ring, vec))
-    return out
-
-
-def filtered_kernel(M: IntMatrix, col_weights, up_to: int, *, canonicalize_rows: bool = False):
-    """Kernel generators of M computed one weight at a time.
-
-    Returns (vectors, added_at_weight, annihilators).  The vectors
-    through weight p always restrict to the result the same call would
-    produce with up_to = p; over Z and Q they form a basis, over Z/m a
-    generating sequence with per-vector annihilators.
-
-    With canonicalize_rows the column-restricted matrix is replaced by
-    its row canonical form before each kernel computation.  The kernel
-    is unchanged (it only depends on the row span), but the chosen
-    generators then depend only on that span — callers whose row *sets*
-    vary with an outer truncation parameter get identical bases for the
-    weights both truncations cover.
+    One echelon form of [M^T | I] gives all of it (the left-to-right
+    reduction of persistent homology): the identity columns are ordered
+    by weight, highest first, so the echelon rows whose pivot lies in the
+    identity block are a canonical echelon basis of the kernel, and the
+    rows pivoting at weight <= p span its part of weight <= p.  Those
+    rows depend only on the kernel, hence only on the row span of M.
     """
     ring = M.ring
-    chosen, added_at = [], []
-    for p in range(up_to + 1):
-        idx = [j for j, w in enumerate(col_weights) if w <= p]
-        if not idx:
+    z, o = ring.zero(), ring.one()
+    keep = sorted(
+        (j for j, w in enumerate(col_weights) if w <= up_to),
+        key=lambda j: (-col_weights[j], j),
+    )
+    rows = [
+        list(M.column(j)) + [o if t == s else z for s in range(len(keep))]
+        for t, j in enumerate(keep)
+    ]
+    found = []
+    for row in _echelon(ring, rows, M.rows + len(keep)):
+        if any(x != z for x in row[: M.rows]):
             continue
-        sub = M.submatrix_columns(idx)
-        if canonicalize_rows:
-            sub = row_canonical_form(sub)
-        kb = kernel_basis(sub)
-        vecs = []
-        for col in kb.matrix.columns():
-            full = [ring.zero()] * M.cols
-            for t, j in enumerate(idx):
-                full[j] = col[t]
-            vecs.append(full)
-        if ring.kind == "Z" and chosen:
-            new = _complete_lattice_basis(ring, chosen, vecs, M.cols)
-        else:
-            new = _greedy_extend(ring, chosen, vecs, M.cols)
-        for v in new:
-            chosen.append(v)
-            added_at.append(p)
-    anns = tuple(_vector_annihilator(ring, v) for v in chosen)
-    return chosen, tuple(added_at), anns
+        v = [z] * M.cols
+        for t, x in enumerate(row[M.rows :]):
+            v[keep[t]] = x
+        lead = next(t for t, x in enumerate(row[M.rows :]) if x != z)
+        found.append((col_weights[keep[lead]], v))
+    found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
+    vectors = [v for _, v in found]
+    anns = tuple(_vector_annihilator(ring, v) for v in vectors)
+    return vectors, tuple(w for w, _ in found), anns
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +475,20 @@ def _bar_matrix(A: FiniteDGA, seqs):
     return IntMatrix.from_columns(ring, columns, n_rows)
 
 
-def _sigma_minus_one_matrix(A: FiniteDGA, seqs):
-    ring = A.ring
+def _sigma_minus_one_matrix(ring: Ring, seqs):
+    """Square matrix on the coordinates of `seqs` whose row t reads
+    x(t[1:] + t[:1]) - x(t), zero for t of length <= 1: its kernel is the
+    cycle-invariant vectors, its cokernel the rotation coinvariants."""
     index = {s: j for j, s in enumerate(seqs)}
-    columns = []
-    for s in seqs:
-        v = [ring.zero()] * len(seqs)
-        if len(s) > 1:
-            rot = (s[-1],) + s[:-1]
-            v[index[rot]] = ring.add(v[index[rot]], ring.one())
-            v[index[s]] = ring.sub(v[index[s]], ring.one())
-        columns.append(v)
-    return IntMatrix.from_columns(ring, columns, len(seqs))
+    z, o = ring.zero(), ring.one()
+    flat = []
+    for t in seqs:
+        row = [z] * len(seqs)
+        if len(t) > 1:
+            row[index[t[1:] + t[:1]]] = o
+            row[index[t]] = ring.sub(row[index[t]], o)
+        flat.extend(row)
+    return IntMatrix(ring, len(seqs), len(seqs), tuple(flat))
 
 
 def _kernel_to_h0(A: FiniteDGA, n: int, seqs, vectors, added_at, anns) -> H0Basis:
@@ -588,7 +528,7 @@ def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
     if n < 0:
         raise ValueError("weight bound must be >= 0")
     seqs = _degree_zero_sequences(A, n)
-    M = _bar_matrix(A, seqs).stack_below(_sigma_minus_one_matrix(A, seqs))
+    M = _bar_matrix(A, seqs).stack_below(_sigma_minus_one_matrix(A.ring, seqs))
     vectors, added_at, anns = filtered_kernel(M, [len(s) for s in seqs], n)
     return _kernel_to_h0(A, n, seqs, vectors, added_at, anns)
 
@@ -600,16 +540,7 @@ def coinvariant_rank(names, p: int, ring: Ring | None = None) -> int:
         raise ValueError("weight must be >= 1")
     ring = ring or Ring.integers()
     k = len(names)
-    seqs = list(iproduct(range(k), repeat=p))
-    index = {s: j for j, s in enumerate(seqs)}
-    columns = []
-    for s in seqs:
-        v = [ring.zero()] * len(seqs)
-        rot = (s[-1],) + s[:-1]
-        v[index[rot]] = ring.add(v[index[rot]], ring.one())
-        v[index[s]] = ring.sub(v[index[s]], ring.one())
-        columns.append(v)
-    M = IntMatrix.from_columns(ring, columns, len(seqs))
+    M = _sigma_minus_one_matrix(ring, list(iproduct(range(k), repeat=p)))
     _, D, _ = smith_normal_form(M)
     diag = [D.get(i, i) for i in range(min(D.rows, D.cols))]
     nontrivial = sum(1 for d in diag if not ring.is_unit(d))

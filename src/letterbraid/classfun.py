@@ -23,7 +23,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .barcyc import filtered_kernel
+from .barcyc import _sigma_minus_one_matrix, filtered_kernel
 from .rings import (
     IntMatrix,
     Ring,
@@ -172,18 +172,6 @@ class DescendSystem:
         return all(x == z for x in self.matrix.apply(self.tensor_coordinates(T)))
 
 
-_EXPANSION_CACHE: dict = {}
-
-
-def _relator_expansion(ring: Ring, relator: Word, n: int) -> MonomialCombination:
-    key = (ring.spec, relator.gens.names, relator.letters, n)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is None:
-        hit = fox_expand(word_minus_one(ring, relator), n)
-        _EXPANSION_CACHE[key] = hit
-    return hit
-
-
 def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
     """The full descend system at weight bound n (n = 0 gives no rows)."""
     if n < 0:
@@ -193,7 +181,7 @@ def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
     labels = []
     rows = []
     for ri, r in enumerate(P.relators):
-        expansion = _relator_expansion(ring, r, n)
+        expansion = fox_expand(word_minus_one(ring, r), n)
         for total in range(n):
             for dpre in range(total + 1):
                 dsuf = total - dpre
@@ -206,25 +194,6 @@ def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
     flat = tuple(x for row in rows for x in row)
     matrix = IntMatrix(ring, len(rows), len(columns), flat)
     return DescendSystem(ring, P.gens, n, columns, tuple(labels), matrix)
-
-
-def _cycle_fixing_rows(ring: Ring, columns):
-    """Rows expressing cycle(T) = T: for each sequence m of length >= 2,
-    coefficient at the left rotation of m minus coefficient at m."""
-    col_index = {m: j for j, m in enumerate(columns)}
-    rows = []
-    z, o = ring.zero(), ring.one()
-    for m in columns:
-        if len(m) < 2:
-            continue
-        rotated = m[1:] + m[:1]
-        if rotated == m:
-            continue
-        row = [z] * len(columns)
-        row[col_index[rotated]] = o
-        row[col_index[m]] = ring.sub(row[col_index[m]], o)
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +241,7 @@ class TensorBasis:
 
 def _kernel_to_tensors(ring: Ring, gens: GenSet, columns, matrix: IntMatrix, n: int):
     col_weights = [len(m) for m in columns]
-    vectors, added_at, anns = filtered_kernel(
-        matrix, col_weights, n, canonicalize_rows=True
-    )
+    vectors, added_at, anns = filtered_kernel(matrix, col_weights, n)
     z = ring.zero()
     elements = tuple(
         BraidingTensor(ring, gens, {m: v[j] for j, m in enumerate(columns) if v[j] != z})
@@ -302,10 +269,7 @@ def class_function_basis(
     skips that when the caller re-checks with stronger bounds anyway.
     """
     system = descend_conditions(P, ring, n)
-    extra = _cycle_fixing_rows(ring, system.columns)
-    stacked = system.matrix.stack_below(
-        IntMatrix(ring, len(extra), len(system.columns), tuple(x for r in extra for x in r))
-    )
+    stacked = system.matrix.stack_below(_sigma_minus_one_matrix(ring, system.columns))
     elements, added_at, anns = _kernel_to_tensors(ring, P.gens, system.columns, stacked, n)
     if certify:
         for T in elements:

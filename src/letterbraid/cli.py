@@ -41,9 +41,10 @@ from .classfun import (
     oracle_group_ring_quotient,
     pairing_tables_agree,
     parse_presentation,
+    weight_graded_monomials,
 )
 from .dga import cochain_algebra, model_from_obj, verify_dga
-from .rings import Ring
+from .rings import IntMatrix, Ring, matrix_rank
 from .tensors import cycle, eval_word, tensor_from_obj
 from .words import GenSet, parse_word
 
@@ -274,10 +275,17 @@ def _cmd_oracle(args) -> int:
     except NotSaturatedError as exc:
         print(f"verification failure: {exc} (rerun with a larger -L)", file=sys.stderr)
         return 2
-    cumulative, total = [], 0
-    for count in basis.ranks_per_weight:
-        total += count
-        cumulative.append(total)
+    # Minimal generator count of the span entering at weight <= d; over Z/m
+    # a filtered generating sequence can be longer than that.
+    columns = weight_graded_monomials(len(P.gens), n)
+    cumulative = []
+    for d in range(n + 1):
+        rows = [
+            [T.coefficient(m) for m in columns]
+            for T, p in zip(basis.elements, basis.added_at_weight)
+            if p <= d
+        ]
+        cumulative.append(matrix_rank(IntMatrix.from_rows(ring, rows)))
     ok = True
     print("degree pipeline oracle")
     for d in range(n + 1):

@@ -14,12 +14,18 @@ Conventions that keep runs byte-for-byte reproducible:
 * Z/m matrices are lifted to Z.  The integer Smith form reduces mod m,
   after which each diagonal entry d is rescaled by a unit to gcd(d, m),
   the canonical divisor-of-m representative, so the divisibility chain
-  survives on canonical lifts.
-* Kernels over Z/m come from the integer kernel of the augmented matrix
-  [M | m*I] projected back to the original coordinates.  Each generator
-  carries the annihilator of its class: 0 means the generator is free,
-  k means k * gen is the smallest multiple falling into the span of the
-  remaining data.
+  survives on canonical lifts.  The number of nonzero diagonal entries
+  (matrix_rank) is then the minimal number of generators of the span.
+* Kernels over Z/m (kernel_basis) come from the integer kernel of the
+  augmented matrix [M | m*I] projected back to the original coordinates.
+  Each generator carries the annihilator of its class: 0 means the
+  generator is free, k means k * gen is the smallest multiple falling
+  into the span of the remaining data.
+* Echelon forms (row_canonical_form, and the weight-filtered kernels
+  built on them) are computed with every entry kept mod m: the Howell
+  form, whose pivots are divisors of m.  Its rows generate the span but
+  need not be a minimal generating set, so counting them can exceed the
+  minimal generator count.
 * Over Q the same elimination is ordinary Gaussian elimination and the
   diagonal is normalised to 1.
 """
@@ -534,9 +540,8 @@ def _diagonal(D: IntMatrix) -> list:
 
 
 def matrix_rank(M: IntMatrix) -> int:
-    """Rank over Z or Q (count of nonzero Smith diagonal entries)."""
-    if M.ring.kind == "Zmod":
-        raise ValueError("rank is only defined here over Z and Q")
+    """Count of nonzero Smith diagonal entries: the rank over Z or Q, and
+    over Z/m the minimal number of generators of the column span."""
     _, D, _ = smith_normal_form(M)
     z = M.ring.zero()
     return sum(1 for d in _diagonal(D) if d != z)
@@ -698,57 +703,101 @@ def is_invertible(M: IntMatrix) -> bool:
     return all(M.ring.is_unit(d) for d in _diagonal(D)) and min(M.rows, M.cols) == M.rows
 
 
-def matrix_inverse(M: IntMatrix) -> IntMatrix:
-    """Inverse of a square matrix invertible over its ring.
+# ---------------------------------------------------------------------------
+# Echelon forms
+# ---------------------------------------------------------------------------
 
-    With U M V = D and every diagonal entry of D a unit,
-    M^{-1} = V D^{-1} U.
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
+
+
+def _combine(ring: Ring, c1, r1: dict, c2, r2: dict) -> dict:
+    """c1 * r1 + c2 * r2 for sparse rows (column -> nonzero entry)."""
+    out = {j: c1 * x for j, x in r1.items()}
+    for j, x in r2.items():
+        out[j] = out.get(j, 0) + c2 * x
+    m = ring.modulus
+    if m:
+        return {j: x % m for j, x in out.items() if x % m}
+    return {j: x for j, x in out.items() if x}
+
+
+def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
+    """Scale row by a unit so its entry at column j is canonical.
+
+    Over Z/m the entry becomes g = gcd(entry, m), and (m/g) * row, which
+    vanishes at j, is queued: the rows pivoting right of j must span it
+    for the Howell property to hold.
     """
-    if M.rows != M.cols:
-        raise ShapeError("only square matrices can be inverted")
-    U, D, V = smith_normal_form(M)
-    diag = _diagonal(D)
-    if len(diag) < M.rows or not all(M.ring.is_unit(d) for d in diag):
-        raise ShapeError("matrix is not invertible over its ring")
-    ring = M.ring
-    Dinv = IntMatrix.from_columns(
-        ring,
-        [
-            [ring.inv(diag[j]) if i == j else ring.zero() for i in range(M.rows)]
-            for j in range(M.rows)
-        ],
-        M.rows,
-    )
-    return V.mul(Dinv).mul(U)
+    x = row[j]
+    if ring.kind == "Z":
+        return _combine(ring, -1, row, 0, {}) if x < 0 else row
+    if ring.kind == "Q":
+        return _combine(ring, 1 / x, row, 0, {}) if x != 1 else row
+    m = ring.modulus
+    g, unit = _unit_scaling_to_gcd(x, m)
+    if unit != 1:
+        row = _combine(ring, unit, row, 0, {})
+    multiple = _combine(ring, m // g, row, 0, {})
+    if multiple:
+        pending.append(multiple)
+    return row
 
 
-def _hermite_rows(rows, cols):
-    """Row Hermite form of an integer matrix given as lists; drops zero rows.
+def _echelon(ring: Ring, rows, cols: int) -> list:
+    """Canonical echelon form of the row span of `rows` (length-cols sequences).
 
-    Pivots are positive, entries above each pivot lie in [0, pivot).
-    Two row sets generate the same sublattice of Z^cols iff their
-    Hermite forms are identical.
+    Over Q the reduced row echelon form; over Z the Hermite form
+    (positive pivots, entries above each pivot in [0, pivot)); over Z/m
+    the Howell form, i.e. the Hermite form of the lifts together with
+    m * Z^cols, computed with every entry kept in [0, m): pivots are
+    divisors of m and entries above a pivot g lie in [0, g).  Rows come
+    out in pivot order, zero rows dropped, and depend only on the span.
+    For every column j the rows pivoting at or right of j span the
+    vectors of the row span that vanish left of j.
+
+    Rows are reduced one at a time against the pivot rows found so far
+    (kept sparse); a gcd step merges a row into a pivot row it cannot
+    clear.  Entries above the pivots are reduced at the end.
     """
-    mat = [list(r) for r in rows]
-    rank = 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(rank + 1, len(mat)):
-            while mat[i][j]:
-                q = mat[rank][j] // mat[i][j]
-                mat[rank] = [a - q * b for a, b in zip(mat[rank], mat[i])]
-                mat[rank], mat[i] = mat[i], mat[rank]
-        if mat[rank][j] < 0:
-            mat[rank] = [-a for a in mat[rank]]
-        for i in range(rank):
-            q = mat[i][j] // mat[rank][j]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return mat[:rank]
+    z = ring.zero()
+    pending = [{j: x for j, x in enumerate(r) if x != z} for r in reversed(rows)]
+    pivots = {}
+    while pending:
+        row = pending.pop()
+        while row:
+            j = min(row)
+            piv = pivots.get(j)
+            if piv is None:
+                pivots[j] = _install_pivot(ring, row, j, pending)
+                break
+            a, b = piv[j], row[j]
+            if ring.kind == "Q" or b % a == 0:
+                row = _combine(ring, 1, row, -(b / a if ring.kind == "Q" else b // a), piv)
+            else:
+                g, s, t = _xgcd(a, b)
+                merged = _combine(ring, s, piv, t, row)
+                row = _combine(ring, a // g, row, -(b // g), piv)
+                pivots[j] = _install_pivot(ring, merged, j, pending)
+    out = [pivots[j] for j in sorted(pivots)]
+    for i, r in enumerate(out):
+        j = min(r)
+        p = r[j]
+        for k in range(i):
+            x = out[k].get(j)
+            if x is not None:
+                q = x / p if ring.kind == "Q" else x // p
+                if q:
+                    out[k] = _combine(ring, 1, out[k], -q, r)
+    return [[r.get(j, z) for j in range(cols)] for r in out]
 
 
 def row_canonical_form(M: IntMatrix) -> IntMatrix:
@@ -758,35 +807,8 @@ def row_canonical_form(M: IntMatrix) -> IntMatrix:
     their rows generate the same submodule of R^cols, so basis-level
     comparisons reduce to entrywise equality of these forms.  Over Q
     this is the reduced row echelon form; over Z the row Hermite form;
-    over Z/m the Hermite form of the integer lifts together with m
-    times each coordinate vector, reduced back into [0, m).
+    over Z/m the Howell form, whose pivots divide m and whose entries
+    above a pivot g lie in [0, g).
     """
-    ring = M.ring
-    if ring.kind == "Q":
-        mat = [list(M.row(i)) for i in range(M.rows)]
-        rank = 0
-        for j in range(M.cols):
-            piv = next((i for i in range(rank, len(mat)) if mat[i][j] != 0), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = 1 / mat[rank][j]
-            mat[rank] = [a * inv for a in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][j] != 0:
-                    c = mat[i][j]
-                    mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-            rank += 1
-        reduced = mat[:rank]
-    else:
-        rows = [[int(x) for x in M.row(i)] for i in range(M.rows)]
-        if ring.kind == "Zmod":
-            m = ring.modulus
-            for j in range(M.cols):
-                rows.append([m if t == j else 0 for t in range(M.cols)])
-        reduced = _hermite_rows(rows, M.cols)
-        if ring.kind == "Zmod":
-            reduced = [[x % ring.modulus for x in row] for row in reduced]
-            reduced = [row for row in reduced if any(row)]
-    flat = tuple(ring.canon(x) for row in reduced for x in row)
-    return IntMatrix(M.ring, len(reduced), M.cols, flat)
+    reduced = _echelon(M.ring, M.to_rows(), M.cols)
+    return IntMatrix(M.ring, len(reduced), M.cols, tuple(x for r in reduced for x in r))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -249,6 +250,15 @@ def test_filtered_kernel_extends_previous_basis():
     assert added == (1, 2)
 
 
+def zmod_span(ring, vectors, cols):
+    """Every element of the submodule of (Z/m)^cols the vectors generate."""
+    span = {(0,) * cols}
+    for v in vectors:
+        span = {tuple((x + k * y) % ring.modulus for x, y in zip(s, v))
+                for s in span for k in range(ring.modulus)}
+    return span
+
+
 def test_filtered_kernel_random_matrices_give_bases():
     rng = random.Random(4242)
     for trial in range(60):
@@ -284,6 +294,26 @@ def test_filtered_kernel_random_matrices_give_bases():
         v2, a2, _ = filtered_kernel(M, weights, cut)
         keep = [v for v, a in zip(vectors, added) if a <= cut]
         assert v2 == keep
+        # the output depends only on the row span: shuffle the rows and add
+        # a multiple of one row to another
+        shuffled = M.to_rows()
+        rng.shuffle(shuffled)
+        if len(shuffled) >= 2:
+            c = ring.from_int(rng.randrange(-2, 3))
+            shuffled[0] = [ring.add(x, ring.mul(c, y)) for x, y in zip(*shuffled[:2])]
+        assert filtered_kernel(IntMatrix.from_rows(ring, shuffled), weights, up_to) == (
+            vectors, added, anns
+        )
+        # over Z/m the members entering at weight <= p span exactly the
+        # kernel vectors supported on columns of weight <= p
+        if ring.kind == "Zmod":
+            everything = itertools.product(range(ring.modulus), repeat=cols)
+            kernel = [x for x in everything if not any(M.apply(list(x)))]
+            for p in range(up_to + 1):
+                want = {x for x in kernel
+                        if all(weights[j] <= p for j, c in enumerate(x) if c)}
+                got = zmod_span(ring, [v for v, a in zip(vectors, added) if a <= p], cols)
+                assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from letterbraid.classfun import (
     weight_graded_monomials,
 )
 from letterbraid.dga import cochain_algebra, torus_model
-from letterbraid.rings import IntMatrix, Ring, in_column_span, row_canonical_form
+from letterbraid.rings import (
+    IntMatrix,
+    Ring,
+    in_column_span,
+    matrix_rank,
+    row_canonical_form,
+)
 from letterbraid.tensors import BraidingTensor, cycle, eval_word
 from letterbraid.words import (
     GenSet,
@@ -422,6 +428,23 @@ def test_pipeline_matches_oracle():
             assert len(cf) == rep.ranks[n], (text, ring.spec, n)
             assert pairing_tables_agree(ft.elements, rep)
             assert pairing_tables_agree(cf.elements, rep)
+    # Over Z/4 a filtered generating sequence can outnumber the oracle's
+    # minimal generators; the rank of its coefficient matrix cannot.  The
+    # Klein bottle group is not abelian, so only its finite-type functions
+    # are all of the oracle's.
+    Z4 = Ring.integers_mod(4)
+    for text, makers in [
+        (KLEIN, (finite_type_basis,)),
+        (CYCLIC_2, (finite_type_basis, class_function_basis)),
+    ]:
+        P = parse_presentation(text)
+        for n in range(3):
+            rep = oracle_group_ring_quotient(P, Z4, n, 3)
+            columns = weight_graded_monomials(len(P.gens), n)
+            for basis in (maker(P, Z4, n) for maker in makers):
+                coeffs = [[T.coefficient(m) for m in columns] for T in basis]
+                assert matrix_rank(IntMatrix.from_rows(Z4, coeffs)) == rep.ranks[n]
+                assert pairing_tables_agree(basis.elements, rep)
 
 
 def test_pairing_disagreement_detected():

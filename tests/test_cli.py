@@ -10,6 +10,7 @@ from letterbraid.dga import circle_model, model_to_obj, wedge_model
 
 TORUS_GRP = "gens: a b\nrel: a b a^-1 b^-1\n"
 CYCLIC2_GRP = "gens: s\nrel: s^2\n"
+KLEIN_GRP = "gens: a b\nrel: a b a b^-1\n"
 LK = {
     "ring": "Z",
     "gens": ["a", "b"],
@@ -21,6 +22,7 @@ LK = {
 def work(tmp_path):
     (tmp_path / "torus.grp").write_text(TORUS_GRP)
     (tmp_path / "cyclic2.grp").write_text(CYCLIC2_GRP)
+    (tmp_path / "klein.grp").write_text(KLEIN_GRP)
     (tmp_path / "lk.json").write_text(json.dumps(LK))
     (tmp_path / "circle.json").write_text(json.dumps(model_to_obj(circle_model())))
     (tmp_path / "wedge2.json").write_text(json.dumps(model_to_obj(wedge_model(2))))
@@ -217,6 +219,13 @@ def test_oracle_compare_agreement(work, capsys):
                      "--presentation", work / "cyclic2.grp", "-n", 2, "--class")
     assert rc == 0
     assert out.splitlines()[0].split() == ["degree", "pipeline", "oracle"]
+    # the pipeline column counts minimal generators, which over Z/4 can be
+    # fewer than the members of the filtered basis (7 to weight 2 here)
+    rc, out, _ = run(capsys, "oracle-compare", "--ring", "Z/4",
+                     "--presentation", work / "klein.grp", "-n", 2)
+    assert rc == 0
+    assert [line.split()[1] for line in out.splitlines()[1:4]] == ["1", "3", "6"]
+    assert "pairing agree" in out
 
 
 def test_oracle_compare_not_saturated(work, capsys):

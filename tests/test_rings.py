@@ -306,6 +306,15 @@ def test_row_canonical_form_frozen():
     ]
 
 
+def zmod_span(ring, vectors, cols):
+    """Every element of the submodule of (Z/m)^cols the vectors generate."""
+    span = {(0,) * cols}
+    for v in vectors:
+        span = {tuple((x + k * y) % ring.modulus for x, y in zip(s, v))
+                for s in span for k in range(ring.modulus)}
+    return span
+
+
 def test_row_canonical_form_is_span_invariant():
     rng = random.Random(7)
     for ring in (Z, Q, Ring.integers_mod(6), Ring.integers_mod(4)):
@@ -321,6 +330,11 @@ def test_row_canonical_form_is_span_invariant():
             B = row_canonical_form(IntMatrix(ring, len(rows), M.cols,
                                              tuple(x for r in rows for x in r)))
             assert A.entries == B.entries and A.rows == B.rows
+            # over Z/m the form's rows generate exactly the rows' span
+            if ring.kind == "Zmod":
+                assert zmod_span(ring, A.to_rows(), M.cols) == zmod_span(
+                    ring, M.to_rows(), M.cols
+                )
 
 
 def test_row_canonical_form_separates_lattices():
