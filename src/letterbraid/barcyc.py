@@ -11,22 +11,21 @@ H^0 at tensor weight <= n is computed from the degree-0 part: for a
 connected algebra that part is spanned by words in the degree-1 basis,
 the bar differential maps it into degree 1, and the cycle-invariant
 subcomplex is cut out by one more linear condition (sigma - 1).  Kernels
-are weight-filtered (filtered_kernel): one echelon form, with coordinates
-ordered highest weight first, gives a basis whose members of weight <= p
-span the kernel at weight <= p, so the basis at weight bound n extends
-the basis at n-1.  Over Z/m the echelon form is the Howell form and the
-kernel comes as a generating sequence; ranks_per_weight counts its
-members, which can exceed the minimal number of generators.
+are weight-filtered (rings.filtered_kernel): one echelon form, with
+coordinates ordered highest weight first, gives a basis whose members of
+weight <= p span the kernel at weight <= p, so the basis at weight bound
+n extends the basis at n-1.  Over Z/m the echelon form is the Howell
+form and the kernel comes as a generating sequence; ranks_per_weight
+counts its members, which can exceed the minimal number of generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd
 
 from .dga import FiniteDGA
-from .rings import IntMatrix, Ring, _echelon, smith_normal_form
+from .rings import IntMatrix, Ring, filtered_kernel, smith_normal_form
 from .tensors import BraidingTensor
 from .words import GenSet
 
@@ -346,65 +345,6 @@ def connecting_map(x: BarElement) -> CycElement:
     if not bar_differential(x).is_zero():
         raise NotACocycleError("element is not a bar cocycle")
     return iota(sigma(x) - x)
-
-
-# ---------------------------------------------------------------------------
-# Weight-filtered kernels
-# ---------------------------------------------------------------------------
-
-
-def _vector_annihilator(ring: Ring, v) -> int:
-    if ring.kind != "Zmod":
-        return 0
-    m = ring.modulus
-    g = 0
-    for c in v:
-        g = gcd(g, int(c))
-    d = m // gcd(m, g)
-    return 0 if d == m else d % m
-
-
-def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
-    """Kernel generators of M, filtered by column weight.
-
-    Returns (vectors, added_at_weight, annihilators), ordered by the
-    weight at which each vector enters.  Columns of weight > up_to are
-    left out.  The vectors entering at weight <= p span ker M restricted
-    to the columns of weight <= p, so the result for up_to = p is a
-    prefix of the result for any larger bound.  Over Z and Q they form a
-    basis; over Z/m a generating sequence with per-vector annihilators,
-    which can be longer than the minimal number of generators.
-
-    One echelon form of [M^T | I] gives all of it (the left-to-right
-    reduction of persistent homology): the identity columns are ordered
-    by weight, highest first, so the echelon rows whose pivot lies in the
-    identity block are a canonical echelon basis of the kernel, and the
-    rows pivoting at weight <= p span its part of weight <= p.  Those
-    rows depend only on the kernel, hence only on the row span of M.
-    """
-    ring = M.ring
-    z, o = ring.zero(), ring.one()
-    keep = sorted(
-        (j for j, w in enumerate(col_weights) if w <= up_to),
-        key=lambda j: (-col_weights[j], j),
-    )
-    rows = [
-        list(M.column(j)) + [o if t == s else z for s in range(len(keep))]
-        for t, j in enumerate(keep)
-    ]
-    found = []
-    for row in _echelon(ring, rows, M.rows + len(keep)):
-        if any(x != z for x in row[: M.rows]):
-            continue
-        v = [z] * M.cols
-        for t, x in enumerate(row[M.rows :]):
-            v[keep[t]] = x
-        lead = next(t for t, x in enumerate(row[M.rows :]) if x != z)
-        found.append((col_weights[keep[lead]], v))
-    found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
-    vectors = [v for _, v in found]
-    anns = tuple(_vector_annihilator(ring, v) for v in vectors)
-    return vectors, tuple(w for w, _ in found), anns
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,14 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .barcyc import _sigma_minus_one_matrix, filtered_kernel
+from .barcyc import _sigma_minus_one_matrix
 from .rings import (
     IntMatrix,
     Ring,
+    filtered_kernel,
     kernel_basis,
+    matrix_rank,
     row_canonical_form,
-    smith_normal_form,
-    _solve_factored,
 )
 from .tensors import BraidingTensor, cycle, eval_word, tensor_from_obj, tensor_to_obj
 from .words import (
@@ -416,7 +416,7 @@ class OracleReport:
     n: int
     length_bound: int
     class_count: int
-    ranks: tuple  # Hom rank (generator count over Z/m) per type degree 0..n
+    ranks: tuple  # Hom rank (minimal generator count over Z/m) per type degree 0..n
     table: PairingTable
 
 
@@ -565,36 +565,28 @@ def oracle_group_ring_quotient(
         )
 
     # saturation: every class reached at length_bound must already be a
-    # combination of strictly shorter words modulo the top relations
+    # combination of strictly shorter words modulo the top relations, so
+    # adding the unit vectors of the base classes leaves the span unchanged
+    def with_units(M: IntMatrix, classes) -> IntMatrix:
+        flat = [z] * (len(classes) * c)
+        for i, cls in enumerate(classes):
+            flat[i * c + cls] = o
+        return row_canonical_form(M.stack_below(IntMatrix(ring, len(classes), c, tuple(flat))))
+
     shorter = sorted(
         {index[w.letters] for w in words_up_to(P.gens, length_bound - 1)}
     )
-    top = relation_stages[n]
-    span_cols = [list(top.row(i)) for i in range(top.rows)]
-    for cls in shorter:
-        col = [z] * c
-        col[cls] = o
-        span_cols.append(col)
-    span = IntMatrix(ring, c, len(span_cols), tuple(
-        span_cols[j][i] for i in range(c) for j in range(len(span_cols))
-    ))
-    factor = smith_normal_form(span)
-    for cls in base_classes:
-        target = [z] * c
-        target[cls] = o
-        if _solve_factored(span, factor, target) is None:
-            raise NotSaturatedError(
-                f"words up to length {length_bound} do not saturate the quotient "
-                f"(class of {Word(P.gens, reps[cls]).to_text()} is new); raise the bound"
-            )
+    spanned = with_units(relation_stages[n], shorter)
+    if with_units(spanned, base_classes) != spanned:
+        cls = next(cls for cls in base_classes if with_units(spanned, [cls]) != spanned)
+        raise NotSaturatedError(
+            f"words up to length {length_bound} do not saturate the quotient "
+            f"(class of {Word(P.gens, reps[cls]).to_text()} is new); raise the bound"
+        )
 
-    ranks = []
-    top_kernel = None
-    for d in range(n + 1):
-        kb = kernel_basis(relation_stages[d])
-        ranks.append(kb.generator_count)
-        if d == n:
-            top_kernel = kb
+    kernels = [kernel_basis(stage) for stage in relation_stages]
+    ranks = [matrix_rank(kb.matrix) for kb in kernels]
+    top_kernel = kernels[-1]
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
     hom_rows = []
     for vec in top_kernel.generators():

@@ -112,13 +112,6 @@ def _load_json(path: str):
         raise _InputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
 
 
-def _load_tensor(path: str):
-    try:
-        return tensor_from_obj(_load_json(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
 def _load_presentation(path: str):
     try:
         return parse_presentation(_read_text(path))
@@ -126,17 +119,15 @@ def _load_presentation(path: str):
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _load_model(path: str):
+def _load_file(path: str, parse, **kwargs):
+    """parse(JSON object of path): a missing or wrong-typed field exits 1
+    with a message naming the file, not a traceback."""
+    obj = _load_json(path)
     try:
-        return model_from_obj(_load_json(path), name=os.path.basename(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
-def _load_basis(path: str):
-    try:
-        return basis_from_obj(_load_json(path))
-    except ValueError as exc:
+        return parse(obj, **kwargs)
+    except KeyError as exc:
+        raise _InputError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
@@ -157,7 +148,7 @@ def _fmt(xs) -> str:
 
 
 def _cmd_eval(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = _load_file(args.tensor, tensor_from_obj)
     if args.ring is not None and _ring_of(args.ring).spec != T.ring.spec:
         raise _InputError(
             f"{args.tensor}: tensor is over {T.ring.spec}, not {args.ring}"
@@ -186,7 +177,7 @@ def _cmd_basis(args) -> int:
 def _cmd_h0(args, *, cyclic: bool) -> int:
     ring = _ring_of(args.ring)
     n = _checked_weight(args.n)
-    X = _load_model(args.space)
+    X = _load_file(args.space, model_from_obj, name=os.path.basename(args.space))
     try:
         A = cochain_algebra(X, ring)
         basis = (h0_cyc if cyclic else h0_bar)(A, n)
@@ -212,7 +203,7 @@ def _cmd_h0(args, *, cyclic: bool) -> int:
 def _verify_space(args) -> int:
     if args.ring is None:
         raise _InputError("--ring is required with --space")
-    X = _load_model(args.space)
+    X = _load_file(args.space, model_from_obj, name=os.path.basename(args.space))
     report = verify_dga(cochain_algebra(X, _ring_of(args.ring)))
     if report["ok"]:
         print("ok")
@@ -225,7 +216,7 @@ def _verify_space(args) -> int:
 def _verify_basis(args) -> int:
     if args.presentation is None:
         raise _InputError("--presentation is required with --basis")
-    B = _load_basis(args.basis)
+    B = _load_file(args.basis, basis_from_obj)
     P = _load_presentation(args.presentation)
     if B.gens.names != P.gens.names:
         raise _InputError(
@@ -266,8 +257,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     ring = _ring_of(args.ring)
     n = _checked_weight(args.n)
-    P = _load_presentation(args.presentation)
     length_bound = args.length_bound if args.length_bound is not None else max(2, n + 1)
+    if length_bound < 1:
+        raise _InputError(f"length bound must be >= 1, got {length_bound}")
+    P = _load_presentation(args.presentation)
     maker = class_function_basis if args.class_functions else finite_type_basis
     basis = maker(P, ring, n)
     try:

@@ -1,10 +1,11 @@
 """Exact linear algebra over Z, Z/m, and Q.
 
-Everything else in this package reduces, sooner or later, to integer
-linear algebra: Smith normal form with invertible transforms, kernels of
-matrices (saturated over Z, so quotients stay torsion-free), and exact
-solvability of linear systems.  Coefficients are Python ints and
-``fractions.Fraction`` -- never floats, never fixed-width.
+Everything else in this package reduces, sooner or later, to linear
+algebra over one of these rings: echelon forms, kernels (saturated over
+Z, so quotients stay torsion-free), Smith normal form with invertible
+transforms, and exact solvability of linear systems.  Coefficients are
+Python ints and ``fractions.Fraction`` -- never floats, never
+fixed-width.
 
 Conventions that keep runs byte-for-byte reproducible:
 
@@ -16,18 +17,16 @@ Conventions that keep runs byte-for-byte reproducible:
   the canonical divisor-of-m representative, so the divisibility chain
   survives on canonical lifts.  The number of nonzero diagonal entries
   (matrix_rank) is then the minimal number of generators of the span.
-* Kernels over Z/m (kernel_basis) come from the integer kernel of the
-  augmented matrix [M | m*I] projected back to the original coordinates.
-  Each generator carries the annihilator of its class: 0 means the
-  generator is free, k means k * gen is the smallest multiple falling
-  into the span of the remaining data.
-* Echelon forms (row_canonical_form, and the weight-filtered kernels
-  built on them) are computed with every entry kept mod m: the Howell
-  form, whose pivots are divisors of m.  Its rows generate the span but
-  need not be a minimal generating set, so counting them can exceed the
-  minimal generator count.
+* Echelon forms (row_canonical_form) are computed with every entry kept
+  mod m: the Howell form, whose pivots are divisors of m.  Its rows
+  generate the span but need not be a minimal generating set, so
+  counting them can exceed the minimal generator count.
+* Kernels (filtered_kernel, and kernel_basis as its one-weight case) are
+  read off one echelon form of [M^T | I]: the rows whose pivot lies in
+  the identity block.  Over Z/m each generator carries its additive
+  order as annihilator (0 = free).
 * Over Q the same elimination is ordinary Gaussian elimination and the
-  diagonal is normalised to 1.
+  pivots are normalised to 1.
 """
 
 from __future__ import annotations
@@ -308,11 +307,13 @@ class IntMatrix:
 class KernelBasis:
     """Kernel of a matrix: generators as columns plus their annihilators.
 
-    Over Z and Q the columns are a saturated basis and every annihilator
-    is 0.  Over Z/m the columns generate the kernel and annihilator k
-    means the generator's class has additive order m/gcd... precisely:
-    k * gen lies in the span of m*(standard lattice), i.e. the cyclic
-    summand generated is R/(k); k = 0 marks a free generator.
+    Over Z the columns are a saturated lattice basis (every integer
+    kernel vector is an integer combination of them) and over Q a basis;
+    every annihilator is 0.  Over Z/m the columns are a Howell generating
+    set of the kernel and annihilators[i] is the additive order of
+    column i (0 when the order is m, i.e. the generator is free).  That
+    set need not be minimal: matrix_rank(matrix) is the minimal number
+    of generators.
     """
 
     matrix: IntMatrix
@@ -556,109 +557,16 @@ def cokernel_free_rank(M: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
-
-
-def _normalise_column_signs(ring: Ring, columns):
-    """Scale each column by a unit so its first nonzero entry is positive (Z) or 1 (Q)."""
-    out = []
-    for col in columns:
-        lead = next((x for x in col if x != ring.zero()), None)
-        if lead is None:
-            out.append(col)
-        elif ring.kind == "Z":
-            out.append([-x for x in col] if lead < 0 else col)
-        else:  # Q
-            out.append([x / lead for x in col])
-    return out
-
-
-def kernel_basis(M: IntMatrix) -> KernelBasis:
-    """Solutions of M x = 0 as a :class:`KernelBasis`.
-
-    Over Z the columns are a saturated lattice basis (every integer
-    kernel vector is an integer combination of them); over Q an honest
-    basis; over Z/m a generating set with annihilators, computed through
-    the integer kernel of [M | m*I].
-    """
-    ring = M.ring
-    if ring.kind in ("Z", "Q"):
-        _, D, V = smith_normal_form(M)
-        diag = _diagonal(D)
-        z = ring.zero()
-        kernel_cols = [
-            V.column(j)
-            for j in range(M.cols)
-            if j >= len(diag) or diag[j] == z
-        ]
-        cols = _normalise_column_signs(ring, [list(c) for c in kernel_cols])
-        return KernelBasis(
-            IntMatrix.from_columns(ring, cols, M.cols), (0,) * len(cols)
-        )
-    return _kernel_zmod(M)
-
-
-def _kernel_zmod(M: IntMatrix) -> KernelBasis:
-    ring = M.ring
-    m = ring.modulus
-    zring = Ring.integers()
-    lift_rows = [[int(x) for x in M.row(i)] for i in range(M.rows)]
-    # Augment with m*I so integer kernel vectors project onto solutions mod m.
-    aug = [row + [m if k == i else 0 for k in range(M.rows)] for i, row in enumerate(lift_rows)]
-    if M.rows == 0:
-        # No constraints: kernel is everything, one free generator per column.
-        gens = IntMatrix.identity(ring, M.cols)
-        return KernelBasis(gens, (0,) * M.cols)
-    A = IntMatrix.from_rows(zring, aug)
-    K = kernel_basis(A)
-    # The projection to the first M.cols coordinates is injective on the
-    # integer kernel, and its image L is a full-rank lattice containing m*Z^cols.
-    B_cols = [col[: M.cols] for col in K.generators()]
-    if M.cols == 0:
-        return KernelBasis(IntMatrix.zeros(ring, 0, 0), ())
-    B = IntMatrix.from_columns(zring, B_cols, M.cols)
-    assert B.cols == M.cols, "lattice of solutions mod m must have full rank"
-    # Structure of L / m*Z^cols: Smith form of m * B^{-1}.
-    mI = [[m if i == j else 0 for j in range(M.cols)] for i in range(M.cols)]
-    X_cols = []
-    factor = smith_normal_form(B)
-    for j in range(M.cols):
-        sol = _solve_factored(B, factor, [row[j] for row in mI])
-        assert sol is not None, "m*I always lies inside the solution lattice"
-        X_cols.append(sol)
-    A2 = IntMatrix.from_columns(zring, X_cols, M.cols)
-    U2, D2, _ = smith_normal_form(A2)
-    # Adapted basis of L: columns of B * U2^{-1}; U2^{-1} = Q*P from P*U2*Q = I.
-    P, _, Q = smith_normal_form(U2)
-    U2_inv = Q.mul(P)
-    Bprime = B.mul(U2_inv)
-    gens, annihilators = [], []
-    for t in range(M.cols):
-        d = D2.get(t, t)
-        if d == 1:
-            continue  # generator dies in the quotient
-        col = [x % m for x in Bprime.column(t)]
-        if all(x == 0 for x in col):
-            continue
-        gens.append(col)
-        annihilators.append(d % m)  # d | m, and d == m means free
-    return KernelBasis(
-        IntMatrix.from_columns(ring, gens, M.cols), tuple(annihilators)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Solving and span membership
 # ---------------------------------------------------------------------------
 
 
-def _solve_factored(M: IntMatrix, factor, b):
-    """Solve M x = b given factor = (U, D, V); returns None when unsolvable."""
+def solve(M: IntMatrix, b) -> list | None:
+    """One solution x of M x = b over M's ring, or None when there is none."""
     ring = M.ring
-    U, D, V = factor
     if len(b) != M.rows:
         raise ShapeError("right-hand side of wrong length")
+    U, D, V = smith_normal_form(M)
     rhs = U.apply([ring.canon(x) for x in b])
     diag = _diagonal(D)
     z = ring.zero()
@@ -683,11 +591,6 @@ def _solve_factored(M: IntMatrix, factor, b):
                 return None
             zvec[i] = (int(c) // g) * pow(int(d) // g, -1, m // g) % m
     return V.apply(zvec)
-
-
-def solve(M: IntMatrix, b) -> list | None:
-    """One solution x of M x = b over M's ring, or None when there is none."""
-    return _solve_factored(M, smith_normal_form(M), b)
 
 
 def in_column_span(M: IntMatrix, x) -> bool:
@@ -812,3 +715,72 @@ def row_canonical_form(M: IntMatrix) -> IntMatrix:
     """
     reduced = _echelon(M.ring, M.to_rows(), M.cols)
     return IntMatrix(M.ring, len(reduced), M.cols, tuple(x for r in reduced for x in r))
+
+
+# ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
+
+
+def _vector_annihilator(ring: Ring, v) -> int:
+    """Additive order of v over Z/m (0 when it is m, i.e. v is free); 0 over Z and Q."""
+    if ring.kind != "Zmod":
+        return 0
+    m = ring.modulus
+    g = 0
+    for c in v:
+        g = gcd(g, int(c))
+    d = m // gcd(m, g)
+    return 0 if d == m else d % m
+
+
+def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
+    """Kernel generators of M, filtered by column weight.
+
+    Returns (vectors, added_at_weight, annihilators), ordered by the
+    weight at which each vector enters.  Columns of weight > up_to are
+    left out.  The vectors entering at weight <= p span ker M restricted
+    to the columns of weight <= p, so the result for up_to = p is a
+    prefix of the result for any larger bound.  Over Z and Q they form a
+    basis; over Z/m a generating sequence with per-vector annihilators,
+    which can be longer than the minimal number of generators.
+
+    One echelon form of [M^T | I] gives all of it (the left-to-right
+    reduction of persistent homology): the identity columns are ordered
+    by weight, highest first, so the echelon rows whose pivot lies in the
+    identity block are a canonical echelon basis of the kernel, and the
+    rows pivoting at weight <= p span its part of weight <= p.  Those
+    rows depend only on the kernel, hence only on the row span of M.
+    """
+    ring = M.ring
+    z, o = ring.zero(), ring.one()
+    keep = sorted(
+        (j for j, w in enumerate(col_weights) if w <= up_to),
+        key=lambda j: (-col_weights[j], j),
+    )
+    rows = [
+        list(M.column(j)) + [o if t == s else z for s in range(len(keep))]
+        for t, j in enumerate(keep)
+    ]
+    found = []
+    for row in _echelon(ring, rows, M.rows + len(keep)):
+        if any(x != z for x in row[: M.rows]):
+            continue
+        v = [z] * M.cols
+        for t, x in enumerate(row[M.rows :]):
+            v[keep[t]] = x
+        lead = next(t for t, x in enumerate(row[M.rows :]) if x != z)
+        found.append((col_weights[keep[lead]], v))
+    found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
+    vectors = [v for _, v in found]
+    anns = tuple(_vector_annihilator(ring, v) for v in vectors)
+    return vectors, tuple(w for w, _ in found), anns
+
+
+def kernel_basis(M: IntMatrix) -> KernelBasis:
+    """Solutions of M x = 0 as a :class:`KernelBasis`: filtered_kernel
+    with every column at weight 0, so the generators are the echelon
+    basis of the kernel (Hermite over Z, reduced echelon over Q, Howell
+    over Z/m) and depend only on the row span of M."""
+    vectors, _, anns = filtered_kernel(M, [0] * M.cols, 0)
+    return KernelBasis(IntMatrix.from_columns(M.ring, vectors, M.cols), anns)

@@ -395,10 +395,13 @@ def test_oracle_trivial_group():
 
 def test_oracle_not_saturated():
     P = parse_presentation(TORUS)
-    with pytest.raises(NotSaturatedError) as info:
-        oracle_group_ring_quotient(P, Z, 1, 1)
-    assert info.value.code == "not_saturated"
-    assert "length 1" in str(info.value)
+    for ring in (Z, Ring.integers_mod(4), Ring.rationals()):
+        with pytest.raises(NotSaturatedError) as info:
+            oracle_group_ring_quotient(P, ring, 1, 1)
+        assert info.value.code == "not_saturated"
+        assert "length 1" in str(info.value)
+        # the first base class outside the span, the same on every ring
+        assert "(class of a^-1 is new)" in str(info.value)
 
 
 def test_oracle_rejects_bad_bounds():

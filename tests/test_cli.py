@@ -235,6 +235,58 @@ def test_oracle_compare_not_saturated(work, capsys):
     assert "-L" in err
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_oracle_compare_rejects_length_bound_below_one(work, capsys, bound):
+    rc, out, err = run(capsys, "oracle-compare", "--ring", "Z",
+                       "--presentation", work / "torus.grp", "-n", 1, "-L", bound)
+    assert rc == 1
+    assert out == ""
+    assert "length bound must be >= 1" in err
+
+
+# (verb, field, value): a JSON field of the wrong type in the verb's input file
+WRONG_TYPED_FIELDS = [
+    ("eval", "gens", 5),
+    ("eval", "ring", 3),
+    ("eval", "seq", 5),
+    ("verify", "annihilators", 5),
+    ("verify", "ranks_per_weight", 5),
+    ("verify", "tensors", 5),
+    ("verify", "gens", 5),
+    ("verify", "ring", 4),
+    ("verify", "n", [1]),
+    ("cyc-h0", "simplices", 5),
+]
+
+
+@pytest.mark.parametrize("verb, field, value", WRONG_TYPED_FIELDS)
+def test_wrong_typed_json_field_exits_one(work, capsys, verb, field, value):
+    bad = work / "bad.json"
+    if verb == "eval":
+        obj = json.loads(json.dumps(LK))
+        if field == "seq":
+            obj["terms"][0]["seq"] = value
+        else:
+            obj[field] = value
+        argv = ["eval", "--tensor", bad, "--word", "a"]
+    elif verb == "verify":
+        good = work / "good.json"
+        assert run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
+                   "-n", 1, "-o", good)[0] == 0
+        obj = json.loads(good.read_text())
+        obj[field] = value
+        argv = ["verify", "--basis", bad, "--presentation", work / "torus.grp"]
+    else:
+        obj = model_to_obj(circle_model())
+        obj[field] = value
+        argv = ["cyc-h0", "--ring", "Z", "--space", bad, "-n", 1]
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert "bad.json" in err
+
+
 def test_usage_errors_exit_one(work, capsys):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys)[0] == 1

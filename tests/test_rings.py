@@ -290,6 +290,17 @@ def test_determinism():
     second = smith_normal_form(M)
     assert [x.entries for x in first] == [x.entries for x in second]
     assert kernel_basis(M).matrix.entries == kernel_basis(M).matrix.entries
+    # kernel_basis depends only on the row span: shuffling the rows and
+    # adding a multiple of one row to another leave its output unchanged
+    for ring in (Z, Q, Ring.integers_mod(4), Ring.integers_mod(6)):
+        for _ in range(20):
+            M = random_matrix(rng, ring, max_dim=5, span=5)
+            rows = M.to_rows()
+            rng.shuffle(rows)
+            if len(rows) >= 2:
+                c = ring.from_int(rng.randrange(-3, 4))
+                rows[0] = [ring.add(x, ring.mul(c, y)) for x, y in zip(rows[0], rows[1])]
+            assert kernel_basis(IntMatrix.from_rows(ring, rows)) == kernel_basis(M)
 
 
 def test_row_canonical_form_frozen():
