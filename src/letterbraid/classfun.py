@@ -32,9 +32,10 @@ from .rings import (
     matrix_rank,
     row_canonical_form,
 )
-from .tensors import BraidingTensor, cycle, eval_word, tensor_from_obj, tensor_to_obj
+from .tensors import BraidingTensor, pair_with_expansion, tensor_from_obj, tensor_to_obj
 from .words import (
     GenSet,
+    MagnusPlan,
     MonomialCombination,
     UnknownGeneratorError,
     Word,
@@ -295,12 +296,19 @@ class Verdict:
         return self.ok
 
 
+def _insertion_spellings(letters: tuple, r: tuple):
+    """Unreduced spellings of letters with r, then r^-1, inserted at each
+    position in turn."""
+    r_inv = tuple((g, -s) for g, s in reversed(r))
+    for i in range(len(letters) + 1):
+        head, tail = letters[:i], letters[i:]
+        yield head + r + tail
+        yield head + r_inv + tail
+
+
 def _insertions(w: Word, r: Word):
-    for i in range(len(w.letters) + 1):
-        head = Word(w.gens, w.letters[:i])
-        tail = Word(w.gens, w.letters[i:])
-        yield head * r * tail
-        yield head * r.inverse() * tail
+    for spelling in _insertion_spellings(w.letters, r.letters):
+        yield Word(w.gens, spelling)
 
 
 def is_class_function_sampled(
@@ -319,12 +327,21 @@ def is_class_function_sampled(
     tensor weight, capped by max_len), then `samples` seeded random pairs
     with |g|, |w| <= max_len.  Returns a pass verdict or the first
     violating witness.
+
+    Conjugates and insertions are evaluated on their unreduced letter
+    spellings against one Magnus plan of T; a Word is built from such a
+    spelling only for a witness message.
     """
     _require_same_gens(T.gens, P.gens)
     gens = P.gens
+    plan = MagnusPlan(T.terms)
 
-    def conj_fail(g: Word, w: Word):
-        if eval_word(T, conjugate(g, w)) != eval_word(T, w):
+    def value(letters):
+        return pair_with_expansion(T, plan, plan.expand(letters))
+
+    def conj_fail(g: Word, w: Word, base):
+        g_inv = tuple((h, -s) for h, s in reversed(g.letters))
+        if value(g.letters + w.letters + g_inv) != base:
             return Verdict(
                 False,
                 f"conjugation: w = {w.to_text()}, g = {g.to_text()}, "
@@ -332,27 +349,28 @@ def is_class_function_sampled(
             )
         return None
 
-    def insert_fail(w: Word):
-        base = eval_word(T, w)
+    def insert_fail(w: Word, base):
         for r in P.relators:
-            for w2 in _insertions(w, r):
-                if eval_word(T, w2) != base:
+            for spelling in _insertion_spellings(w.letters, r.letters):
+                if value(spelling) != base:
                     return Verdict(
                         False,
-                        f"relator insertion: w = {w.to_text()} vs {w2.to_text()}",
+                        f"relator insertion: w = {w.to_text()} vs "
+                        f"{Word(gens, spelling).to_text()}",
                     )
         return None
 
     short_w = min(max(2, T.max_weight()), max_len)
     small = list(words_up_to(gens, min(2, max_len)))
     for w in words_up_to(gens, short_w):
+        base = value(w.letters)
         for g in small:
             if g.is_identity():
                 continue
-            bad = conj_fail(g, w)
+            bad = conj_fail(g, w, base)
             if bad is not None:
                 return bad
-        bad = insert_fail(w)
+        bad = insert_fail(w, base)
         if bad is not None:
             return bad
 
@@ -360,10 +378,11 @@ def is_class_function_sampled(
     for _ in range(samples):
         g = random_reduced_word(rng, gens, max_len)
         w = random_reduced_word(rng, gens, max_len)
-        bad = conj_fail(g, w) if not g.is_identity() else None
+        base = value(w.letters)
+        bad = conj_fail(g, w, base) if not g.is_identity() else None
         if bad is not None:
             return bad
-        bad = insert_fail(w)
+        bad = insert_fail(w, base)
         if bad is not None:
             return bad
     return Verdict(True)
@@ -600,8 +619,18 @@ def oracle_group_ring_quotient(
 
 
 def evaluation_table(tensors, words, ring: Ring) -> IntMatrix:
-    """Rows = tensors evaluated across the given words."""
-    rows = [[eval_word(T, w) for w in words] for T in tensors]
+    """Rows = tensors evaluated across the given words.
+
+    Each word is expanded once, against one Magnus plan covering every
+    tensor's index sequences.
+    """
+    tensors = list(tensors)
+    for T in tensors:
+        for w in words:
+            _require_same_gens(T.gens, w.gens)
+    plan = MagnusPlan(seq for T in tensors for seq in T.terms)
+    expansions = [plan.expand(w.letters) for w in words]
+    rows = [[pair_with_expansion(T, plan, values) for values in expansions] for T in tensors]
     return IntMatrix(ring, len(rows), len(words), tuple(x for r in rows for x in r))
 
 

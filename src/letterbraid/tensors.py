@@ -13,8 +13,12 @@ slot values at those positions:
   slots may sit on one inverse letter, which is what makes the value
   invariant under free reduction).
 
-The evaluation runs as a dynamic program over letter positions, linear
-in word length for each stored coefficient, so long words are cheap.
+Equivalently, the value is the pairing sum_m T[m] E(w)[m] of the tensor
+with the word's truncated Magnus series.  Evaluation computes it that
+way: one integer sweep over the letters (:class:`~letterbraid.words.MagnusPlan`)
+on the prefix trie of the tensor's index sequences, then one sum in the
+coefficient ring.  The cost is linear in word length times the number of
+trie nodes per generator, so long words are cheap.
 
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
@@ -31,6 +35,7 @@ from .words import (
     GenSet,
     GeneratorMismatchError,
     GroupRingElement,
+    MagnusPlan,
     UnknownGeneratorError,
     Word,
     _require_same_gens,
@@ -133,37 +138,24 @@ class BraidingTensor:
 # ---------------------------------------------------------------------------
 
 
+def pair_with_expansion(T: BraidingTensor, plan: MagnusPlan, values):
+    """sum_m T[m] * E[m], for an expansion E made by a plan covering T.
+
+    ``values`` is ``plan.expand(letters)``; the ring is applied once, to
+    the exact sum.
+    """
+    index = plan.index
+    return T.ring.canon(sum(c * values[index[seq]] for seq, c in T.terms.items()))
+
+
 def eval_letters(T: BraidingTensor, letters):
     """Evaluate on an arbitrary spelling (not necessarily reduced).
 
     The result agrees with :func:`eval_word` on the reduction of the
     spelling; tests exercise exactly that invariance.
     """
-    ring = T.ring
-    total = ring.zero()
-    for seq, coeff in T.terms.items():
-        p = len(seq)
-        if p == 0:
-            total = ring.add(total, coeff)
-            continue
-        # acc[j] = weighted count of ways to place slots 1..j on the
-        # letters seen so far, respecting the order constraints.
-        acc = [ring.one()] + [ring.zero()] * p
-        for g, s in letters:
-            here = [ring.zero()] * (p + 1)  # placements whose last slot is this letter
-            for j in range(1, p + 1):
-                if seq[j - 1] != g:
-                    continue
-                ways = acc[j - 1]
-                if s == -1:
-                    ways = ring.add(ways, here[j - 1])  # weak order: chain on an inverse letter
-                if ways != ring.zero():
-                    here[j] = ring.mul(ways, ring.from_int(s))
-            for j in range(1, p + 1):
-                if here[j] != ring.zero():
-                    acc[j] = ring.add(acc[j], here[j])
-        total = ring.add(total, ring.mul(coeff, acc[p]))
-    return total
+    plan = MagnusPlan(T.terms)
+    return pair_with_expansion(T, plan, plan.expand(letters))
 
 
 def eval_word(T: BraidingTensor, w: Word):
@@ -179,9 +171,11 @@ def eval_group_ring(T: BraidingTensor, x: GroupRingElement):
             f"coefficient rings differ: {T.ring.spec} vs {x.ring.spec}"
         )
     _require_same_gens(T.gens, x.gens)
+    plan = MagnusPlan(T.terms)
     acc = T.ring.zero()
     for w, c in x.terms.items():
-        acc = T.ring.add(acc, T.ring.mul(c, eval_word(T, w)))
+        value = pair_with_expansion(T, plan, plan.expand(w.letters))
+        acc = T.ring.add(acc, T.ring.mul(c, value))
     return acc
 
 

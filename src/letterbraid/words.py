@@ -10,13 +10,19 @@ power of the augmentation ideal, as a combination of products
 ``(s_1 - 1)(s_2 - 1) ... (s_k - 1)`` over *positive* generators with
 k <= n.  A monomial is stored as the tuple of its generator indices; the
 empty tuple is the unit and carries the augmentation of the element.
-Inverse letters enter through the truncated geometric series
-``(s^-1 - 1) = -(s-1) + (s-1)^2 - ...`` and concatenation uses the
-product rule ``(uv - 1) = (u-1)(v-1) + (u-1) + (v-1)``.
+
+Both that expansion and tensor evaluation run on one integer Magnus
+core, :class:`MagnusPlan`: the truncated Magnus series E(w) of a word,
+with s -> 1 + x_s and s^-1 -> 1 - x_s + x_s^2 - ..., restricted to a
+prefix-closed set of monomials and computed in one iterative sweep over
+the letters with plain Python ints.  A prefix-closed set is closed under
+right multiplication by a letter, so the restriction is exact; the
+series is multiplicative, so unreduced spellings give the same values.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -40,6 +46,11 @@ class GeneratorMismatchError(ValueError):
 
     code = "gen_mismatch"
 
+
+# parse_word refuses words with more letters than this, counted from the
+# token exponents before any letter list is built: "a^1000000000000" would
+# otherwise try to allocate 10^12 letters.
+MAX_WORD_LETTERS = 100_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -155,12 +166,14 @@ class Word:
 def parse_word(text: str, gens: GenSet) -> Word:
     """Parse whitespace-separated tokens ``g``, ``g^-1``, ``g^k`` (k nonzero).
 
-    The empty string and the bare token "1" denote the identity.
+    The empty string and the bare token "1" denote the identity.  A word
+    of more than MAX_WORD_LETTERS letters, summed over the exponents, is
+    refused with a WordSyntaxError.
     """
-    letters = []
     tokens = text.split()
     if tokens == ["1"]:
         return Word.identity(gens)
+    runs = []
     for token in tokens:
         m = _TOKEN_RE.fullmatch(token)
         if not m:
@@ -170,8 +183,15 @@ def parse_word(text: str, gens: GenSet) -> Word:
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in token {token!r}")
-        sign = 1 if k > 0 else -1
-        letters.extend([(g, sign)] * abs(k))
+        runs.append((g, k))
+    total = sum(abs(k) for _, k in runs)
+    if total > MAX_WORD_LETTERS:
+        raise WordSyntaxError(
+            f"word has {total} letters, more than the cap of {MAX_WORD_LETTERS}"
+        )
+    letters = []
+    for g, k in runs:
+        letters.extend([(g, 1 if k > 0 else -1)] * abs(k))
     return Word(gens, tuple(letters))
 
 
@@ -323,16 +343,13 @@ class MonomialCombination:
 
     A key ``(i_1, ..., i_k)`` stands for the product
     ``(s_{i_1} - 1) ... (s_{i_k} - 1)`` with k <= max_degree; the empty
-    key is the unit.  ``exact_mod_higher`` records that the represented
-    element equals the original one exactly modulo monomials of length
-    > max_degree (true for everything this module produces).
+    key is the unit.
     """
 
     ring: Ring
     gens: GenSet
     max_degree: int
     terms: dict  # tuple of generator indices -> coefficient, no zeros
-    exact_mod_higher: bool = True
 
     def __post_init__(self):
         clean = {}
@@ -387,53 +404,76 @@ class MonomialCombination:
         return MonomialCombination(ring, gens, max_degree, {tuple(mono): ring.from_int(coeff)})
 
 
-def _mono_mul(d1: dict, d2: dict, n: int) -> dict:
-    out = {}
-    for m1, c1 in d1.items():
-        for m2, c2 in d2.items():
-            if len(m1) + len(m2) <= n:
-                key = m1 + m2
-                out[key] = out.get(key, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+class MagnusPlan:
+    """Integer Magnus expansion of words, restricted to a set of monomials.
 
+    The plan is the prefix trie of the given monomials (index sequences):
+    node 0 is the empty monomial and every other node is a nonempty
+    prefix.  ``index`` maps each prefix to its node.  The trie nodes are
+    grouped by their last generator, so a letter touches only the nodes
+    that end in its generator.
+    """
 
-def _expand_word_minus_one(letters: tuple, n: int, cache: dict) -> dict:
-    """Integer-coefficient expansion of (word - 1), degrees 1..n."""
-    if not letters:
-        return {}
-    hit = cache.get(letters)
-    if hit is not None:
-        return hit
-    if len(letters) == 1:
-        g, s = letters[0]
-        if s == 1:
-            out = {(g,): 1} if n >= 1 else {}
-        else:
-            out = {(g,) * k: (-1) ** k for k in range(1, n + 1)}
-    else:
-        head = _expand_word_minus_one(letters[:1], n, cache)
-        tail = _expand_word_minus_one(letters[1:], n, cache)
-        out = _mono_mul(head, tail, n)
-        for part in (head, tail):
-            for m, c in part.items():
-                out[m] = out.get(m, 0) + c
-        out = {m: c for m, c in out.items() if c}
-    cache[letters] = out
-    return out
+    __slots__ = ("index", "_up", "_down")
+
+    def __init__(self, monomials):
+        nodes = {()}
+        for mono in monomials:
+            mono = tuple(mono)
+            nodes.update(mono[:i] for i in range(1, len(mono) + 1))
+        order = sorted(nodes, key=lambda m: (len(m), m))
+        self.index = {m: i for i, m in enumerate(order)}
+        shortest_first: dict = {}
+        for m in order[1:]:
+            shortest_first.setdefault(m[-1], []).append((self.index[m], self.index[m[:-1]]))
+        # (node, parent) pairs: longest first for s, shortest first for s^-1
+        self._up = {g: tuple(reversed(pairs)) for g, pairs in shortest_first.items()}
+        self._down = {g: tuple(pairs) for g, pairs in shortest_first.items()}
+
+    def expand(self, letters) -> list:
+        """Coefficients of E(letters) at every node, as a list of ints.
+
+        E is multiplied on the right by each letter in turn.  A letter s
+        multiplies by 1 + x_s: each node ending in s adds its parent's old
+        value, so the longest nodes go first.  A letter s^-1 multiplies by
+        sum_k (-x_s)^k: each node ending in s subtracts its parent's new
+        value, so the shortest nodes go first.  Any spelling works,
+        reduced or not.
+        """
+        values = [0] * len(self.index)
+        values[0] = 1
+        up, down = self._up, self._down
+        for g, s in letters:
+            if s > 0:
+                for node, parent in up.get(g, ()):
+                    values[node] += values[parent]
+            else:
+                for node, parent in down.get(g, ()):
+                    values[node] -= values[parent]
+        return values
 
 
 def fox_expand(x: GroupRingElement, n: int) -> MonomialCombination:
     """Expansion of x in positive monomials up to degree n.
 
     The result represents x exactly modulo the (n+1)-st power of the
-    augmentation ideal; its empty-monomial coefficient is aug(x).
+    augmentation ideal; its empty-monomial coefficient is aug(x).  Each
+    word is expanded against the plan of all monomials of degree <= n
+    over the generators it uses.
     """
     if n < 0:
         raise ValueError(f"truncation degree must be >= 0, got {n}")
-    ring = x.ring
-    cache: dict = {}
-    acc = {(): augmentation(x)}
+    plans: dict = {}
+    acc: dict = {}
     for w, c in x.terms.items():
-        for mono, k in _expand_word_minus_one(w.letters, n, cache).items():
-            acc[mono] = ring.add(acc.get(mono, ring.zero()), ring.mul(c, ring.from_int(k)))
-    return MonomialCombination(ring, x.gens, n, acc)
+        used = tuple(sorted({g for g, _ in w.letters}))
+        plan = plans.get(used)
+        if plan is None:
+            plan = plans[used] = MagnusPlan(
+                m for p in range(n + 1) for m in itertools.product(used, repeat=p)
+            )
+        values = plan.expand(w.letters)
+        for mono, node in plan.index.items():
+            if values[node]:
+                acc[mono] = acc.get(mono, 0) + c * values[node]
+    return MonomialCombination(x.ring, x.gens, n, acc)

@@ -7,6 +7,7 @@ import pytest
 from letterbraid.classfun import basis_from_obj
 from letterbraid.cli import main
 from letterbraid.dga import circle_model, model_to_obj, wedge_model
+from letterbraid.words import MAX_WORD_LETTERS
 
 TORUS_GRP = "gens: a b\nrel: a b a^-1 b^-1\n"
 CYCLIC2_GRP = "gens: s\nrel: s^2\n"
@@ -94,6 +95,32 @@ def test_basis_finite_type_differs_from_class(work, capsys):
     rc, out, _ = run(capsys, "basis", "--ring", "Z",
                      "--presentation", free, "-n", 2, "--class")
     assert rc == 0 and "total 6" in out
+
+
+def test_basis_on_relator_of_1200_letters(work, capsys):
+    # <a, b | a^1200 b> is infinite cyclic, generated by a
+    grp = work / "long.grp"
+    grp.write_text("gens: a b\nrel: a^1200 b\n")
+    rc, out, err = run(capsys, "basis", "--ring", "Z", "--presentation", grp, "-n", 2)
+    assert rc == 0, err
+    assert out == "ranks_per_weight [1,1,1]\ntotal 3\n"
+
+
+def test_eval_rejects_oversized_word(work, capsys):
+    for word in ("a^1000000000000", f"a^{MAX_WORD_LETTERS} b^-1"):
+        rc, out, err = run(capsys, "eval", "--tensor", work / "lk.json", "--word", word)
+        assert rc == 1
+        assert out == ""
+        assert "--word" in err and str(MAX_WORD_LETTERS) in err
+
+
+def test_basis_rejects_oversized_relator(work, capsys):
+    grp = work / "huge.grp"
+    grp.write_text("gens: a b\nrel: a b\nrel: a^1000000000000 b\n")
+    rc, out, err = run(capsys, "basis", "--ring", "Z", "--presentation", grp, "-n", 1)
+    assert rc == 1
+    assert out == ""
+    assert "huge.grp" in err and "line 3" in err and str(MAX_WORD_LETTERS) in err
 
 
 def test_basis_bad_presentation_names_line(work, capsys):

@@ -1,7 +1,7 @@
 """Tensor evaluation tests.
 
 The key oracle here is `braid_oracle`, a direct enumeration of placement
-tuples that shares no code with the dynamic program in the library.
+tuples that shares no code with the Magnus sweep in the library.
 """
 
 import json
@@ -153,30 +153,44 @@ def test_dp_matches_enumeration_oracle():
 
 def test_unreduced_spellings_give_same_value():
     rng = random.Random(11)
-    for _ in range(80):
+    # (word length, cancelling pairs inserted): short words, then long ones
+    cases = [(6, None)] * 80 + [(2500, 300)] * 4
+    for max_len, pairs in cases:
         T = random_tensor(rng, Z, AB)
-        w = random_reduced_word(rng, AB, max_len=6)
+        exact = max_len if pairs else None
+        w = random_reduced_word(rng, AB, max_len=max_len, exact_len=exact)
         letters = list(w.letters)
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(pairs or rng.randint(1, 4)):
             i = rng.randint(0, len(letters))
             g = rng.randrange(len(AB))
             s = rng.choice((1, -1))
             letters[i:i] = [(g, s), (g, -s)]
         assert eval_letters(T, tuple(letters)) == eval_word(T, w)
+        if pairs:
+            # a long cancelling block u u^-1 inserted in the middle
+            u = random_reduced_word(rng, AB, max_len=500, exact_len=500)
+            i = len(letters) // 2
+            letters[i:i] = list(u.letters) + list(u.inverse().letters)
+            assert eval_letters(T, tuple(letters)) == eval_word(T, w)
 
 
 def test_value_matches_series_coefficients():
     # independent route: the word's truncated series expansion from the
     # group-ring side, paired against the tensor coefficients
     rng = random.Random(99)
-    for _ in range(60):
-        T = random_tensor(rng, Z, AB, max_weight=3)
-        w = random_reduced_word(rng, AB, max_len=6)
-        x = GroupRingElement.from_word(Z, w)
+    # (ring, word length): short words over Z, then words of 2000+ letters
+    cases = [(Z, None)] * 60 + [(ring, 2000) for ring in (Z, Ring.integers_mod(4), Q)] * 3
+    for ring, long_len in cases:
+        T = random_tensor(rng, ring, AB, max_weight=3)
+        if long_len is None:
+            w = random_reduced_word(rng, AB, max_len=6)
+        else:
+            w = random_reduced_word(rng, AB, 0, exact_len=long_len + rng.randrange(500))
+        x = GroupRingElement.from_word(ring, w)
         series = fox_expand(x, 3)
-        expect = Z.zero()
+        expect = ring.zero()
         for seq, c in T.terms.items():
-            expect = Z.add(expect, Z.mul(c, series.coefficient(seq)))
+            expect = ring.add(expect, ring.mul(c, series.coefficient(seq)))
         assert eval_word(T, w) == expect
 
 

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -37,7 +38,8 @@ def test_parse_basic():
     assert parse_word("a a^-1", AB).is_identity()
 
 
-@pytest.mark.parametrize("bad", ["a^", "^2", "2a", "a^1.5", "a b^"])
+# the last is refused by the letter cap, before any letter list is built
+@pytest.mark.parametrize("bad", ["a^", "^2", "2a", "a^1.5", "a b^", "a^1000000000000"])
 def test_parse_syntax_errors(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad, AB)
@@ -142,7 +144,7 @@ def magnus_oracle(w: Word, ring: Ring, n: int) -> dict:
     """Independent route: substitute s -> 1 + X_s, s^-1 -> 1 - X_s + X_s^2 - ...
 
     Plain polynomial multiplication in the truncated free algebra; no use
-    of the product/inverse recursion the library implements.
+    of the Magnus sweep the library implements.
     """
     poly = {(): ring.one()}
     for g, s in w.letters:
@@ -186,14 +188,26 @@ def test_fox_expand_matches_series_oracle():
 
 def test_fox_expand_is_multiplicative():
     rng = random.Random(37)
-    for _ in range(40):
-        u = random_reduced_word(rng, AB, 5)
-        v = random_reduced_word(rng, AB, 5)
+    # Chen's identity E(uv) = E(u) E(v): short words, then long ones
+    for max_len in [5] * 40 + [3000] * 6:
+        exact = rng.randrange(1000, max_len + 1) if max_len > 5 else None
+        u = random_reduced_word(rng, AB, max_len, exact_len=exact)
+        v = random_reduced_word(rng, AB, max_len, exact_len=exact)
         n = rng.randrange(0, 5)
         eu = fox_expand(GroupRingElement.from_word(Z, u), n)
         ev = fox_expand(GroupRingElement.from_word(Z, v), n)
         euv = fox_expand(GroupRingElement.from_word(Z, u * v), n)
         assert eu.multiply(ev).terms == euv.terms
+
+
+def test_fox_expand_of_long_powers_is_binomial():
+    # (1 + x)^k - 1 and (1 + x)^-k - 1, far past any recursion depth
+    k, n = 5000, 4
+    for sign, coeff in ((1, lambda p: comb(k, p)),
+                        (-1, lambda p: (-1) ** p * comb(k + p - 1, p))):
+        w = Word(S1, ((0, sign),) * k)
+        e = fox_expand(word_minus_one(Z, w), n)
+        assert e.terms == {(0,) * p: coeff(p) for p in range(1, n + 1)}
 
 
 def test_fox_expand_kills_deep_filtration():
