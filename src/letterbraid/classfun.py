@@ -27,8 +27,10 @@ from .barcyc import _sigma_minus_one_matrix
 from .rings import (
     IntMatrix,
     Ring,
+    _echelon,
+    _kernel_rows,
+    _vector_annihilator,
     filtered_kernel,
-    kernel_basis,
     matrix_rank,
     row_canonical_form,
 )
@@ -46,6 +48,8 @@ from .words import (
     random_reduced_word,
     word_minus_one,
     words_up_to,
+    _join,
+    _reduced_spellings,
     _require_same_gens,
 )
 
@@ -306,11 +310,6 @@ def _insertion_spellings(letters: tuple, r: tuple):
         yield head + r_inv + tail
 
 
-def _insertions(w: Word, r: Word):
-    for spelling in _insertion_spellings(w.letters, r.letters):
-        yield Word(w.gens, spelling)
-
-
 def is_class_function_sampled(
     T: BraidingTensor,
     P: Presentation,
@@ -393,28 +392,6 @@ def is_class_function_sampled(
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 @dataclass(frozen=True)
 class PairingTable:
     """Values of the oracle's Hom generators on the enumerated words.
@@ -440,89 +417,91 @@ class OracleReport:
 
 
 def _enumerate_classes(P: Presentation, full_len: int):
-    """Union-find over reduced words of length <= full_len, merging words
-    that differ by one relator (or inverse) insertion inside the ball."""
-    uf = _UnionFind()
-    all_words = list(words_up_to(P.gens, full_len))
-    for w in all_words:
-        uf.add(w.letters)
-    for w in all_words:
-        for r in P.relators:
-            for w2 in _insertions(w, r):
-                if len(w2.letters) <= full_len:
-                    uf.union(w.letters, w2.letters)
-    # class id -> minimal representative, deterministic (length, letters) order
-    members: dict = {}
-    for w in all_words:
-        root = uf.find(w.letters)
-        best = members.get(root)
-        if best is None or (len(w.letters), w.letters) < (len(best), best):
-            members[root] = w.letters
-    reps = sorted(members.values(), key=lambda ls: (len(ls), ls))
-    position = {letters: i for i, letters in enumerate(reps)}
-    class_of_root = {root: position[best] for root, best in members.items()}
-    index = {}
-    for w in all_words:
-        index[w.letters] = class_of_root[uf.find(w.letters)]
+    """Classes of the reduced words of length <= full_len, merging words
+    that differ by one relator (or inverse) insertion inside the ball.
+
+    Works on letter tuples: an insertion head . r . tail of a reduced
+    word head + tail is free-reduced only at its two junctions.  Returns
+    the class representatives, the minimal member of each class in
+    (length, letters) order, sorted the same way, and the class index of
+    every word.
+    """
+    words = sorted(_reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
+    position = {w: i for i, w in enumerate(words)}
+    inserted = [x for r in P.relators for x in (r.letters, r.inverse().letters)]
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, w in enumerate(words):
+        for cut in range(len(w) + 1):
+            head, tail = w[:cut], w[cut:]
+            for r in inserted:
+                w2 = _join(_join(head, r), tail)
+                if len(w2) <= full_len:
+                    a, b = find(i), find(position[w2])
+                    # the smaller index, the earlier word, stays the root
+                    parent[max(a, b)] = min(a, b)
+    reps, index, class_of_root = [], {}, {}
+    for i, w in enumerate(words):
+        root = find(i)
+        if root == i:
+            class_of_root[i] = len(reps)
+            reps.append(w)
+        index[w] = class_of_root[root]
     return reps, index
 
 
-def _left_action(P: Presentation, reps, index, cache, g: int, cls: int):
-    key = (g, cls)
-    hit = cache.get(key)
-    if hit is None:
-        moved = Word(P.gens, ((g, 1),) + reps[cls])
-        hit = index.get(moved.letters)
-        if hit is None:
-            raise NotSaturatedError(
-                "internal enumeration ball too small for generator action"
-            )
-        cache[key] = hit
-    return hit
-
-
-def _rewrite_rows(P: Presentation, ring: Ring, reps, index, d: int):
-    """One relation row per class: [v] minus its Fox expansion.
+def _rewrite_rows(ring: Ring, k: int, reps, index, d: int):
+    """One sparse relation row per class: [v] minus its Fox expansion.
 
     In the free group [v] = 1 + sum_mono c_mono(v) mono modulo I^(d+1),
     and each monomial (s_1 - 1)...(s_m - 1) expands by inclusion-
     exclusion into classes of positive words of length <= d.  The image
     of that identity in R[G] ties every enumerated class to the short
     positive classes, so functionals cannot float free on the deep part
-    of the enumeration ball.
+    of the enumeration ball.  Every class is expanded against one Magnus
+    plan of all monomials of weight <= d.
     """
-    z, o = ring.zero(), ring.one()
-    c = len(reps)
+    monos = [m for p in range(1, d + 1) for m in itertools.product(range(k), repeat=p)]
+    plan = MagnusPlan(monos)
     one_class = index[()]
-    mono_cache: dict = {}
-
-    def mono_vector(mono):
-        hit = mono_cache.get(mono)
-        if hit is None:
-            acc: dict = {}
-            m = len(mono)
-            for size in range(m + 1):
-                for chosen in itertools.combinations(range(m), size):
-                    letters = tuple((mono[i], 1) for i in chosen)
-                    cls = index[Word(P.gens, letters).letters]
-                    sign = 1 if (m - size) % 2 == 0 else -1
-                    acc[cls] = acc.get(cls, 0) + sign
-            hit = tuple(acc.items())
-            mono_cache[mono] = hit
-        return hit
-
+    mono_vectors = []
+    for mono in monos:
+        acc: dict = {}
+        for size in range(len(mono) + 1):
+            sign = 1 if (len(mono) - size) % 2 == 0 else -1
+            for chosen in itertools.combinations(mono, size):
+                cls = index[tuple((g, 1) for g in chosen)]
+                acc[cls] = acc.get(cls, 0) + sign
+        mono_vectors.append((plan.index[mono], tuple(acc.items())))
     rows = []
     for cls, letters in enumerate(reps):
-        row = [z] * c
-        row[cls] = o
-        row[one_class] = ring.sub(row[one_class], o)
-        expansion = fox_expand(word_minus_one(ring, Word(P.gens, letters)), d)
-        for mono, coeff in expansion.terms.items():
-            for tgt, mult in mono_vector(mono):
-                row[tgt] = ring.sub(row[tgt], ring.mul(coeff, ring.from_int(mult)))
-        if any(x != z for x in row):
+        values = plan.expand(letters)
+        row = {cls: 1}
+        row[one_class] = row.get(one_class, 0) - 1
+        for node, vector in mono_vectors:
+            coeff = values[node]
+            if coeff:
+                for tgt, mult in vector:
+                    row[tgt] = row.get(tgt, 0) - coeff * mult
+        row = _canon_row(ring, row)
+        if row:
             rows.append(row)
     return rows
+
+
+def _canon_row(ring: Ring, row: dict) -> dict:
+    """A sparse row of integers as canonical nonzero ring entries."""
+    out = {}
+    for j, x in row.items():
+        x = ring.canon(x)
+        if x:
+            out[j] = x
+    return out
 
 
 def oracle_group_ring_quotient(
@@ -531,16 +510,24 @@ def oracle_group_ring_quotient(
     """Brute-force Hom(R[G]/I^(d+1), R) for d = 0..n, from first principles.
 
     Group elements are reduced words of length <= length_bound + n + 1
-    identified by relator insertions.  For each type degree d the
-    relation span has two parts: left products
-    (s_1 - 1)...(s_(d+1) - 1) w over positive generators and words
-    w <= length_bound, built by repeatedly applying (s - 1); and the
-    Fox-expansion rewriting rows of _rewrite_rows, which express every
-    class through positive words of length <= d.  Hom generators are
-    the kernel of those rows.  Saturation is detected by checking that
-    every class seen at the length bound is, modulo the relations, a
-    combination of strictly shorter words; failing that raises
-    NotSaturatedError ("not_saturated").
+    identified by relator insertions (_enumerate_classes, on letter
+    tuples).  For each type degree d the relation span has two parts:
+    left products (s_1 - 1)...(s_(d+1) - 1) w over positive generators
+    and words w <= length_bound, built by repeatedly applying (s - 1),
+    where s acts on a class representative by prepending s or cancelling
+    its first letter; and the Fox-expansion rewriting rows of
+    _rewrite_rows, which express every class through positive words of
+    length <= d.  Hom generators are the kernel of those rows.
+    Saturation is detected by checking that every class seen at the
+    length bound is, modulo the relations, a combination of strictly
+    shorter words; failing that raises NotSaturatedError
+    ("not_saturated").
+
+    Relation rows stay sparse (class -> entry) throughout: the stages and
+    the saturation check are echelon forms of rings._echelon, and the
+    stage kernels come from rings._kernel_rows, the routine behind
+    filtered_kernel.  Words are built only for the reported
+    representatives and messages.
     """
     if n < 0:
         raise ValueError(f"type bound must be >= 0, got {n}")
@@ -550,51 +537,43 @@ def oracle_group_ring_quotient(
     full_len = length_bound + n + 1
     reps, index = _enumerate_classes(P, full_len)
     c = len(reps)
-    z, o = ring.zero(), ring.one()
-    action_cache: dict = {}
+    o = ring.one()
+    action: dict = {}
 
-    base_classes = sorted({index[w.letters] for w in words_up_to(P.gens, length_bound)})
-    current = []
-    for cls in base_classes:
-        row = [z] * c
-        row[cls] = o
-        current.append(row)
+    def act(g: int, cls: int) -> int:
+        hit = action.get((g, cls))
+        if hit is None:
+            hit = index.get(_join(((g, 1),), reps[cls]))
+            if hit is None:
+                raise NotSaturatedError(
+                    "internal enumeration ball too small for generator action"
+                )
+            action[g, cls] = hit
+        return hit
+
+    base_classes = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound)})
+    current = [{cls: o} for cls in base_classes]
     relation_stages = []  # stage d: canonical span of the I^(d+1) relations
     for d in range(n + 1):
         nxt = []
         for row in current:
             for g in range(k):
-                shifted = [z] * c
-                for j, x in enumerate(row):
-                    if x == z:
-                        continue
-                    tgt = _left_action(P, reps, index, action_cache, g, j)
-                    shifted[tgt] = ring.add(shifted[tgt], x)
-                    shifted[j] = ring.sub(shifted[j], x)
-                nxt.append(shifted)
-        products = row_canonical_form(
-            IntMatrix(ring, len(nxt), c, tuple(x for r in nxt for x in r))
-        )
-        current = products.to_rows()
-        combined = current + _rewrite_rows(P, ring, reps, index, d)
-        relation_stages.append(
-            row_canonical_form(
-                IntMatrix(ring, len(combined), c, tuple(x for r in combined for x in r))
-            )
-        )
+                shifted: dict = {}
+                for j, x in row.items():
+                    tgt = act(g, j)
+                    shifted[tgt] = shifted.get(tgt, 0) + x
+                    shifted[j] = shifted.get(j, 0) - x
+                nxt.append(_canon_row(ring, shifted))
+        current = _echelon(ring, nxt)
+        relation_stages.append(_echelon(ring, current + _rewrite_rows(ring, k, reps, index, d)))
 
     # saturation: every class reached at length_bound must already be a
     # combination of strictly shorter words modulo the top relations, so
     # adding the unit vectors of the base classes leaves the span unchanged
-    def with_units(M: IntMatrix, classes) -> IntMatrix:
-        flat = [z] * (len(classes) * c)
-        for i, cls in enumerate(classes):
-            flat[i * c + cls] = o
-        return row_canonical_form(M.stack_below(IntMatrix(ring, len(classes), c, tuple(flat))))
+    def with_units(rows, classes):
+        return _echelon(ring, rows + [{cls: o} for cls in classes])
 
-    shorter = sorted(
-        {index[w.letters] for w in words_up_to(P.gens, length_bound - 1)}
-    )
+    shorter = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound - 1)})
     spanned = with_units(relation_stages[n], shorter)
     if with_units(spanned, base_classes) != spanned:
         cls = next(cls for cls in base_classes if with_units(spanned, [cls]) != spanned)
@@ -603,17 +582,20 @@ def oracle_group_ring_quotient(
             f"(class of {Word(P.gens, reps[cls]).to_text()} is new); raise the bound"
         )
 
-    kernels = [kernel_basis(stage) for stage in relation_stages]
-    ranks = [matrix_rank(kb.matrix) for kb in kernels]
-    top_kernel = kernels[-1]
+    ranks = []
+    for stage in relation_stages:
+        kernel = _kernel_rows(ring, stage, range(c))
+        generators = IntMatrix.from_columns(
+            ring, [[v.get(cls, 0) for cls in range(c)] for v in kernel], c
+        )
+        ranks.append(matrix_rank(generators))
+    z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
-    hom_rows = []
-    for vec in top_kernel.generators():
-        hom_rows.append([vec[cls] for cls in base_classes])
+    hom = tuple(v.get(cls, z) for v in kernel for cls in base_classes)
     table = PairingTable(
         words,
-        IntMatrix(ring, len(hom_rows), len(words), tuple(x for r in hom_rows for x in r)),
-        top_kernel.annihilators,
+        IntMatrix(ring, len(kernel), len(words), hom),
+        tuple(_vector_annihilator(ring, v.values()) for v in kernel),
     )
     return OracleReport(ring, n, length_bound, c, tuple(ranks), table)
 

@@ -16,15 +16,20 @@ Conventions that keep runs byte-for-byte reproducible:
   after which each diagonal entry d is rescaled by a unit to gcd(d, m),
   the canonical divisor-of-m representative, so the divisibility chain
   survives on canonical lifts.  The number of nonzero diagonal entries
-  (matrix_rank) is then the minimal number of generators of the span.
-* Echelon forms (row_canonical_form) are computed with every entry kept
-  mod m: the Howell form, whose pivots are divisors of m.  Its rows
-  generate the span but need not be a minimal generating set, so
-  counting them can exceed the minimal generator count.
-* Kernels (filtered_kernel, and kernel_basis as its one-weight case) are
-  read off one echelon form of [M^T | I]: the rows whose pivot lies in
-  the identity block.  Over Z/m each generator carries its additive
-  order as annihilator (0 = free).
+  is then the minimal number of generators of the span; matrix_rank
+  over Z/m counts it on the few pivot rows of one echelon pass, and
+  over Z and Q counts those pivot rows themselves.
+* Echelon forms (row_canonical_form) come from one routine, _echelon,
+  on sparse rows (column -> nonzero entry), with every entry kept mod m:
+  the Howell form, whose pivots are divisors of m.  Its rows generate
+  the span but need not be a minimal generating set, so counting them
+  can exceed the minimal generator count.
+* Kernels (filtered_kernel, kernel_basis as its one-weight case, and
+  the group-ring oracle's stage kernels) are read off one echelon form
+  of the sparse rows [M^T | I] (_kernel_rows): the rows whose pivot lies
+  in the identity block.  Only those rows are back-reduced; the others
+  are dropped.  Over Z/m each generator carries its additive order as
+  annihilator (0 = free).
 * Over Q the same elimination is ordinary Gaussian elimination and the
   pivots are normalised to 1.
 """
@@ -541,11 +546,23 @@ def _diagonal(D: IntMatrix) -> list:
 
 
 def matrix_rank(M: IntMatrix) -> int:
-    """Count of nonzero Smith diagonal entries: the rank over Z or Q, and
-    over Z/m the minimal number of generators of the column span."""
-    _, D, _ = smith_normal_form(M)
-    z = M.ring.zero()
-    return sum(1 for d in _diagonal(D) if d != z)
+    """The rank over Z or Q, and over Z/m the minimal number of generators
+    of the span.
+
+    One echelon pass (no back-reduction) gives pivot rows that generate
+    the same module; over Z and Q their number is the rank.  Over Z/m it
+    is the number of integer Smith diagonal entries of their lifts that m
+    does not divide: for any lifts B of generators of a submodule N,
+    B = U D V gives N = (+) Z/(m / gcd(d_i, m)), an invariant-factor
+    decomposition.  There are at most M.cols pivot rows, so the Smith
+    form stays small whatever M.rows is.
+    """
+    pivots = _pivot_rows(M.ring, _sparse_rows(M))
+    if M.ring.kind != "Zmod":
+        return len(pivots)
+    lifts = [[r.get(j, 0) for j in range(M.cols)] for r in pivots.values()]
+    _, d, _ = _snf_int(lifts, len(lifts), M.cols)
+    return sum(1 for t in range(len(lifts)) if d[t][t] % M.ring.modulus)
 
 
 def cokernel_free_rank(M: IntMatrix) -> int:
@@ -655,24 +672,10 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
     return row
 
 
-def _echelon(ring: Ring, rows, cols: int) -> list:
-    """Canonical echelon form of the row span of `rows` (length-cols sequences).
-
-    Over Q the reduced row echelon form; over Z the Hermite form
-    (positive pivots, entries above each pivot in [0, pivot)); over Z/m
-    the Howell form, i.e. the Hermite form of the lifts together with
-    m * Z^cols, computed with every entry kept in [0, m): pivots are
-    divisors of m and entries above a pivot g lie in [0, g).  Rows come
-    out in pivot order, zero rows dropped, and depend only on the span.
-    For every column j the rows pivoting at or right of j span the
-    vectors of the row span that vanish left of j.
-
-    Rows are reduced one at a time against the pivot rows found so far
-    (kept sparse); a gcd step merges a row into a pivot row it cannot
-    clear.  Entries above the pivots are reduced at the end.
-    """
-    z = ring.zero()
-    pending = [{j: x for j, x in enumerate(r) if x != z} for r in reversed(rows)]
+def _pivot_rows(ring: Ring, rows) -> dict:
+    """The forward pass of _echelon: pivot column -> pivot row, unreduced
+    above the pivots.  Its size is the rank over Z and Q."""
+    pending = list(reversed(rows))
     pivots = {}
     while pending:
         row = pending.pop()
@@ -690,7 +693,30 @@ def _echelon(ring: Ring, rows, cols: int) -> list:
                 merged = _combine(ring, s, piv, t, row)
                 row = _combine(ring, a // g, row, -(b // g), piv)
                 pivots[j] = _install_pivot(ring, merged, j, pending)
-    out = [pivots[j] for j in sorted(pivots)]
+    return pivots
+
+
+def _echelon(ring: Ring, rows, start: int = 0) -> list:
+    """Canonical echelon form of the row span of `rows`, sparse rows
+    (column -> nonzero canonical entry) in and out.
+
+    Over Q the reduced row echelon form; over Z the Hermite form
+    (positive pivots, entries above each pivot in [0, pivot)); over Z/m
+    the Howell form, i.e. the Hermite form of the lifts together with
+    m * Z^cols, computed with every entry kept in [0, m): pivots are
+    divisors of m and entries above a pivot g lie in [0, g).  Rows come
+    out in pivot order and depend only on the span.  For every column j
+    the rows pivoting at or right of j span the vectors of the row span
+    that vanish left of j.
+
+    Rows are reduced one at a time against the pivot rows found so far;
+    a gcd step merges a row into a pivot row it cannot clear.  Entries
+    above the pivots are reduced at the end, and only in the rows
+    pivoting at or right of `start`: the others are dropped unreduced
+    (the "clearing" of persistent homology), since reducing a row uses
+    only the pivot rows to its right.
+    """
+    out = [r for j, r in sorted(_pivot_rows(ring, rows).items()) if j >= start]
     for i, r in enumerate(out):
         j = min(r)
         p = r[j]
@@ -700,7 +726,15 @@ def _echelon(ring: Ring, rows, cols: int) -> list:
                 q = x / p if ring.kind == "Q" else x // p
                 if q:
                     out[k] = _combine(ring, 1, out[k], -q, r)
-    return [[r.get(j, z) for j in range(cols)] for r in out]
+    return out
+
+
+def _sparse_rows(M: IntMatrix) -> list:
+    c = M.cols
+    return [
+        {j: x for j, x in enumerate(M.entries[i * c : (i + 1) * c]) if x}
+        for i in range(M.rows)
+    ]
 
 
 def row_canonical_form(M: IntMatrix) -> IntMatrix:
@@ -713,8 +747,10 @@ def row_canonical_form(M: IntMatrix) -> IntMatrix:
     over Z/m the Howell form, whose pivots divide m and whose entries
     above a pivot g lie in [0, g).
     """
-    reduced = _echelon(M.ring, M.to_rows(), M.cols)
-    return IntMatrix(M.ring, len(reduced), M.cols, tuple(x for r in reduced for x in r))
+    reduced = _echelon(M.ring, _sparse_rows(M))
+    z = M.ring.zero()
+    flat = tuple(r.get(j, z) for r in reduced for j in range(M.cols))
+    return IntMatrix(M.ring, len(reduced), M.cols, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +770,27 @@ def _vector_annihilator(ring: Ring, v) -> int:
     return 0 if d == m else d % m
 
 
+def _kernel_rows(ring: Ring, rows, keep) -> list:
+    """Echelon basis of the kernel of the matrix with sparse `rows`,
+    restricted to the columns `keep` and taken in that order, as sparse
+    rows over positions in `keep`.
+
+    One echelon form of [M^T | I], built sparse, with the identity block
+    starting at column len(rows): the rows pivoting in that block have
+    zero M-part, so they are kernel vectors, and they form its echelon
+    basis.  Only they are back-reduced.
+    """
+    height = len(rows)
+    columns = {j: {} for j in keep}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j in columns:
+                columns[j][i] = x
+    o = ring.one()
+    stacked = [{**columns[j], height + t: o} for t, j in enumerate(keep)]
+    return [{j - height: x for j, x in r.items()} for r in _echelon(ring, stacked, height)]
+
+
 def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     """Kernel generators of M, filtered by column weight.
 
@@ -751,26 +808,21 @@ def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     identity block are a canonical echelon basis of the kernel, and the
     rows pivoting at weight <= p span its part of weight <= p.  Those
     rows depend only on the kernel, hence only on the row span of M.
+    The rows of [M^T | I] are built sparse from M's entries, and the
+    rows pivoting in the M block are never back-reduced (_kernel_rows).
     """
     ring = M.ring
-    z, o = ring.zero(), ring.one()
+    z = ring.zero()
     keep = sorted(
         (j for j, w in enumerate(col_weights) if w <= up_to),
         key=lambda j: (-col_weights[j], j),
     )
-    rows = [
-        list(M.column(j)) + [o if t == s else z for s in range(len(keep))]
-        for t, j in enumerate(keep)
-    ]
     found = []
-    for row in _echelon(ring, rows, M.rows + len(keep)):
-        if any(x != z for x in row[: M.rows]):
-            continue
+    for r in _kernel_rows(ring, _sparse_rows(M), keep):
         v = [z] * M.cols
-        for t, x in enumerate(row[M.rows :]):
+        for t, x in r.items():
             v[keep[t]] = x
-        lead = next(t for t, x in enumerate(row[M.rows :]) if x != z)
-        found.append((col_weights[keep[lead]], v))
+        found.append((col_weights[keep[min(r)]], v))
     found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
     vectors = [v for _, v in found]
     anns = tuple(_vector_annihilator(ring, v) for v in vectors)

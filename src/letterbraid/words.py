@@ -138,10 +138,7 @@ class Word:
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        out = Word.identity(self.gens)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Word(self.gens, base.letters * abs(k))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -180,6 +177,14 @@ def parse_word(text: str, gens: GenSet) -> Word:
             raise WordSyntaxError(f"bad token {token!r}")
         name, exp = m.group(1), m.group(2)
         g = gens.index(name)
+        # an exponent longer than the cap itself is over the cap; int()
+        # would refuse one of more than 4300 digits with its own message
+        digits = 0 if exp is None else len(exp.lstrip("-0"))
+        if digits > len(str(MAX_WORD_LETTERS)):
+            raise WordSyntaxError(
+                f"word has an exponent of {digits} digits, more letters "
+                f"than the cap of {MAX_WORD_LETTERS}"
+            )
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in token {token!r}")
@@ -209,21 +214,35 @@ def _letter_order(gens: GenSet):
     return out
 
 
+def _reduced_spellings(gens: GenSet, max_len: int):
+    """Letter tuples of all reduced words of length <= max_len, by
+    (length, lexicographic) order with a < a^-1 < b < b^-1 < ..."""
+    order = _letter_order(gens)
+    current = [()]
+    yield ()
+    for _ in range(max_len):
+        current = [
+            w + (letter,)
+            for w in current
+            for letter in order
+            if not w or w[-1] != (letter[0], -letter[1])
+        ]
+        yield from current
+
+
+def _join(x: tuple, y: tuple) -> tuple:
+    """Free reduction of the spelling x + y of two reduced letter tuples:
+    letters cancel only across the junction."""
+    i, most = 0, min(len(x), len(y))
+    while i < most and x[-1 - i] == (y[i][0], -y[i][1]):
+        i += 1
+    return x[: len(x) - i] + y[i:]
+
+
 def words_up_to(gens: GenSet, max_len: int):
     """All reduced words of length <= max_len, by (length, lexicographic) order."""
-    current = [Word.identity(gens)]
-    yield current[0]
-    order = _letter_order(gens)
-    for _ in range(max_len):
-        nxt = []
-        for w in current:
-            last = w.letters[-1] if w.letters else None
-            for g, s in order:
-                if last is not None and last[0] == g and last[1] == -s:
-                    continue
-                nxt.append(Word(gens, w.letters + ((g, s),)))
-        yield from nxt
-        current = nxt
+    for letters in _reduced_spellings(gens, max_len):
+        yield Word(gens, letters)
 
 
 def random_reduced_word(rng, gens: GenSet, max_len: int, exact_len: int | None = None) -> Word:

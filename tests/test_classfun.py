@@ -10,6 +10,7 @@ from letterbraid.classfun import (
     Presentation,
     TensorBasis,
     Verdict,
+    _enumerate_classes,
     basis_from_obj,
     basis_to_obj,
     class_function_basis,
@@ -402,6 +403,56 @@ def test_oracle_not_saturated():
         assert "length 1" in str(info.value)
         # the first base class outside the span, the same on every ring
         assert "(class of a^-1 is new)" in str(info.value)
+
+
+def _reference_partition(P, full_len):
+    """Classes of the word ball from Words: every relator insertion is a
+    Word product, merged in a plain union-find."""
+    ball = [w.letters for w in words_up_to(P.gens, full_len)]
+    parent = {w: w for w in ball}
+
+    def find(w):
+        while parent[w] != w:
+            w = parent[w]
+        return w
+
+    for letters in ball:
+        for r in P.relators:
+            for x in (r, r.inverse()):
+                for cut in range(len(letters) + 1):
+                    moved = (Word(P.gens, letters[:cut]) * x * Word(P.gens, letters[cut:])).letters
+                    if len(moved) <= full_len:
+                        parent[find(letters)] = find(moved)
+    classes = {}
+    for w in ball:
+        classes.setdefault(find(w), set()).add(w)
+    return {frozenset(c) for c in classes.values()}
+
+
+@pytest.mark.parametrize(
+    "text, full_len",
+    [(TORUS, 5), (KLEIN, 5), ("gens: a b\nrel: a^2\nrel: b^3\n", 5), (CYCLIC_2, 6), (FREE_2, 4)],
+)
+def test_enumerate_classes_matches_word_reference(text, full_len):
+    P = parse_presentation(text)
+    reps, index = _enumerate_classes(P, full_len)
+    ours = {}
+    for letters, cls in index.items():
+        ours.setdefault(cls, set()).add(letters)
+    assert {frozenset(c) for c in ours.values()} == _reference_partition(P, full_len)
+    # each representative is its class's first member in (length, letters) order
+    assert reps == sorted(reps, key=lambda w: (len(w), w))
+    for cls, members in ours.items():
+        assert reps[cls] == min(members, key=lambda w: (len(w), w))
+
+
+def test_enumerate_classes_counts():
+    for N in range(5):
+        reps, index = _enumerate_classes(parse_presentation(FREE_2), N)
+        assert len(reps) == len(index) == 1 + 2 * (3 ** N - 1)
+    # <s | s^2>: s = s^-1, represented by s^-1, first in letter-tuple order
+    reps, _ = _enumerate_classes(parse_presentation(CYCLIC_2), 6)
+    assert reps == [(), ((0, -1),)]
 
 
 def test_oracle_rejects_bad_bounds():

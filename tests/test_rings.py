@@ -8,6 +8,7 @@ from letterbraid.rings import (
     Ring,
     ShapeError,
     cokernel_free_rank,
+    filtered_kernel,
     in_column_span,
     is_invertible,
     kernel_basis,
@@ -359,3 +360,51 @@ def test_row_canonical_form_separates_lattices():
     D = row_canonical_form(mat([[3]], R4))
     assert C.to_rows() == [[2]]
     assert D.to_rows() == [[1]]
+
+
+def _random_matrix(rng, ring, rows, cols):
+    return mat([[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                for _ in range(rows)], ring) if rows else IntMatrix.zeros(ring, 0, cols)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_matrix_rank_is_smith_diagonal_count(spec):
+    # over Z and Q the rank counts echelon pivot rows; it must agree with
+    # the nonzero Smith diagonal entries, as over Z/m by definition
+    ring = Ring.from_spec(spec)
+    rng = random.Random(20261018)
+    for _ in range(150):
+        M = _random_matrix(rng, ring, rng.randint(0, 6), rng.randint(0, 6))
+        _, D, _ = smith_normal_form(M)
+        assert matrix_rank(M) == sum(1 for d in diag_of(D) if d != ring.zero())
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_filtered_kernel_is_identity_block_of_full_echelon(spec):
+    # the kernel pass back-reduces only the rows pivoting in the identity
+    # block; they must equal those rows of the fully reduced [M^T | I]
+    ring = Ring.from_spec(spec)
+    rng = random.Random(7 + len(spec))
+    z, o = ring.zero(), ring.one()
+    for _ in range(120):
+        M = _random_matrix(rng, ring, rng.randint(0, 5), rng.randint(0, 6))
+        weights = [rng.randint(0, 3) for _ in range(M.cols)]
+        up_to = rng.randint(0, 3)
+        keep = sorted((j for j in range(M.cols) if weights[j] <= up_to),
+                      key=lambda j: (-weights[j], j))
+        stacked = [list(M.column(j)) + [o if t == s else z for s in range(len(keep))]
+                   for t, j in enumerate(keep)]
+        full = row_canonical_form(mat(stacked, ring)) if keep else mat([], ring)
+        expected = []
+        for row in full.to_rows():
+            if any(x != z for x in row[: M.rows]):
+                continue
+            v = [z] * M.cols
+            for t, x in enumerate(row[M.rows:]):
+                v[keep[t]] = x
+            lead = next(t for t, x in enumerate(row[M.rows:]) if x != z)
+            expected.append((weights[keep[lead]], v))
+        expected.sort(key=lambda wv: wv[0])
+        vectors, added, _ = filtered_kernel(M, weights, up_to)
+        assert vectors == [v for _, v in expected]
+        assert list(added) == [w for w, _ in expected]

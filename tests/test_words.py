@@ -18,6 +18,7 @@ from letterbraid.words import (
     random_reduced_word,
     word_minus_one,
     words_up_to,
+    _join,
 )
 
 Z = Ring.integers()
@@ -38,8 +39,11 @@ def test_parse_basic():
     assert parse_word("a a^-1", AB).is_identity()
 
 
-# the last is refused by the letter cap, before any letter list is built
-@pytest.mark.parametrize("bad", ["a^", "^2", "2a", "a^1.5", "a b^", "a^1000000000000"])
+# the last two are refused by the letter cap, before any letter list is
+# built; the very last before int() sees its 5000 digits
+@pytest.mark.parametrize(
+    "bad", ["a^", "^2", "2a", "a^1.5", "a b^", "a^1000000000000", "a^" + "9" * 5000]
+)
 def test_parse_syntax_errors(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad, AB)
@@ -243,3 +247,29 @@ def test_monomial_combination_truncates():
     m2 = m.multiply(m)
     assert m2.terms == {}  # degree 4 > bound 2
     assert m.multiply(MonomialCombination.monomial(Z, AB, (), 2)).terms == m.terms
+
+
+def test_power_adds_exponents():
+    rng = random.Random(41)
+    for _ in range(40):
+        w = random_reduced_word(rng, AB, 6)
+        j, k = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert w ** j * w ** k == w ** (j + k)
+    assert (parse_word("a b a^-1", AB) ** 3).to_text() == "a b^3 a^-1"
+
+
+def test_power_of_commutator_is_one_reduction_pass():
+    comm = parse_word("a b a^-1 b^-1", AB)
+    assert len((comm ** 4000).letters) == 16000
+    assert (comm ** -4000) == (comm ** 4000).inverse()
+
+
+def test_junction_reduction_is_free_reduction():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        x = random_reduced_word(rng, AB, 7)
+        # a suffix of x inverted makes long cancellations likely
+        y = random_reduced_word(rng, AB, 5) if rng.random() < 0.5 else (
+            Word(AB, x.letters[rng.randint(0, len(x)):]).inverse()
+            * random_reduced_word(rng, AB, 3))
+        assert _join(x.letters, y.letters) == Word(AB, x.letters + y.letters).letters
