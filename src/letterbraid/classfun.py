@@ -22,6 +22,8 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass, field
+from math import lcm
+from operator import mul
 
 from .barcyc import _sigma_minus_one_matrix
 from .rings import (
@@ -42,12 +44,10 @@ from .words import (
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
-    conjugate,
     fox_expand,
     parse_word,
     random_reduced_word,
     word_minus_one,
-    words_up_to,
     _join,
     _reduced_spellings,
     _require_same_gens,
@@ -56,6 +56,11 @@ from .words import (
 # Documented default seed for every sampled check in this module; pass an
 # explicit seed to vary it.
 DEFAULT_SEED = 1789
+
+# oracle_group_ring_quotient refuses a word ball of more reduced words than
+# this, counted before any word is built: the oracle holds every word of the
+# ball, with its class, in memory at once.
+MAX_ORACLE_WORDS = 500_000
 
 
 class NotSaturatedError(ValueError):
@@ -269,16 +274,18 @@ def class_function_basis(
 ) -> TensorBasis:
     """Basis of the descending *and* cycle-invariant weight <= n tensors.
 
-    Every element is additionally certified by is_class_function_sampled
-    (with small deterministic bounds) before being returned; certify=False
-    skips that when the caller re-checks with stronger bounds anyway.
+    Every element is additionally certified by the sampled check of
+    is_class_function_sampled (max_len=4, samples=25, DEFAULT_SEED) before
+    being returned, all of them in one sweep (_sampled_verdicts); the
+    first failing element raises AssertionError.  certify=False skips that when
+    the caller re-checks with stronger bounds anyway.
     """
     system = descend_conditions(P, ring, n)
     stacked = system.matrix.stack_below(_sigma_minus_one_matrix(ring, system.columns))
     elements, added_at, anns = _kernel_to_tensors(ring, P.gens, system.columns, stacked, n)
     if certify:
-        for T in elements:
-            verdict = is_class_function_sampled(T, P, max_len=4, samples=25)
+        verdicts = _sampled_verdicts(elements, P, max_len=4, samples=25, seed=DEFAULT_SEED)
+        for verdict in verdicts:
             if not verdict.ok:
                 raise AssertionError(
                     f"class-function certification failed: {verdict.witness}"
@@ -310,6 +317,124 @@ def _insertion_spellings(letters: tuple, r: tuple):
         yield head + r_inv + tail
 
 
+def _sampled_checks(P: Presentation, short_w: int, max_len: int, samples: int, seed: int):
+    """The checks of the sampled test, in order, grouped by their word w.
+
+    Yields (w, sampled, checks) with letter tuples: first every reduced w
+    of length <= short_w, each against its conjugates by the g of length
+    1 and 2 and its relator insertions; then `samples` seeded pairs
+    (g, w) with |g|, |w| <= max_len.  A check is (spelling, g), with g
+    None for an insertion; the spelling must take the value of w.
+    """
+    inserted = [r.letters for r in P.relators]
+
+    def checks(conjugators, w):
+        out = [(g + w + tuple((h, -s) for h, s in reversed(g)), g) for g in conjugators]
+        out.extend((x, None) for r in inserted for x in _insertion_spellings(w, r))
+        return out
+
+    small = [g for g in _reduced_spellings(P.gens, min(2, max_len)) if g]
+    for w in _reduced_spellings(P.gens, short_w):
+        yield w, False, checks(small, w)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        g = random_reduced_word(rng, P.gens, max_len).letters
+        w = random_reduced_word(rng, P.gens, max_len).letters
+        yield w, True, checks([g] if g else [], w)
+
+
+def _witness(gens: GenSet, w: tuple, spelling: tuple, g) -> str:
+    text = Word(gens, w).to_text()
+    if g is None:
+        return f"relator insertion: w = {text} vs {Word(gens, spelling).to_text()}"
+    return (
+        f"conjugation: w = {text}, g = {Word(gens, g).to_text()}, "
+        f"g w g^-1 = {Word(gens, spelling).to_text()}"
+    )
+
+
+def _integer_coefficients(T: BraidingTensor, position: dict):
+    """T's coefficients as a dense int vector over the difference
+    positions, and the modulus of the zero test (0 for none): over Q
+    scaled by the lcm of their denominators, over Z/m their lifts,
+    reduced mod m once."""
+    scale = 1
+    if T.ring.kind == "Q":
+        scale = lcm(*(c.denominator for c in T.terms.values()))
+    dense = [0] * len(position)
+    for seq, c in T.terms.items():
+        dense[position[seq]] = int(c * scale)
+    return dense, T.ring.modulus or 0
+
+
+def _sampled_verdicts(
+    tensors,
+    P: Presentation,
+    *,
+    max_len: int = 6,
+    samples: int = 200,
+    seed: int = DEFAULT_SEED,
+) -> list:
+    """One Verdict of is_class_function_sampled per tensor, in one sweep.
+
+    Every spelling is expanded once, against one Magnus plan of all the
+    tensors' terms, and its difference E(spelling) - E(w) on the term
+    nodes is paired in integers with each tensor that still passes and
+    whose own order holds the check: the words of length <= its short_w,
+    then the samples.  A tensor's first failing check is its witness.
+    Each distinct nonzero difference is paired with a tensor at most
+    once: `paired` keeps the least word length it was paired at (0 once
+    every tensor has had it), and the tensors whose short_w reaches that
+    length have had it.
+    """
+    tensors = list(tensors)
+    for T in tensors:
+        _require_same_gens(T.gens, P.gens)
+    short = [min(max(2, T.max_weight()), max_len) for T in tensors]
+    plan = MagnusPlan(seq for T in tensors for seq in T.terms)
+    term_seqs = sorted({seq for T in tensors for seq in T.terms}, key=plan.index.get)
+    nodes = [plan.index[seq] for seq in term_seqs]
+    index = {seq: p for p, seq in enumerate(term_seqs)}
+    # (short_w, position, coefficients, modulus) of each tensor still passing
+    passing = [
+        (short[t], t, *_integer_coefficients(T, index)) for t, T in enumerate(tensors)
+    ]
+    verdicts = [Verdict(True)] * len(tensors)
+    paired: dict = {}  # difference -> least word length it was paired at
+    longest = max(short, default=0)
+    for w, sampled, checks in _sampled_checks(P, longest, max_len, samples, seed):
+        if not passing:
+            break
+        reach = 0 if sampled else len(w)
+        testing = [x for x in passing if x[0] >= reach]
+        if not testing:
+            continue
+        values = plan.expand(w)
+        base = [values[i] for i in nodes]
+        for spelling, g in checks:
+            values = plan.expand(spelling)
+            diff = tuple([values[i] - b for i, b in zip(nodes, base)])
+            if not any(diff):
+                continue
+            before = paired.get(diff, longest + 1)
+            if before <= reach:
+                continue
+            paired[diff] = reach
+            failed = []
+            for x in testing:
+                short_w, t, coefficients, m = x
+                if short_w >= before:
+                    continue
+                total = sum(map(mul, coefficients, diff))
+                if total % m if m else total:
+                    verdicts[t] = Verdict(False, _witness(P.gens, w, spelling, g))
+                    failed.append(x)
+            if failed:
+                passing = [x for x in passing if x not in failed]
+                testing = [x for x in testing if x not in failed]
+    return verdicts
+
+
 def is_class_function_sampled(
     T: BraidingTensor,
     P: Presentation,
@@ -327,64 +452,11 @@ def is_class_function_sampled(
     with |g|, |w| <= max_len.  Returns a pass verdict or the first
     violating witness.
 
-    Conjugates and insertions are evaluated on their unreduced letter
-    spellings against one Magnus plan of T; a Word is built from such a
-    spelling only for a witness message.
+    This is _sampled_verdicts on one tensor: conjugates and insertions
+    are expanded on their unreduced letter spellings against one Magnus
+    plan, and a Word is built only for a witness message.
     """
-    _require_same_gens(T.gens, P.gens)
-    gens = P.gens
-    plan = MagnusPlan(T.terms)
-
-    def value(letters):
-        return pair_with_expansion(T, plan, plan.expand(letters))
-
-    def conj_fail(g: Word, w: Word, base):
-        g_inv = tuple((h, -s) for h, s in reversed(g.letters))
-        if value(g.letters + w.letters + g_inv) != base:
-            return Verdict(
-                False,
-                f"conjugation: w = {w.to_text()}, g = {g.to_text()}, "
-                f"g w g^-1 = {conjugate(g, w).to_text()}",
-            )
-        return None
-
-    def insert_fail(w: Word, base):
-        for r in P.relators:
-            for spelling in _insertion_spellings(w.letters, r.letters):
-                if value(spelling) != base:
-                    return Verdict(
-                        False,
-                        f"relator insertion: w = {w.to_text()} vs "
-                        f"{Word(gens, spelling).to_text()}",
-                    )
-        return None
-
-    short_w = min(max(2, T.max_weight()), max_len)
-    small = list(words_up_to(gens, min(2, max_len)))
-    for w in words_up_to(gens, short_w):
-        base = value(w.letters)
-        for g in small:
-            if g.is_identity():
-                continue
-            bad = conj_fail(g, w, base)
-            if bad is not None:
-                return bad
-        bad = insert_fail(w, base)
-        if bad is not None:
-            return bad
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        g = random_reduced_word(rng, gens, max_len)
-        w = random_reduced_word(rng, gens, max_len)
-        base = value(w.letters)
-        bad = conj_fail(g, w, base) if not g.is_identity() else None
-        if bad is not None:
-            return bad
-        bad = insert_fail(w, base)
-        if bad is not None:
-            return bad
-    return Verdict(True)
+    return _sampled_verdicts([T], P, max_len=max_len, samples=samples, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +527,18 @@ def _enumerate_classes(P: Presentation, full_len: int):
     return reps, index
 
 
+def _ball_size(k: int, radius: int, cap: int) -> int:
+    """The number 1 + sum_(i=1..radius) 2k (2k-1)^(i-1) of reduced words of
+    length <= radius on k generators, counted only until it passes cap."""
+    size, layer = 1, 2 * k
+    for _ in range(radius):
+        if size > cap or not layer:
+            break
+        size += layer
+        layer *= 2 * k - 1
+    return size
+
+
 def _rewrite_rows(ring: Ring, k: int, reps, index, d: int):
     """One sparse relation row per class: [v] minus its Fox expansion.
 
@@ -523,6 +607,9 @@ def oracle_group_ring_quotient(
     shorter words; failing that raises NotSaturatedError
     ("not_saturated").
 
+    A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
+    ValueError, counted (_ball_size) before any word is built.
+
     Relation rows stay sparse (class -> entry) throughout: the stages and
     the saturation check are echelon forms of rings._echelon, and the
     stage kernels come from rings._kernel_rows, the routine behind
@@ -535,6 +622,12 @@ def oracle_group_ring_quotient(
         raise ValueError(f"length bound must be >= 1, got {length_bound}")
     k = len(P.gens)
     full_len = length_bound + n + 1
+    if _ball_size(k, full_len, MAX_ORACLE_WORDS) > MAX_ORACLE_WORDS:
+        raise ValueError(
+            f"the oracle's ball of reduced words of length <= {full_len} on {k} "
+            f"generators has more than {MAX_ORACLE_WORDS} words; lower the "
+            "length or type bound"
+        )
     reps, index = _enumerate_classes(P, full_len)
     c = len(reps)
     o = ring.one()
@@ -627,6 +720,21 @@ def pairing_tables_agree(tensors, report: OracleReport) -> bool:
     ours = row_canonical_form(evaluation_table(tensors, report.table.words, report.ring))
     theirs = row_canonical_form(report.table.matrix)
     return ours.rows == theirs.rows and ours.entries == theirs.entries
+
+
+def pairing_tables_contained(tensors, report: OracleReport) -> bool:
+    """Whether the tensors' functions lie in the span of the oracle's.
+
+    The tensor basis is evaluated on the oracle's enumerated words and
+    stacked under the oracle's table; the span is contained iff that
+    leaves the table's row canonical form unchanged.  A class-function
+    basis is compared this way, since the oracle's Hom holds every
+    finite-type function.
+    """
+    ours = evaluation_table(tensors, report.table.words, report.ring)
+    theirs = row_canonical_form(report.table.matrix)
+    both = row_canonical_form(report.table.matrix.stack_below(ours))
+    return both.rows == theirs.rows and both.entries == theirs.entries
 
 
 # ---------------------------------------------------------------------------

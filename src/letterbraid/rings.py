@@ -672,9 +672,30 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
     return row
 
 
+def _reduce_tail(ring: Ring, row: dict, j: int, pivots: dict) -> dict:
+    """Reduce row's entries at the pivot columns right of j modulo those
+    pivots, left to right, including entries the reduction creates."""
+    done = j
+    while True:
+        later = [k for k in row if k > done and k in pivots]
+        if not later:
+            return row
+        done = min(later)
+        piv = pivots[done]
+        q = row[done] // piv[done]
+        if q:
+            row = _combine(ring, 1, row, -q, piv)
+
+
 def _pivot_rows(ring: Ring, rows) -> dict:
     """The forward pass of _echelon: pivot column -> pivot row, unreduced
-    above the pivots.  Its size is the rank over Z and Q."""
+    above the pivots.  Its size is the rank over Z and Q.
+
+    Over Z the row a gcd merge installs is tail-reduced (_reduce_tail), as
+    in Kannan and Bachem's Hermite algorithm: the Bezout combination of
+    two rows can carry large trailing entries, and merging such rows again
+    lets them grow without bound.
+    """
     pending = list(reversed(rows))
     pivots = {}
     while pending:
@@ -692,7 +713,10 @@ def _pivot_rows(ring: Ring, rows) -> dict:
                 g, s, t = _xgcd(a, b)
                 merged = _combine(ring, s, piv, t, row)
                 row = _combine(ring, a // g, row, -(b // g), piv)
-                pivots[j] = _install_pivot(ring, merged, j, pending)
+                merged = _install_pivot(ring, merged, j, pending)
+                if ring.kind == "Z":
+                    merged = _reduce_tail(ring, merged, j, pivots)
+                pivots[j] = merged
     return pivots
 
 

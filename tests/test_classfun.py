@@ -1,16 +1,21 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from letterbraid import classfun
 from letterbraid.barcyc import h0_bar, h0_cyc, bar_element_to_tensor
 from letterbraid.classfun import (
+    DEFAULT_SEED,
     DescendSystem,
     NotSaturatedError,
     Presentation,
     TensorBasis,
+    MAX_ORACLE_WORDS,
     Verdict,
     _enumerate_classes,
+    _sampled_verdicts,
     basis_from_obj,
     basis_to_obj,
     class_function_basis,
@@ -20,6 +25,7 @@ from letterbraid.classfun import (
     is_class_function_sampled,
     oracle_group_ring_quotient,
     pairing_tables_agree,
+    pairing_tables_contained,
     parse_presentation,
     presentation_to_text,
     weight_graded_monomials,
@@ -35,6 +41,7 @@ from letterbraid.rings import (
 from letterbraid.tensors import BraidingTensor, cycle, eval_word
 from letterbraid.words import (
     GenSet,
+    random_reduced_word,
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
@@ -353,6 +360,134 @@ def test_sampled_check_deterministic():
     assert a == b
 
 
+def _reference_verdict(T, P, max_len, samples, seed):
+    """The sampled check member by member, on Word products and eval_word."""
+    gens = P.gens
+    short_w = min(max(2, T.max_weight()), max_len)
+    small = [g for g in words_up_to(gens, min(2, max_len)) if not g.is_identity()]
+
+    def first_failure(conjugators, w):
+        base = eval_word(T, w)
+        for g in conjugators:
+            moved = g * w * g.inverse()
+            if eval_word(T, moved) != base:
+                return (
+                    f"conjugation: w = {w.to_text()}, g = {g.to_text()}, "
+                    f"g w g^-1 = {moved.to_text()}"
+                )
+        for r in P.relators:
+            for i in range(len(w) + 1):
+                head, tail = Word(gens, w.letters[:i]), Word(gens, w.letters[i:])
+                for x in (r, r.inverse()):
+                    moved = head * x * tail
+                    if eval_word(T, moved) != base:
+                        return f"relator insertion: w = {w.to_text()} vs {moved.to_text()}"
+        return None
+
+    for w in words_up_to(gens, short_w):
+        witness = first_failure(small, w)
+        if witness:
+            return Verdict(False, witness)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        g = random_reduced_word(rng, gens, max_len)
+        w = random_reduced_word(rng, gens, max_len)
+        witness = first_failure([] if g.is_identity() else [g], w)
+        if witness:
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def _random_tensor(rng, ring, gens, weight):
+    terms = {}
+    for _ in range(3):
+        seq = tuple(rng.randrange(len(gens)) for _ in range(rng.randrange(weight + 1)))
+        c = rng.randrange(-3, 4)
+        terms[seq] = Fraction(c, rng.randrange(1, 4)) if ring.kind == "Q" else c
+    return BraidingTensor(ring, gens, terms)
+
+
+@pytest.mark.parametrize("text", [FREE_2, CYCLIC_2, TORUS, KLEIN])
+@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
+def test_sampled_verdicts_match_member_by_member_reference(text, ring):
+    P = parse_presentation(text)
+    rng = random.Random(f"{text}{ring.spec}")
+    # class functions pass; the finite-type members and random tensors of
+    # weights 1 to 3 mostly fail, each at its own first witness
+    tensors = list(class_function_basis(P, ring, 2, certify=False))
+    tensors += list(finite_type_basis(P, ring, 2))[1:]
+    tensors += [_random_tensor(rng, ring, P.gens, p) for p in (1, 2, 3)]
+    # fails on every group but the free one: a relator has nonzero exponent
+    # sum in the first generator, or a conjugation moves the pair count
+    last = (0, len(P.gens) - 1) if len(P.gens) > 1 and P.relators else (0,)
+    tensors.append(BraidingTensor(ring, P.gens, {last: 1}))
+    tensors.append(BraidingTensor.zero(ring, P.gens))
+    for max_len in (4, 6):
+        got = _sampled_verdicts(tensors, P, max_len=max_len, samples=8, seed=3)
+        want = [_reference_verdict(T, P, max_len, 8, 3) for T in tensors]
+        assert got == want
+        assert want[-1].ok and not all(v.ok for v in want)
+        # each member alone gets the same verdict as in the list
+        for T, v in zip(tensors, got):
+            assert is_class_function_sampled(T, P, max_len=max_len, samples=8, seed=3) == v
+
+
+def test_sampled_verdicts_later_member_fails_at_its_own_first_witness():
+    P = parse_presentation(FREE_2)
+    ok = BraidingTensor(Z, P.gens, {(0,): 1, (0, 1): 1, (1, 0): 1})
+    # weight 2 (short_w 2) and weight 3 (short_w 3): each fails first on
+    # a word of its own enumeration
+    pair = BraidingTensor(Z, P.gens, {(0, 1): 1})
+    triple = BraidingTensor(Z, P.gens, {(0, 1, 1): 1})
+    got = _sampled_verdicts([ok, ok, pair, triple], P, max_len=4, samples=25, seed=DEFAULT_SEED)
+    assert [v.ok for v in got] == [True, True, False, False]
+    assert got[2] == _reference_verdict(pair, P, 4, 25, DEFAULT_SEED)
+    assert got[3] == _reference_verdict(triple, P, 4, 25, DEFAULT_SEED)
+    # a failure that only a sample reaches: max_len 1 limits short_w to 1
+    got = _sampled_verdicts([ok, pair], P, max_len=1, samples=25, seed=DEFAULT_SEED)
+    assert got == [_reference_verdict(T, P, 1, 25, DEFAULT_SEED) for T in (ok, pair)]
+    assert _sampled_verdicts([], P, max_len=4, samples=5, seed=1) == []
+
+
+def test_sampled_verdicts_repeated_difference_reaches_shorter_members(monkeypatch):
+    """A difference met first on a word longer than one member's short_w,
+    and again in a sample, is that member's witness at the sample."""
+    P = parse_presentation(FREE_2)
+    a, b, b_inv = (0, 1), (1, 1), (1, -1)
+    cube = (a, a, a)
+    moved = (b,) + cube + (b_inv,)
+
+    def checks(P, short_w, max_len, samples, seed):
+        yield (), False, []
+        yield cube, False, [(moved, (b,))]
+        yield cube, True, [(moved, None)]
+
+    monkeypatch.setattr(classfun, "_sampled_checks", checks)
+    pair = BraidingTensor(Z, P.gens, {(1, 0): 1})  # weight 2: short_w 2
+    longer = BraidingTensor(Z, P.gens, {(1, 0): 1, (0, 0, 0): 1})  # short_w 3
+    got = _sampled_verdicts([longer, pair], P, max_len=4, samples=1, seed=0)
+    assert got == [
+        Verdict(False, "conjugation: w = a^3, g = b, g w g^-1 = b a^3 b^-1"),
+        Verdict(False, "relator insertion: w = a^3 vs b a^3 b^-1"),
+    ]
+
+
+def test_class_function_basis_certification_catches_missing_cycle_rows(monkeypatch):
+    """With no cycle-invariance rows the basis is every finite-type
+    function, and over Z/4 on the Klein bottle the sampled certification
+    finds a conjugation that changes a value."""
+    P = parse_presentation(KLEIN)
+    Z4 = Ring.integers_mod(4)
+    class_function_basis(P, Z4, 2)  # certified
+
+    def no_rows(ring, columns):
+        return IntMatrix(ring, 0, len(columns), ())
+
+    monkeypatch.setattr(classfun, "_sigma_minus_one_matrix", no_rows)
+    with pytest.raises(AssertionError, match="class-function certification failed: conjugation"):
+        class_function_basis(P, Z4, 2)
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -453,6 +588,44 @@ def test_enumerate_classes_counts():
     # <s | s^2>: s = s^-1, represented by s^-1, first in letter-tuple order
     reps, _ = _enumerate_classes(parse_presentation(CYCLIC_2), 6)
     assert reps == [(), ((0, -1),)]
+
+
+def test_oracle_klein_over_z_without_coefficient_swell():
+    """Over Z the relation stages of the Klein bottle at n=3, L=4 once
+    swelled to entries of half a million bits and did not finish."""
+    P = parse_presentation(KLEIN)
+    rep = oracle_group_ring_quotient(P, Z, 3, 4)
+    assert rep.ranks == (1, 2, 3, 4)
+    assert pairing_tables_agree(finite_type_basis(P, Z, 3).elements, rep)
+
+
+def test_oracle_refuses_oversized_ball_before_enumerating():
+    # 1 + 2k ((2k-1)^N - 1) / (2k-2) words of length <= N = L + n + 1
+    assert classfun._ball_size(2, 8, 10**9) == 13121
+    assert classfun._ball_size(1, 7, 10**9) == 15
+    assert classfun._ball_size(3, 0, 10**9) == 1
+    assert classfun._ball_size(2, 10**9, 100) <= 100 + 4 * 3**5
+    P = parse_presentation(TORUS)
+    with pytest.raises(ValueError, match=f"more than {MAX_ORACLE_WORDS} words"):
+        oracle_group_ring_quotient(P, Z, 1, 40)
+    with pytest.raises(ValueError, match="more than"):
+        oracle_group_ring_quotient(parse_presentation(FREE_1), Z, 0, 10**9)
+
+
+def test_pairing_tables_contained():
+    P = parse_presentation(KLEIN)
+    Z4 = Ring.integers_mod(4)
+    rep = oracle_group_ring_quotient(P, Z4, 2, 3)
+    cf = class_function_basis(P, Z4, 2)
+    assert not pairing_tables_agree(cf.elements, rep)
+    assert pairing_tables_contained(cf.elements, rep)
+    assert pairing_tables_contained(finite_type_basis(P, Z4, 2).elements, rep)
+    # binomial(exponent sum of a, 2) has type 2 on the torus, not type 1
+    P = parse_presentation(TORUS)
+    rep = oracle_group_ring_quotient(P, Z, 1, 3)
+    square = BraidingTensor(Z, P.gens, {(0, 0): 1})
+    assert pairing_tables_contained(class_function_basis(P, Z, 1).elements, rep)
+    assert not pairing_tables_contained((square,), rep)
 
 
 def test_oracle_rejects_bad_bounds():

@@ -256,6 +256,36 @@ def test_oracle_compare_agreement(work, capsys):
     assert "pairing agree" in out
 
 
+def test_oracle_compare_class_span_is_contained(work, capsys):
+    """The oracle's Hom is every finite-type function; on the Klein bottle
+    over Z/4 the class functions are a proper part of it, so --class
+    checks containment and a smaller count is no failure."""
+    rc, out, _ = run(capsys, "oracle-compare", "--ring", "Z/4",
+                     "--presentation", work / "klein.grp", "-n", 2, "-L", 3, "--class")
+    assert rc == 0
+    assert out == (
+        "degree pipeline oracle\n"
+        "     0        1      1\n"
+        "     1        3      3\n"
+        "     2        5      6\n"
+        "pairing contained\n"
+    )
+    # without --class the same basis is compared for equality, as before
+    rc, out, _ = run(capsys, "oracle-compare", "--ring", "Z/4",
+                     "--presentation", work / "klein.grp", "-n", 2, "-L", 3)
+    assert rc == 0 and out.endswith("pairing agree\n")
+
+
+def test_oracle_compare_refuses_oversized_ball(work, capsys):
+    # the ball of words of length <= 42 has about 10^20 words: refused
+    # before the basis or any word is built
+    rc, out, err = run(capsys, "oracle-compare", "--ring", "Z",
+                       "--presentation", work / "torus.grp", "-n", 1, "-L", 40)
+    assert rc == 1
+    assert out == ""
+    assert "more than 500000 words" in err
+
+
 def test_oracle_compare_not_saturated(work, capsys):
     rc, _, err = run(capsys, "oracle-compare", "--ring", "Z",
                      "--presentation", work / "torus.grp", "-n", 1, "-L", 1)
