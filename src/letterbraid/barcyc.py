@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .dga import FiniteDGA
-from .rings import IntMatrix, Ring, filtered_kernel, smith_normal_form
+from .rings import Combination, IntMatrix, Ring, filtered_kernel, matrix_rank
 from .tensors import BraidingTensor
 from .words import GenSet
 
@@ -42,30 +42,30 @@ def _shift(slot) -> int:
     return slot[0] - 1
 
 
-def _check_slot(A: FiniteDGA, slot):
-    d, i = slot
-    if d < 1 or not 0 <= i < A.dim(d):
-        raise ValueError(f"invalid tensor slot {slot}: need a positive-degree basis direction")
+def _check_word(A: FiniteDGA, seq) -> tuple:
+    """The tensor word as a tuple of slots, each a positive-degree basis direction."""
+    seq = tuple(seq)
+    for d, i in seq:
+        if d < 1 or not 0 <= i < A.dim(d):
+            raise ValueError(f"invalid tensor slot {(d, i)}: need a positive-degree basis direction")
+    return seq
 
 
-@dataclass
-class BarElement:
+@dataclass(eq=False)
+class BarElement(Combination):
     """Combination of tensor words; keys are tuples of (degree, index) slots."""
 
     algebra: FiniteDGA
     terms: dict
 
-    def __post_init__(self):
-        ring = self.algebra.ring
-        clean = {}
-        for seq, c in self.terms.items():
-            seq = tuple(seq)
-            for slot in seq:
-                _check_slot(self.algebra, slot)
-            c = ring.canon(c)
-            if c != ring.zero():
-                clean[seq] = c
-        self.terms = clean
+    _SPACE = (("algebra", ValueError),)
+
+    @property
+    def ring(self) -> Ring:
+        return self.algebra.ring
+
+    def _key(self, seq) -> tuple:
+        return _check_word(self.algebra, seq)
 
     @staticmethod
     def zero(A: FiniteDGA) -> "BarElement":
@@ -73,41 +73,13 @@ class BarElement:
 
     @staticmethod
     def word(A: FiniteDGA, seq, coeff=1) -> "BarElement":
-        return BarElement(A, {tuple(seq): A.ring.from_int(coeff) if isinstance(coeff, int) else coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return BarElement(A, {tuple(seq): coeff})
 
     def degrees(self):
         return sorted({sum(_shift(s) for s in seq) for seq in self.terms})
 
     def weights(self):
         return sorted({len(seq) for seq in self.terms})
-
-    def __add__(self, other: "BarElement") -> "BarElement":
-        ring = self.algebra.ring
-        acc = dict(self.terms)
-        for seq, c in other.terms.items():
-            acc[seq] = ring.add(acc.get(seq, ring.zero()), c)
-        return BarElement(self.algebra, acc)
-
-    def __neg__(self) -> "BarElement":
-        ring = self.algebra.ring
-        return BarElement(self.algebra, {s: ring.neg(c) for s, c in self.terms.items()})
-
-    def __sub__(self, other: "BarElement") -> "BarElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "BarElement":
-        ring = self.algebra.ring
-        return BarElement(self.algebra, {s: ring.mul(c, coeff) for s, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BarElement)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
 
     def show(self) -> str:
         if not self.terms:
@@ -121,8 +93,8 @@ class BarElement:
         return " + ".join(bits)
 
 
-@dataclass
-class CycElement:
+@dataclass(eq=False)
+class CycElement(Combination):
     """Module slot in front of a tensor word: m0[a_1|...|a_p].
 
     ``module`` is "A" (all of the algebra), "Abar" (positive degrees) or
@@ -133,61 +105,34 @@ class CycElement:
     module: str
     terms: dict  # (m0, seq) -> coeff
 
+    _SPACE = (("algebra", ValueError), ("module", ValueError))
+
     def __post_init__(self):
         if self.module not in ("A", "Abar", "R"):
             raise ValueError(f"unknown module tag {self.module!r}")
-        ring = self.algebra.ring
-        clean = {}
-        for (m0, seq), c in self.terms.items():
-            seq = tuple(seq)
-            for slot in seq:
-                _check_slot(self.algebra, slot)
-            if self.module == "R":
-                if m0 is not None:
-                    raise ValueError("scalar-module elements have no m0 slot")
-            else:
-                d, i = m0
-                if not 0 <= i < self.algebra.dim(d):
-                    raise ValueError(f"invalid m0 slot {m0}")
-                if self.module == "Abar" and d < 1:
-                    raise ValueError("m0 must have positive degree in the Abar module")
-            c = ring.canon(c)
-            if c != ring.zero():
-                clean[(m0, seq)] = c
-        self.terms = clean
+        super().__post_init__()
+
+    @property
+    def ring(self) -> Ring:
+        return self.algebra.ring
+
+    def _key(self, key) -> tuple:
+        m0, seq = key
+        seq = _check_word(self.algebra, seq)
+        if self.module == "R":
+            if m0 is not None:
+                raise ValueError("scalar-module elements have no m0 slot")
+        else:
+            d, i = m0
+            if not 0 <= i < self.algebra.dim(d):
+                raise ValueError(f"invalid m0 slot {m0}")
+            if self.module == "Abar" and d < 1:
+                raise ValueError("m0 must have positive degree in the Abar module")
+        return (m0, seq)
 
     @staticmethod
     def zero(A: FiniteDGA, module: str) -> "CycElement":
         return CycElement(A, module, {})
-
-    def __add__(self, other: "CycElement") -> "CycElement":
-        if self.module != other.module:
-            raise ValueError(f"module mismatch: {self.module} vs {other.module}")
-        ring = self.algebra.ring
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = ring.add(acc.get(k, ring.zero()), c)
-        return CycElement(self.algebra, self.module, acc)
-
-    def __neg__(self) -> "CycElement":
-        ring = self.algebra.ring
-        return CycElement(
-            self.algebra, self.module, {k: ring.neg(c) for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "CycElement") -> "CycElement":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycElement)
-            and self.algebra is other.algebra
-            and self.module == other.module
-            and self.terms == other.terms
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +148,25 @@ def _eps_prefix(m0_degree: int, seq):
     return eps
 
 
-def _add_term(ring, acc, key, coeff):
-    if coeff == ring.zero():
-        return
-    acc[key] = ring.add(acc.get(key, ring.zero()), coeff)
-
-
 def bar_differential(x: BarElement) -> BarElement:
     """Internal-differential and neighbor-product terms, with signs
     -(-1)^{eps_{i-1}} and -(-1)^{eps_i} respectively."""
     A = x.algebra
-    ring = A.ring
     acc = {}
     for seq, c in x.terms.items():
         eps = _eps_prefix(0, seq)
         for i, (d, idx) in enumerate(seq):
-            sign = ring.from_int(-1 if eps[i] % 2 == 0 else 1)
+            sign = -1 if eps[i] % 2 == 0 else 1
             for j, e in A.diff_column(d, idx):
                 key = seq[:i] + ((d + 1, j),) + seq[i + 1 :]
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
         for i in range(len(seq) - 1):
             d1, i1 = seq[i]
             d2, i2 = seq[i + 1]
-            sign = ring.from_int(-1 if eps[i + 1] % 2 == 0 else 1)
+            sign = -1 if eps[i + 1] % 2 == 0 else 1
             for j, e in A.product(d1, i1, d2, i2):
                 key = seq[:i] + ((d1 + d2, j),) + seq[i + 2 :]
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
     return BarElement(A, acc)
 
 
@@ -237,7 +175,6 @@ def cyc_differential(x: CycElement) -> CycElement:
     terms vanish through the augmentation (the tensor slots have
     positive degree, hence augmentation zero)."""
     A = x.algebra
-    ring = A.ring
     acc = {}
     for (m0, seq), c in x.terms.items():
         m0_deg = 0 if m0 is None else m0[0]
@@ -246,36 +183,37 @@ def cyc_differential(x: CycElement) -> CycElement:
 
         if m0 is not None:  # module differential d_M(m0)
             for j, e in A.diff_column(m0[0], m0[1]):
-                _add_term(ring, acc, ((m0[0] + 1, j), seq), ring.mul(c, e))
+                key = ((m0[0] + 1, j), seq)
+                acc[key] = acc.get(key, 0) + c * e
 
         for i, (d, idx) in enumerate(seq):  # internal differentials
-            sign = ring.from_int(-1 if eps[i] % 2 == 0 else 1)
+            sign = -1 if eps[i] % 2 == 0 else 1
             for j, e in A.diff_column(d, idx):
                 key = (m0, seq[:i] + ((d + 1, j),) + seq[i + 1 :])
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
 
         if p >= 1 and m0 is not None:  # left action m0 * a1
-            sign = ring.from_int(-1 if m0_deg % 2 == 0 else 1)
+            sign = -1 if m0_deg % 2 == 0 else 1
             d1, i1 = seq[0]
             for j, e in A.product(m0[0], m0[1], d1, i1):
                 key = ((m0[0] + d1, j), seq[1:])
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
 
         for i in range(p - 1):  # internal products
             d1, i1 = seq[i]
             d2, i2 = seq[i + 1]
-            sign = ring.from_int(-1 if eps[i + 1] % 2 == 0 else 1)
+            sign = -1 if eps[i + 1] % 2 == 0 else 1
             for j, e in A.product(d1, i1, d2, i2):
                 key = (m0, seq[:i] + ((d1 + d2, j),) + seq[i + 2 :])
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
 
         if p >= 1 and m0 is not None:  # wrap-around action a_p * m0
             dp, ip = seq[-1]
             exp = eps[p - 1] * (dp - 1)
-            sign = ring.from_int(-1 if exp % 2 else 1)
+            sign = -1 if exp % 2 else 1
             for j, e in A.product(dp, ip, m0[0], m0[1]):
                 key = ((dp + m0[0], j), seq[:-1])
-                _add_term(ring, acc, key, ring.mul(ring.mul(c, sign), e))
+                acc[key] = acc.get(key, 0) + sign * c * e
 
     return CycElement(A, x.module, acc)
 
@@ -283,57 +221,43 @@ def cyc_differential(x: CycElement) -> CycElement:
 def sigma(x: BarElement) -> BarElement:
     """Rotate the last slot to the front with the Koszul sign
     (-1)^{(shifted degree of a_1..a_{p-1}) * (shifted degree of a_p)}."""
-    A = x.algebra
-    ring = A.ring
     acc = {}
     for seq, c in x.terms.items():
-        if len(seq) <= 1:
-            _add_term(ring, acc, seq, c)
-            continue
-        head, last = seq[:-1], seq[-1]
-        exp = sum(_shift(s) for s in head) * _shift(last)
-        coeff = ring.neg(c) if exp % 2 else c
-        _add_term(ring, acc, (last,) + head, coeff)
-    return BarElement(A, acc)
+        if len(seq) > 1:
+            head, last = seq[:-1], seq[-1]
+            if sum(_shift(s) for s in head) * _shift(last) % 2:
+                c = -c
+            seq = (last,) + head
+        acc[seq] = acc.get(seq, 0) + c
+    return x._like(acc)
 
 
 def tau(x: BarElement) -> CycElement:
     """Place the algebra unit in the module slot: x goes to 1*x in Cyc(A; A)."""
     A = x.algebra
-    ring = A.ring
-    acc = {}
-    for seq, c in x.terms.items():
-        for i, u in enumerate(A.unit):
-            if u != ring.zero():
-                _add_term(ring, acc, ((0, i), seq), ring.mul(c, u))
+    acc = {((0, i), seq): c * u for seq, c in x.terms.items() for i, u in enumerate(A.unit)}
     return CycElement(A, "A", acc)
 
 
 def iota(x: BarElement) -> CycElement:
     """Degree +1 relabeling [a_1|a_2|...] -> a_1[a_2|...] into Cyc(A; Abar);
     the weight-0 part has nowhere to go and maps to zero."""
-    A = x.algebra
-    acc = {}
-    for seq, c in x.terms.items():
-        if not seq:
-            continue
-        _add_term(A.ring, acc, (seq[0], seq[1:]), c)
-    return CycElement(A, "Abar", acc)
+    acc = {(seq[0], seq[1:]): c for seq, c in x.terms.items() if seq}
+    return CycElement(x.algebra, "Abar", acc)
 
 
 def include_in_A(x: CycElement) -> CycElement:
     """View a scalar- or Abar-module element inside Cyc(A; A): scalars go
-    to multiples of the unit, positive-degree module slots are unchanged."""
+    to multiples of the unit, positive-degree module slots are unchanged.
+    The two kinds of key cannot meet: an element has one module."""
     A = x.algebra
-    ring = A.ring
     acc = {}
     for (m0, seq), c in x.terms.items():
         if m0 is None:
             for i, u in enumerate(A.unit):
-                if u != ring.zero():
-                    _add_term(ring, acc, ((0, i), seq), ring.mul(c, u))
+                acc[((0, i), seq)] = c * u
         else:
-            _add_term(ring, acc, (m0, seq), c)
+            acc[(m0, seq)] = c
     return CycElement(A, "A", acc)
 
 
@@ -475,16 +399,16 @@ def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
 
 def coinvariant_rank(names, p: int, ring: Ring | None = None) -> int:
     """Number of cyclic summands of the weight-p rotation coinvariants
-    (cokernel of sigma - 1 on words in degree-1 letters)."""
+    (cokernel of sigma - 1 on words in degree-1 letters).
+
+    sigma permutes the words, so the cokernel is free on the rotation
+    orbits: the Smith diagonal of sigma - 1 is 0s and 1s, and the count
+    is the number of words minus the rank, the same over every ring.
+    """
     if p < 1:
         raise ValueError("weight must be >= 1")
-    ring = ring or Ring.integers()
-    k = len(names)
-    M = _sigma_minus_one_matrix(ring, list(iproduct(range(k), repeat=p)))
-    _, D, _ = smith_normal_form(M)
-    diag = [D.get(i, i) for i in range(min(D.rows, D.cols))]
-    nontrivial = sum(1 for d in diag if not ring.is_unit(d))
-    return nontrivial + (M.rows - len(diag))
+    words = list(iproduct(range(len(names)), repeat=p))
+    return len(words) - matrix_rank(_sigma_minus_one_matrix(ring or Ring.integers(), words))
 
 
 def bar_element_to_tensor(x: BarElement, gens: GenSet | None = None) -> BraidingTensor:

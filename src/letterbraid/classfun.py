@@ -32,6 +32,7 @@ from .rings import (
     _echelon,
     _kernel_rows,
     _vector_annihilator,
+    canon_terms,
     filtered_kernel,
     matrix_rank,
     row_canonical_form,
@@ -188,6 +189,7 @@ def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
         raise ValueError(f"weight bound must be >= 0, got {n}")
     k = len(P.gens)
     columns = tuple(weight_graded_monomials(k, n))
+    zero = ring.zero()
     labels = []
     rows = []
     for ri, r in enumerate(P.relators):
@@ -200,7 +202,7 @@ def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
                     for suf in itertools.product(range(k), repeat=dsuf):
                         prod = left.multiply(MonomialCombination.monomial(ring, P.gens, suf, n))
                         labels.append((pre, ri, suf))
-                        rows.append([prod.coefficient(m) for m in columns])
+                        rows.append([prod.terms.get(m, zero) for m in columns])
     flat = tuple(x for row in rows for x in row)
     matrix = IntMatrix(ring, len(rows), len(columns), flat)
     return DescendSystem(ring, P.gens, n, columns, tuple(labels), matrix)
@@ -572,20 +574,10 @@ def _rewrite_rows(ring: Ring, k: int, reps, index, d: int):
             if coeff:
                 for tgt, mult in vector:
                     row[tgt] = row.get(tgt, 0) - coeff * mult
-        row = _canon_row(ring, row)
+        row = canon_terms(ring, row)
         if row:
             rows.append(row)
     return rows
-
-
-def _canon_row(ring: Ring, row: dict) -> dict:
-    """A sparse row of integers as canonical nonzero ring entries."""
-    out = {}
-    for j, x in row.items():
-        x = ring.canon(x)
-        if x:
-            out[j] = x
-    return out
 
 
 def oracle_group_ring_quotient(
@@ -656,7 +648,7 @@ def oracle_group_ring_quotient(
                     tgt = act(g, j)
                     shifted[tgt] = shifted.get(tgt, 0) + x
                     shifted[j] = shifted.get(j, 0) - x
-                nxt.append(_canon_row(ring, shifted))
+                nxt.append(canon_terms(ring, shifted))
         current = _echelon(ring, nxt)
         relation_stages.append(_echelon(ring, current + _rewrite_rows(ring, k, reps, index, d)))
 

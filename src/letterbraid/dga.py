@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .rings import IntMatrix, Ring
+from .rings import IntMatrix, Ring, canon_terms
 
 
 class BadSimplicialSetError(ValueError):
@@ -415,25 +415,22 @@ def cochain_algebra(X: SimplicialSetModel, ring: Ring, maxdeg: int | None = None
 
 
 def _lin_mul(A: FiniteDGA, x: dict, y: dict) -> dict:
-    ring = A.ring
     acc = {}
     for (d1, i1), c1 in x.items():
         for (d2, i2), c2 in y.items():
             for j, c in A.product(d1, i1, d2, i2):
                 key = (d1 + d2, j)
-                val = ring.add(acc.get(key, ring.zero()), ring.mul(ring.mul(c1, c2), c))
-                acc[key] = val
-    return {k: v for k, v in acc.items() if v != ring.zero()}
+                acc[key] = acc.get(key, 0) + c1 * c2 * c
+    return canon_terms(A.ring, acc)
 
 
 def _lin_diff(A: FiniteDGA, x: dict) -> dict:
-    ring = A.ring
     acc = {}
     for (d, i), c in x.items():
         for j, e in A.diff_column(d, i):
             key = (d + 1, j)
-            acc[key] = ring.add(acc.get(key, ring.zero()), ring.mul(c, e))
-    return {k: v for k, v in acc.items() if v != ring.zero()}
+            acc[key] = acc.get(key, 0) + c * e
+    return canon_terms(A.ring, acc)
 
 
 def verify_dga(A: FiniteDGA) -> dict:
@@ -458,11 +455,11 @@ def verify_dga(A: FiniteDGA) -> dict:
     for b1, b2 in iproduct(all_basis, repeat=2):
         x, y = {b1: ring.one()}, {b2: ring.one()}
         lhs = _lin_diff(A, _lin_mul(A, x, y))
-        sign = ring.from_int(-1 if b1[0] % 2 else 1)
+        sign = -1 if b1[0] % 2 else 1
         rhs = _lin_mul(A, _lin_diff(A, x), y)
         for k, v in _lin_mul(A, x, _lin_diff(A, y)).items():
-            rhs[k] = ring.add(rhs.get(k, ring.zero()), ring.mul(sign, v))
-        rhs = {k: v for k, v in rhs.items() if v != ring.zero()}
+            rhs[k] = rhs.get(k, 0) + sign * v
+        rhs = canon_terms(ring, rhs)
         if lhs != rhs:
             bad.append(f"Leibniz fails on ({A.label(*b1)}, {A.label(*b2)})")
 

@@ -37,7 +37,7 @@ Conventions that keep runs byte-for-byte reproducible:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -171,6 +171,92 @@ class Ring:
         if self.kind == "Q" and x.denominator != 1:
             return f"{x.numerator}/{x.denominator}"
         return str(int(x))
+
+
+def canon_terms(ring: Ring, terms: dict) -> dict:
+    """The terms with canonical nonzero coefficients, in their order.
+
+    Each coefficient goes through ring.canon once, which raises a
+    TypeError on a float or any other non-ring value, and zeros are
+    dropped.  So a loop may accumulate plain ints and Fractions and
+    apply the ring once, to the final sums.
+    """
+    out = {}
+    for key, c in terms.items():
+        c = ring.canon(c)
+        if c:
+            out[key] = c
+    return out
+
+
+def _same(a, b) -> bool:
+    return a is b or a == b
+
+
+class Combination:
+    """Finite formal sum: one nonzero ring element per key.
+
+    The base of every formal sum in the package: bar and cyclic-bar
+    elements, braiding tensors, group-ring elements and Magnus monomial
+    combinations.  A subclass is a dataclass with ``eq=False``, a
+    ``terms`` field and a ``ring``.  It checks and normalises each key in
+    ``_key``, and lists in ``_SPACE`` the other fields that fix the space
+    it lives in, each with the error raised when two operands differ in
+    it.  The constructor cleans the terms (canon_terms), so operations
+    accumulate plain sums and the ring is applied once, to the result.
+    """
+
+    _SPACE = ()  # (field name, error class) pairs
+
+    def __post_init__(self):
+        self.terms = canon_terms(self.ring, {self._key(k): c for k, c in self.terms.items()})
+
+    def _key(self, key):
+        """The key in canonical form; raises if it lies outside the space."""
+        return tuple(key)
+
+    def _like(self, terms: dict):
+        """An element of the same space with the given (uncleaned) terms."""
+        return replace(self, terms=terms)
+
+    def _require_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ring != other.ring:
+            raise ShapeError(f"coefficient rings differ: {self.ring.spec} vs {other.ring.spec}")
+        for name, error in self._SPACE:
+            if not _same(getattr(self, name), getattr(other, name)):
+                raise error(f"{type(self).__name__} operands differ in {name}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key):
+        return self.terms.get(self._key(key), self.ring.zero())
+
+    def __add__(self, other):
+        self._require_compatible(other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        return self._like({key: c * coeff for key, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ring == other.ring
+            and all(_same(getattr(self, name), getattr(other, name)) for name, _ in self._SPACE)
+            and self.terms == other.terms
+        )
 
 
 @dataclass(frozen=True)
@@ -565,14 +651,6 @@ def matrix_rank(M: IntMatrix) -> int:
     return sum(1 for t in range(len(lifts)) if d[t][t] % M.ring.modulus)
 
 
-def cokernel_free_rank(M: IntMatrix) -> int:
-    """Free rank of coker(M) = R^rows / column span, over any of the rings."""
-    _, D, _ = smith_normal_form(M)
-    z = M.ring.zero()
-    nonzero = sum(1 for d in _diagonal(D) if d != z)
-    return M.rows - nonzero
-
-
 # ---------------------------------------------------------------------------
 # Solving and span membership
 # ---------------------------------------------------------------------------
@@ -613,14 +691,6 @@ def solve(M: IntMatrix, b) -> list | None:
 def in_column_span(M: IntMatrix, x) -> bool:
     """Whether x is a combination of M's columns over M's ring."""
     return solve(M, x) is not None
-
-
-def is_invertible(M: IntMatrix) -> bool:
-    """Whether the square matrix is invertible over its ring."""
-    if M.rows != M.cols:
-        return False
-    _, D, _ = smith_normal_form(M)
-    return all(M.ring.is_unit(d) for d in _diagonal(D)) and min(M.rows, M.cols) == M.rows
 
 
 # ---------------------------------------------------------------------------

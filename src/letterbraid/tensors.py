@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rings import Ring
+from .rings import Combination, Ring
 from .words import (
     GenSet,
     GeneratorMismatchError,
@@ -42,8 +42,8 @@ from .words import (
 )
 
 
-@dataclass
-class BraidingTensor:
+@dataclass(eq=False)
+class BraidingTensor(Combination):
     """Finite combination of generator-dual pure tensors, any mix of weights.
 
     ``terms`` maps a tuple of generator indices (the sequence of duals,
@@ -55,17 +55,14 @@ class BraidingTensor:
     gens: GenSet
     terms: dict  # tuple[int, ...] -> coefficient
 
-    def __post_init__(self):
-        clean = {}
-        for seq, c in self.terms.items():
-            seq = tuple(seq)
-            for g in seq:
-                if not 0 <= g < len(self.gens):
-                    raise UnknownGeneratorError(f"generator index {g} out of range")
-            c = self.ring.canon(c)
-            if c != self.ring.zero():
-                clean[seq] = c
-        self.terms = clean
+    _SPACE = (("gens", GeneratorMismatchError),)
+
+    def _key(self, seq) -> tuple:
+        seq = tuple(seq)
+        for g in seq:
+            if not 0 <= g < len(self.gens):
+                raise UnknownGeneratorError(f"generator index {g} out of range")
+        return seq
 
     # -- constructors ---------------------------------------------------
 
@@ -77,7 +74,7 @@ class BraidingTensor:
     def pure(ring: Ring, gens: GenSet, names, coeff=1) -> "BraidingTensor":
         """Pure tensor of generator duals given by name, e.g. ("a", "b")."""
         seq = tuple(gens.index(n) for n in names)
-        return BraidingTensor(ring, gens, {seq: ring.from_int(coeff)})
+        return BraidingTensor(ring, gens, {seq: coeff})
 
     @staticmethod
     def scalar(ring: Ring, gens: GenSet, coeff) -> "BraidingTensor":
@@ -92,42 +89,7 @@ class BraidingTensor:
         return sorted({len(s) for s in self.terms})
 
     def component(self, p: int) -> "BraidingTensor":
-        return BraidingTensor(
-            self.ring, self.gens, {s: c for s, c in self.terms.items() if len(s) == p}
-        )
-
-    def coefficient(self, seq):
-        return self.terms.get(tuple(seq), self.ring.zero())
-
-    def __add__(self, other: "BraidingTensor") -> "BraidingTensor":
-        _require_same_gens(self.gens, other.gens)
-        acc = dict(self.terms)
-        for s, c in other.terms.items():
-            acc[s] = self.ring.add(acc.get(s, self.ring.zero()), c)
-        return BraidingTensor(self.ring, self.gens, acc)
-
-    def __neg__(self) -> "BraidingTensor":
-        return BraidingTensor(
-            self.ring, self.gens, {s: self.ring.neg(c) for s, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "BraidingTensor") -> "BraidingTensor":
-        return self + (-other)
-
-    def scale(self, coeff) -> "BraidingTensor":
-        return BraidingTensor(
-            self.ring,
-            self.gens,
-            {s: self.ring.mul(c, coeff) for s, c in self.terms.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BraidingTensor)
-            and self.ring == other.ring
-            and self.gens.names == other.gens.names
-            and self.terms == other.terms
-        )
+        return self._like({s: c for s, c in self.terms.items() if len(s) == p})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -202,11 +164,10 @@ def cycle(T: BraidingTensor) -> BraidingTensor:
     """Rotate each coordinate sequence: the weight-p component transforms
     by sending the coefficient at (s_1,...,s_p) to (s_p, s_1,...,s_{p-1})."""
     out = {}
-    ring = T.ring
     for seq, c in T.terms.items():
-        key = seq[-1:] + seq[:-1] if seq else seq
-        out[key] = ring.add(out.get(key, ring.zero()), c)
-    return BraidingTensor(T.ring, T.gens, out)
+        key = seq[-1:] + seq[:-1]
+        out[key] = out.get(key, 0) + c
+    return T._like(out)
 
 
 def _min_rotation(seq):
@@ -264,5 +225,5 @@ def tensor_from_obj(obj: dict) -> BraidingTensor:
     for item in raw_terms:
         seq = tuple(gens.index(name) for name in item["seq"])
         coeff = ring.parse(str(item["coeff"]))
-        terms[seq] = ring.add(terms.get(seq, ring.zero()), coeff)
+        terms[seq] = terms.get(seq, 0) + coeff
     return BraidingTensor(ring, gens, terms)

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .rings import Ring
+from .rings import Combination, Ring
 
 
 class WordSyntaxError(ValueError):
@@ -267,21 +267,19 @@ def random_reduced_word(rng, gens: GenSet, max_len: int, exact_len: int | None =
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroupRingElement:
+@dataclass(eq=False)
+class GroupRingElement(Combination):
     """Finite formal combination of words with coefficients in the ring."""
 
     ring: Ring
     gens: GenSet
     terms: dict  # Word -> coefficient, no zero values
 
-    def __post_init__(self):
-        clean = {}
-        for w, c in self.terms.items():
-            c = self.ring.canon(c)
-            if c != self.ring.zero():
-                clean[w] = c
-        self.terms = clean
+    _SPACE = (("gens", GeneratorMismatchError),)
+
+    def _key(self, w: Word) -> Word:
+        _require_same_gens(self.gens, w.gens)
+        return w
 
     @staticmethod
     def zero(ring: Ring, gens: GenSet) -> "GroupRingElement":
@@ -289,61 +287,25 @@ class GroupRingElement:
 
     @staticmethod
     def from_word(ring: Ring, w: Word, coeff=1) -> "GroupRingElement":
-        return GroupRingElement(ring, w.gens, {w: ring.from_int(coeff) if isinstance(coeff, int) else coeff})
+        return GroupRingElement(ring, w.gens, {w: coeff})
 
     @staticmethod
     def one(ring: Ring, gens: GenSet) -> "GroupRingElement":
         return GroupRingElement.from_word(ring, Word.identity(gens))
 
-    def coefficient(self, w: Word):
-        return self.terms.get(w, self.ring.zero())
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _require_same_gens(self.gens, other.gens)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = self.ring.add(acc.get(w, self.ring.zero()), c)
-        return GroupRingElement(self.ring, self.gens, acc)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(
-            self.ring, self.gens, {w: self.ring.neg(c) for w, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "GroupRingElement":
-        return GroupRingElement(
-            self.ring,
-            self.gens,
-            {w: self.ring.mul(c, coeff) for w, c in self.terms.items()},
-        )
-
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _require_same_gens(self.gens, other.gens)
+        self._require_compatible(other)
         acc = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 * w2
-                acc[w] = self.ring.add(acc.get(w, self.ring.zero()), self.ring.mul(c1, c2))
+                acc[w] = acc.get(w, 0) + c1 * c2
         return GroupRingElement(self.ring, self.gens, acc)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.ring == other.ring
-            and self.gens.names == other.gens.names
-            and self.terms == other.terms
-        )
 
 
 def augmentation(x: GroupRingElement):
     """Sum of coefficients: the image of x under words -> 1."""
-    acc = x.ring.zero()
-    for c in x.terms.values():
-        acc = x.ring.add(acc, c)
-    return acc
+    return x.ring.canon(sum(x.terms.values()))
 
 
 def word_minus_one(ring: Ring, w: Word) -> GroupRingElement:
@@ -356,13 +318,14 @@ def word_minus_one(ring: Ring, w: Word) -> GroupRingElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MonomialCombination:
+@dataclass(eq=False)
+class MonomialCombination(Combination):
     """Combination of positive-generator monomials, truncated in degree.
 
     A key ``(i_1, ..., i_k)`` stands for the product
     ``(s_{i_1} - 1) ... (s_{i_k} - 1)`` with k <= max_degree; the empty
-    key is the unit.
+    key is the unit.  Terms above max_degree are dropped, and sums and
+    products live at the smaller degree bound of their operands.
     """
 
     ring: Ring
@@ -370,57 +333,39 @@ class MonomialCombination:
     max_degree: int
     terms: dict  # tuple of generator indices -> coefficient, no zeros
 
-    def __post_init__(self):
-        clean = {}
-        for mono, c in self.terms.items():
-            if len(mono) > self.max_degree:
-                continue
-            c = self.ring.canon(c)
-            if c != self.ring.zero():
-                clean[mono] = c
-        self.terms = clean
+    _SPACE = (("gens", GeneratorMismatchError), ("max_degree", ValueError))
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.ring.zero())
+    def __post_init__(self):
+        self.terms = {m: c for m, c in self.terms.items() if len(m) <= self.max_degree}
+        super().__post_init__()
 
     def degrees(self):
         return sorted({len(m) for m in self.terms})
 
+    def _truncated(self, n: int) -> "MonomialCombination":
+        """The image modulo monomials of degree > n, for n <= max_degree."""
+        return self if n == self.max_degree else replace(self, max_degree=n)
+
     def __add__(self, other: "MonomialCombination") -> "MonomialCombination":
-        _require_same_gens(self.gens, other.gens)
         n = min(self.max_degree, other.max_degree)
-        acc = {m: c for m, c in self.terms.items() if len(m) <= n}
-        for m, c in other.terms.items():
-            if len(m) <= n:
-                acc[m] = self.ring.add(acc.get(m, self.ring.zero()), c)
-        return MonomialCombination(self.ring, self.gens, n, acc)
+        return Combination.__add__(self._truncated(n), other._truncated(n))
 
     def multiply(self, other: "MonomialCombination") -> "MonomialCombination":
         """Concatenation product, truncated at the common degree bound."""
-        _require_same_gens(self.gens, other.gens)
         n = min(self.max_degree, other.max_degree)
+        left, right = self._truncated(n), other._truncated(n)
+        left._require_compatible(right)
         acc = {}
-        for m1, c1 in self.terms.items():
-            if len(m1) > n:
-                continue
-            for m2, c2 in other.terms.items():
-                if len(m1) + len(m2) > n:
-                    continue
-                key = m1 + m2
-                acc[key] = self.ring.add(acc.get(key, self.ring.zero()), self.ring.mul(c1, c2))
+        for m1, c1 in left.terms.items():
+            for m2, c2 in right.terms.items():
+                if len(m1) + len(m2) <= n:
+                    key = m1 + m2
+                    acc[key] = acc.get(key, 0) + c1 * c2
         return MonomialCombination(self.ring, self.gens, n, acc)
-
-    def scale(self, coeff) -> "MonomialCombination":
-        return MonomialCombination(
-            self.ring,
-            self.gens,
-            self.max_degree,
-            {m: self.ring.mul(c, coeff) for m, c in self.terms.items()},
-        )
 
     @staticmethod
     def monomial(ring: Ring, gens: GenSet, mono, max_degree: int, coeff=1) -> "MonomialCombination":
-        return MonomialCombination(ring, gens, max_degree, {tuple(mono): ring.from_int(coeff)})
+        return MonomialCombination(ring, gens, max_degree, {tuple(mono): coeff})
 
 
 class MagnusPlan:

@@ -415,6 +415,11 @@ def test_coinvariant_ranks():
     for p in (1, 2, 3):
         assert coinvariant_rank(one, p) == 1
     assert coinvariant_rank(two, 2, Q) == 3
+    # sigma permutes the words, so the ranks agree over every ring
+    Z4 = Ring.integers_mod(4)
+    for names in (one, two, GenSet.of("a", "b", "c")):
+        for p in (1, 2, 3, 4):
+            assert coinvariant_rank(names, p, Z4) == coinvariant_rank(names, p)
 
 
 def test_invariant_and_coinvariant_ranks_agree_for_wedges():

@@ -1,0 +1,37 @@
+"""The runtime stays stdlib-only: every import in the package is relative
+or a standard-library module, and the project declares no dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "letterbraid"
+
+
+def _imported_modules(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = [
+        (path.name, name)
+        for path in sources
+        for name in _imported_modules(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+
+
+def test_project_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
