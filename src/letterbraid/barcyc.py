@@ -356,12 +356,11 @@ def _sigma_minus_one_matrix(ring: Ring, seqs):
 
 
 def _kernel_to_h0(A: FiniteDGA, n: int, seqs, vectors, added_at, anns) -> H0Basis:
-    ring = A.ring
     elements = []
     for v in vectors:
         terms = {}
         for s, c in zip(seqs, v):
-            if c != ring.zero():
+            if c:
                 terms[tuple((1, i) for i in s)] = c
         elements.append(BarElement(A, terms))
     return H0Basis(A, n, tuple(elements), tuple(added_at), tuple(anns))

@@ -254,9 +254,8 @@ class TensorBasis:
 def _kernel_to_tensors(ring: Ring, gens: GenSet, columns, matrix: IntMatrix, n: int):
     col_weights = [len(m) for m in columns]
     vectors, added_at, anns = filtered_kernel(matrix, col_weights, n)
-    z = ring.zero()
     elements = tuple(
-        BraidingTensor(ring, gens, {m: v[j] for j, m in enumerate(columns) if v[j] != z})
+        BraidingTensor(ring, gens, {m: v[j] for j, m in enumerate(columns) if v[j]})
         for v in vectors
     )
     return elements, added_at, anns
@@ -750,11 +749,12 @@ def basis_to_obj(B: TensorBasis) -> dict:
 def basis_from_obj(obj: dict) -> TensorBasis:
     if not isinstance(obj, dict):
         raise ValueError("basis file must contain a JSON object")
+    Z = Ring.integers()
     try:
-        n = int(obj["n"])
+        n = Z.from_json(obj["n"], "n")
         ring = Ring.from_spec(obj["ring"])
         gens = GenSet(tuple(obj["gens"]))
-        ranks = [int(x) for x in obj["ranks_per_weight"]]
+        ranks = [Z.from_json(x, "ranks_per_weight") for x in obj["ranks_per_weight"]]
         tensors = [tensor_from_obj(t) for t in obj["tensors"]]
     except KeyError as exc:
         raise ValueError(f"basis object missing key {exc}") from None
@@ -770,7 +770,7 @@ def basis_from_obj(obj: dict) -> TensorBasis:
             raise ValueError("tensor ring/generators disagree with basis metadata")
         if T.max_weight() > p:
             raise ValueError("tensor exceeds its recorded entry weight")
-    anns = tuple(int(a) for a in obj.get("annihilators", [0] * len(tensors)))
+    anns = tuple(Z.from_json(a, "annihilators") for a in obj.get("annihilators", [0] * len(tensors)))
     if len(anns) != len(tensors):
         raise ValueError("annihilators must match the tensor count")
     return TensorBasis(ring, gens, n, tuple(tensors), tuple(added), anns)

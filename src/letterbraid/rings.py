@@ -30,8 +30,8 @@ Conventions that keep runs byte-for-byte reproducible:
   in the identity block.  Only those rows are back-reduced; the others
   are dropped.  Over Z/m each generator carries its additive order as
   annihilator (0 = free).
-* Over Q the same elimination is ordinary Gaussian elimination and the
-  pivots are normalised to 1.
+* Over Q the same elimination is fraction-free, on primitive integer
+  rows; Fractions appear only in the output, each row over its pivot.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ShapeError(ValueError):
@@ -165,6 +165,13 @@ class Ring:
         if not re.fullmatch(r"[+-]?\d+", text):
             raise ValueError(f"bad integer coefficient {text!r}")
         return self.canon(int(text))
+
+    def from_json(self, value, field: str):
+        """Parse a JSON integer or string.  A float, bool or null is refused,
+        so no number is read through a double."""
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"{field} must be a JSON integer or string, got {value!r}")
+        return self.parse(str(value))
 
     def show(self, x) -> str:
         x = self.canon(x)
@@ -721,17 +728,16 @@ def _combine(ring: Ring, c1, r1: dict, c2, r2: dict) -> dict:
 
 
 def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
-    """Scale row by a unit so its entry at column j is canonical.
+    """Scale row by a unit so its entry at column j is canonical (positive
+    over Z, and over Q, whose rows here are primitive integer rows).
 
     Over Z/m the entry becomes g = gcd(entry, m), and (m/g) * row, which
     vanishes at j, is queued: the rows pivoting right of j must span it
     for the Howell property to hold.
     """
     x = row[j]
-    if ring.kind == "Z":
+    if ring.kind != "Zmod":
         return _combine(ring, -1, row, 0, {}) if x < 0 else row
-    if ring.kind == "Q":
-        return _combine(ring, 1 / x, row, 0, {}) if x != 1 else row
     m = ring.modulus
     g, unit = _unit_scaling_to_gcd(x, m)
     if unit != 1:
@@ -757,6 +763,27 @@ def _reduce_tail(ring: Ring, row: dict, j: int, pivots: dict) -> dict:
             row = _combine(ring, 1, row, -q, piv)
 
 
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _integral(row: dict) -> dict:
+    """The primitive integer row with the same Q span as a row of
+    Fractions: denominators cleared by their lcm, then made primitive."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (d // x.denominator) for j, x in row.items()})
+
+
+def _cross(ring: Ring, row: dict, piv: dict, j: int) -> dict:
+    """Over Q, the primitive row (a/g)*row - (b/g)*piv, which vanishes at
+    column j, for a = piv[j], b = row[j] and g = gcd(a, b)."""
+    a, b = piv[j], row[j]
+    g = gcd(a, b)
+    return _primitive(_combine(ring, a // g, row, -(b // g), piv))
+
+
 def _pivot_rows(ring: Ring, rows) -> dict:
     """The forward pass of _echelon: pivot column -> pivot row, unreduced
     above the pivots.  Its size is the rank over Z and Q.
@@ -765,8 +792,12 @@ def _pivot_rows(ring: Ring, rows) -> dict:
     in Kannan and Bachem's Hermite algorithm: the Bezout combination of
     two rows can carry large trailing entries, and merging such rows again
     lets them grow without bound.
+
+    Over Q each row is read in as a primitive integer row (_integral) and
+    cleared by cross-multiplication (_cross), so the pivot rows hold ints.
     """
-    pending = list(reversed(rows))
+    rational = ring.kind == "Q"
+    pending = [_integral(r) for r in reversed(rows)] if rational else list(reversed(rows))
     pivots = {}
     while pending:
         row = pending.pop()
@@ -777,8 +808,10 @@ def _pivot_rows(ring: Ring, rows) -> dict:
                 pivots[j] = _install_pivot(ring, row, j, pending)
                 break
             a, b = piv[j], row[j]
-            if ring.kind == "Q" or b % a == 0:
-                row = _combine(ring, 1, row, -(b / a if ring.kind == "Q" else b // a), piv)
+            if rational:
+                row = _cross(ring, row, piv, j)
+            elif b % a == 0:
+                row = _combine(ring, 1, row, -(b // a), piv)
             else:
                 g, s, t = _xgcd(a, b)
                 merged = _combine(ring, s, piv, t, row)
@@ -808,18 +841,26 @@ def _echelon(ring: Ring, rows, start: int = 0) -> list:
     above the pivots are reduced at the end, and only in the rows
     pivoting at or right of `start`: the others are dropped unreduced
     (the "clearing" of persistent homology), since reducing a row uses
-    only the pivot rows to its right.
+    only the pivot rows to its right.  Over Q that reduction is _cross
+    too, and each row is divided by its pivot only at the end.
     """
     out = [r for j, r in sorted(_pivot_rows(ring, rows).items()) if j >= start]
+    rational = ring.kind == "Q"
     for i, r in enumerate(out):
         j = min(r)
         p = r[j]
         for k in range(i):
             x = out[k].get(j)
-            if x is not None:
-                q = x / p if ring.kind == "Q" else x // p
-                if q:
-                    out[k] = _combine(ring, 1, out[k], -q, r)
+            if x is None:
+                continue
+            if rational:
+                out[k] = _cross(ring, out[k], r, j)
+            elif x // p:
+                out[k] = _combine(ring, 1, out[k], -(x // p), r)
+    if rational:
+        for i, r in enumerate(out):
+            p = r[min(r)]
+            out[i] = {k: Fraction(x, p) for k, x in r.items()}
     return out
 
 

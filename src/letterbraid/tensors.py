@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rings import Combination, Ring
+from .rings import Combination, Ring, ShapeError
 from .words import (
     GenSet,
     GeneratorMismatchError,
@@ -129,16 +129,11 @@ def eval_word(T: BraidingTensor, w: Word):
 def eval_group_ring(T: BraidingTensor, x: GroupRingElement):
     """Linear extension of eval_word to group-ring elements."""
     if T.ring != x.ring:
-        raise GeneratorMismatchError(
-            f"coefficient rings differ: {T.ring.spec} vs {x.ring.spec}"
-        )
+        raise ShapeError(f"coefficient rings differ: {T.ring.spec} vs {x.ring.spec}")
     _require_same_gens(T.gens, x.gens)
     plan = MagnusPlan(T.terms)
-    acc = T.ring.zero()
-    for w, c in x.terms.items():
-        value = pair_with_expansion(T, plan, plan.expand(w.letters))
-        acc = T.ring.add(acc, T.ring.mul(c, value))
-    return acc
+    total = sum(c * pair_with_expansion(T, plan, plan.expand(w.letters)) for w, c in x.terms.items())
+    return T.ring.canon(total)
 
 
 def eval_monomial(T: BraidingTensor, mono):
@@ -224,6 +219,6 @@ def tensor_from_obj(obj: dict) -> BraidingTensor:
         raise ValueError("tensor terms must be a list")
     for item in raw_terms:
         seq = tuple(gens.index(name) for name in item["seq"])
-        coeff = ring.parse(str(item["coeff"]))
+        coeff = ring.from_json(item["coeff"], "coeff")
         terms[seq] = terms.get(seq, 0) + coeff
     return BraidingTensor(ring, gens, terms)

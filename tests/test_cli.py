@@ -345,6 +345,44 @@ def test_wrong_typed_json_field_exits_one(work, capsys, verb, field, value):
     assert "bad.json" in err
 
 
+def test_eval_refuses_float_coefficient(work, capsys):
+    # a JSON number with a fraction part is a double, not the decimal text
+    # it was written as, so it is refused rather than read as 3/2
+    obj = {"ring": "Q", "gens": ["a", "b"], "terms": [{"seq": ["a"], "coeff": 1.5}]}
+    bad = work / "float.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "eval", "--tensor", bad, "--word", "a")
+    assert (rc, out) == (1, "")
+    assert "float.json" in err and "coeff" in err
+    for coeff, value in (("3/2", "3/2"), (2, "2")):
+        obj["terms"][0]["coeff"] = coeff
+        bad.write_text(json.dumps(obj))
+        assert run(capsys, "eval", "--tensor", bad, "--word", "a")[:2] == (0, value + "\n")
+
+
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("ranks_per_weight", None),
+                                          ("annihilators", None)])
+def test_verify_refuses_non_integer_basis_fields(work, capsys, field, value):
+    # int() would truncate 2.5 to the valid bound 2; a list field (value
+    # None) gets its right values as JSON floats
+    good = work / "good.json"
+    assert run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
+               "-n", 2, "-o", good)[0] == 0
+    obj = json.loads(good.read_text())
+    argv = ["verify", "--basis", work / "bad.json", "--presentation", work / "torus.grp"]
+    obj["n"] = "2"  # a string of an integer is accepted
+    (work / "bad.json").write_text(json.dumps(obj))
+    assert run(capsys, *argv)[:2] == (0, "ok\n")
+    if value is None:
+        obj[field] = [float(x) for x in obj.get(field, [0] * len(obj["tensors"]))]
+    else:
+        obj[field] = value
+    (work / "bad.json").write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert "bad.json" in err and field in err
+
+
 def test_usage_errors_exit_one(work, capsys):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys)[0] == 1

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from letterbraid.rings import Ring
+from letterbraid.rings import Ring, ShapeError
 from letterbraid.tensors import (
     BraidingTensor,
     cycle,
@@ -353,10 +353,15 @@ def test_eval_rejects_mismatched_generators():
     w = Word.generator(S, "s")
     with pytest.raises(GeneratorMismatchError):
         eval_word(T, w)
+    with pytest.raises(GeneratorMismatchError):
+        eval_group_ring(T, GroupRingElement.one(Z, S))
 
 
 def test_eval_rejects_mismatched_rings():
+    # the same error class as adding Combinations over different rings
     T = BraidingTensor.pure(Z, AB, ("a",))
     x = GroupRingElement.one(Q, AB)
-    with pytest.raises(GeneratorMismatchError):
+    with pytest.raises(ShapeError, match="coefficient rings differ: Z vs Q"):
         eval_group_ring(T, x)
+    with pytest.raises(ShapeError, match="coefficient rings differ: Z vs Q"):
+        T + BraidingTensor.pure(Q, AB, ("a",))
