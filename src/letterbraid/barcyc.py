@@ -9,14 +9,18 @@ signs use the exponents eps_i = |m_0| + sum_{j<=i} (|a_j| - 1).
 
 H^0 at tensor weight <= n is computed from the degree-0 part: for a
 connected algebra that part is spanned by words in the degree-1 basis,
-the bar differential maps it into degree 1, and the cycle-invariant
-subcomplex is cut out by one more linear condition (sigma - 1).  Kernels
-are weight-filtered (rings.filtered_kernel): one echelon form, with
-coordinates ordered highest weight first, gives a basis whose members of
-weight <= p span the kernel at weight <= p, so the basis at weight bound
-n extends the basis at n-1.  Over Z/m the echelon form is the Howell
-form and the kernel comes as a generating sequence; ranks_per_weight
-counts its members, which can exceed the minimal number of generators.
+and the bar differential maps it into degree 1.  sigma permutes those
+words (with no sign), so the cycle-invariant ones are free on the orbit
+sums (necklaces), and the cyclic H^0 is the kernel of d_Bar on them:
+HH_0, computed in orbit coordinates, with the bar H^0 the case of
+one-word orbits.  d_Bar of each orbit sum is a sparse column, fed
+straight to the sparse kernel routine (rings._filtered_kernel).  Kernels
+are weight-filtered: one echelon form, with coordinates ordered highest
+weight first, gives a basis whose members of weight <= p span the kernel
+at weight <= p, so the basis at weight bound n extends the basis at n-1.
+Over Z/m the echelon form is the Howell form and the kernel comes as a
+generating sequence; ranks_per_weight counts its members, which can
+exceed the minimal number of generators.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .dga import FiniteDGA
-from .rings import Combination, IntMatrix, Ring, filtered_kernel, matrix_rank
-from .tensors import BraidingTensor
+from .rings import Combination, Ring, filtered_kernel  # noqa: F401  (filtered_kernel: re-exported)
+from .tensors import BraidingTensor, _orbit_kernel, rotation_orbits, weight_graded_monomials
 from .words import GenSet
 
 
@@ -308,92 +312,48 @@ class H0Basis:
         return len(self.elements)
 
 
-def _degree_zero_sequences(A: FiniteDGA, n: int):
-    k = A.dim(1)
-    seqs = []
-    for p in range(n + 1):
-        seqs.extend(iproduct(range(k), repeat=p))
-    return seqs
-
-
-def _bar_matrix(A: FiniteDGA, seqs):
-    """Matrix of d_Bar on the span of the given degree-0 words; rows are
-    indexed by the degree-1 words that actually appear."""
-    ring = A.ring
-    rows = {}
-    cols = []
-    for s in seqs:
-        x = BarElement.word(A, tuple((1, i) for i in s))
-        col = {}
-        for key, c in bar_differential(x).terms.items():
-            r = rows.setdefault(key, len(rows))
-            col[r] = c
-        cols.append(col)
-    n_rows = len(rows)
-    columns = []
-    for col in cols:
-        v = [ring.zero()] * n_rows
-        for r, c in col.items():
-            v[r] = c
-        columns.append(v)
-    return IntMatrix.from_columns(ring, columns, n_rows)
-
-
-def _sigma_minus_one_matrix(ring: Ring, seqs):
-    """Square matrix on the coordinates of `seqs` whose row t reads
-    x(t[1:] + t[:1]) - x(t), zero for t of length <= 1: its kernel is the
-    cycle-invariant vectors, its cokernel the rotation coinvariants."""
-    index = {s: j for j, s in enumerate(seqs)}
-    z, o = ring.zero(), ring.one()
-    flat = []
-    for t in seqs:
-        row = [z] * len(seqs)
-        if len(t) > 1:
-            row[index[t[1:] + t[:1]]] = o
-            row[index[t]] = ring.sub(row[index[t]], o)
-        flat.extend(row)
-    return IntMatrix(ring, len(seqs), len(seqs), tuple(flat))
-
-
-def _kernel_to_h0(A: FiniteDGA, n: int, seqs, vectors, added_at, anns) -> H0Basis:
-    elements = []
-    for v in vectors:
-        terms = {}
-        for s, c in zip(seqs, v):
-            if c:
-                terms[tuple((1, i) for i in s)] = c
-        elements.append(BarElement(A, terms))
-    return H0Basis(A, n, tuple(elements), tuple(added_at), tuple(anns))
-
-
-def _require_connected(A: FiniteDGA):
+def _degree_zero_words(A: FiniteDGA, n: int):
+    """Index sequences of the degree-0 words of weight <= n, (length, lex)
+    ordered: the words in the degree-1 basis of a connected algebra."""
     if not A.is_connected:
         raise NotConnectedAlgebraError(
             f"{A.name}: degree 0 has dimension {A.dim(0)}, need a single vertex"
         )
+    if n < 0:
+        raise ValueError("weight bound must be >= 0")
+    return weight_graded_monomials(A.dim(1), n)
+
+
+def _h0(A: FiniteDGA, n: int, orbits) -> H0Basis:
+    """Kernel of d_Bar on the span of the orbit sums of degree-0 words.
+
+    Each orbit is a list of index sequences, (length, lex) ordered; d_Bar
+    of its sum is one sparse column, so the rows (one per degree-1 word
+    that appears) are sparse over orbit indices from the start.
+    """
+    rows = {}
+    for j, orbit in enumerate(orbits):
+        x = BarElement(A, {tuple((1, i) for i in s): 1 for s in orbit})
+        for key, c in bar_differential(x).terms.items():
+            rows.setdefault(key, {})[j] = c
+    terms, added_at, anns = _orbit_kernel(A.ring, list(rows.values()), orbits, n)
+    elements = tuple(
+        BarElement(A, {tuple((1, i) for i in s): c for s, c in t.items()}) for t in terms
+    )
+    return H0Basis(A, n, elements, added_at, anns)
 
 
 def h0_bar(A: FiniteDGA, n: int) -> H0Basis:
     """Kernel of d_Bar on degree-0 words of tensor weight <= n."""
-    _require_connected(A)
-    if n < 0:
-        raise ValueError("weight bound must be >= 0")
-    seqs = _degree_zero_sequences(A, n)
-    M = _bar_matrix(A, seqs)
-    vectors, added_at, anns = filtered_kernel(M, [len(s) for s in seqs], n)
-    return _kernel_to_h0(A, n, seqs, vectors, added_at, anns)
+    return _h0(A, n, [[s] for s in _degree_zero_words(A, n)])
 
 
 def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
-    """Joint kernel of d_Bar and sigma - 1: the cycle-invariant cocycles,
-    which compute the degree-0 cyclic cohomology for a connected algebra."""
-    _require_connected(A)
-    if n < 0:
-        raise ValueError("weight bound must be >= 0")
-    seqs = _degree_zero_sequences(A, n)
-    M = _bar_matrix(A, seqs).stack_below(_sigma_minus_one_matrix(A.ring, seqs))
-    vectors, added_at, anns = filtered_kernel(M, [len(s) for s in seqs], n)
-    return _kernel_to_h0(A, n, seqs, vectors, added_at, anns)
+    """The cycle-invariant cocycles, which compute the degree-0 cyclic
+    cohomology for a connected algebra: sigma permutes the degree-0 words
+    (their shifted degrees are 0, so no sign), and its fixed vectors are
+    free on the necklace sums, so this is the kernel of d_Bar on those."""
+    return _h0(A, n, rotation_orbits(_degree_zero_words(A, n)))
 
 
 def coinvariant_rank(names, p: int, ring: Ring | None = None) -> int:
@@ -401,13 +361,11 @@ def coinvariant_rank(names, p: int, ring: Ring | None = None) -> int:
     (cokernel of sigma - 1 on words in degree-1 letters).
 
     sigma permutes the words, so the cokernel is free on the rotation
-    orbits: the Smith diagonal of sigma - 1 is 0s and 1s, and the count
-    is the number of words minus the rank, the same over every ring.
+    orbits, over every ring: the count is the number of necklaces.
     """
     if p < 1:
         raise ValueError("weight must be >= 1")
-    words = list(iproduct(range(len(names)), repeat=p))
-    return len(words) - matrix_rank(_sigma_minus_one_matrix(ring or Ring.integers(), words))
+    return len(rotation_orbits(list(iproduct(range(len(names)), repeat=p))))
 
 
 def bar_element_to_tensor(x: BarElement, gens: GenSet | None = None) -> BraidingTensor:

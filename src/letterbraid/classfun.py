@@ -6,8 +6,12 @@ function descends to G = F_S / <<r_1, ..., r_k>> exactly when it also
 kills every m_pre (r_i - 1) m_suf with m_pre, m_suf monomials in the
 positive-generator differences (s - 1), of total degree <= n - 1.  That
 is a finite linear system on tensor coefficients; its kernel is the
-finite-type function space, and intersecting with the cycle-invariant
-tensors cuts out the class functions.
+finite-type function space.  The class functions are the cycle-invariant
+part, HH_0 = A/[A, A]: tensors constant on rotation orbits, so the same
+kernel is taken on the orbit sums, where the one-sided rows (r_i - 1) m
+already imply the two-sided ones.  Both bases come from sparse rows over
+orbit indices (one-monomial orbits for the finite-type basis) and one
+kernel routine.
 
 An independent oracle goes the other way round: enumerate group
 elements as reduced words identified by relator insertions, present
@@ -21,11 +25,10 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .barcyc import _sigma_minus_one_matrix
 from .rings import (
     IntMatrix,
     Ring,
@@ -33,11 +36,18 @@ from .rings import (
     _kernel_rows,
     _vector_annihilator,
     canon_terms,
-    filtered_kernel,
     matrix_rank,
     row_canonical_form,
 )
-from .tensors import BraidingTensor, pair_with_expansion, tensor_from_obj, tensor_to_obj
+from .tensors import (
+    BraidingTensor,
+    _orbit_kernel,
+    pair_with_expansion,
+    rotation_orbits,
+    tensor_from_obj,
+    tensor_to_obj,
+    weight_graded_monomials,
+)
 from .words import (
     GenSet,
     MagnusPlan,
@@ -147,14 +157,6 @@ def presentation_to_text(P: Presentation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def weight_graded_monomials(k: int, n: int):
-    """Generator-index tuples of length <= n, shorter first, lex within."""
-    out = []
-    for p in range(n + 1):
-        out.extend(itertools.product(range(k), repeat=p))
-    return out
-
-
 @dataclass(frozen=True)
 class DescendSystem:
     """Linear conditions for weight <= n tensors to descend to the group.
@@ -183,28 +185,34 @@ class DescendSystem:
         return all(x == z for x in self.matrix.apply(self.tensor_coordinates(T)))
 
 
+def _relator_products(P: Presentation, ring: Ring, n: int, *, one_sided: bool = False):
+    """The rows pre (r_i - 1) suf of the descend system, truncated at
+    weight n, as ((pre, i, suf), terms) in DescendSystem's row order;
+    with one_sided, only the rows with pre empty."""
+    k = len(P.gens)
+    for ri, r in enumerate(P.relators):
+        expansion = fox_expand(word_minus_one(ring, r), n)
+        for total in range(n):
+            for dpre in range(1 if one_sided else total + 1):
+                for pre in itertools.product(range(k), repeat=dpre):
+                    left = MonomialCombination.monomial(ring, P.gens, pre, n).multiply(expansion)
+                    for suf in itertools.product(range(k), repeat=total - dpre):
+                        prod = left.multiply(MonomialCombination.monomial(ring, P.gens, suf, n))
+                        yield (pre, ri, suf), prod.terms
+
+
 def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
     """The full descend system at weight bound n (n = 0 gives no rows)."""
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
-    k = len(P.gens)
-    columns = tuple(weight_graded_monomials(k, n))
+    columns = tuple(weight_graded_monomials(len(P.gens), n))
     zero = ring.zero()
     labels = []
-    rows = []
-    for ri, r in enumerate(P.relators):
-        expansion = fox_expand(word_minus_one(ring, r), n)
-        for total in range(n):
-            for dpre in range(total + 1):
-                dsuf = total - dpre
-                for pre in itertools.product(range(k), repeat=dpre):
-                    left = MonomialCombination.monomial(ring, P.gens, pre, n).multiply(expansion)
-                    for suf in itertools.product(range(k), repeat=dsuf):
-                        prod = left.multiply(MonomialCombination.monomial(ring, P.gens, suf, n))
-                        labels.append((pre, ri, suf))
-                        rows.append([prod.terms.get(m, zero) for m in columns])
-    flat = tuple(x for row in rows for x in row)
-    matrix = IntMatrix(ring, len(rows), len(columns), flat)
+    flat = []
+    for label, terms in _relator_products(P, ring, n):
+        labels.append(label)
+        flat.extend(terms.get(m, zero) for m in columns)
+    matrix = IntMatrix(ring, len(labels), len(columns), tuple(flat))
     return DescendSystem(ring, P.gens, n, columns, tuple(labels), matrix)
 
 
@@ -251,23 +259,30 @@ class TensorBasis:
         return len(self.elements)
 
 
-def _kernel_to_tensors(ring: Ring, gens: GenSet, columns, matrix: IntMatrix, n: int):
-    col_weights = [len(m) for m in columns]
-    vectors, added_at, anns = filtered_kernel(matrix, col_weights, n)
-    elements = tuple(
-        BraidingTensor(ring, gens, {m: v[j] for j, m in enumerate(columns) if v[j]})
-        for v in vectors
-    )
-    return elements, added_at, anns
+def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> TensorBasis:
+    """The weight-filtered kernel of the descend rows on the weight <= n
+    monomials, or with cyclic on their necklace sums and with one-sided
+    rows, as tensors."""
+    if n < 0:
+        raise ValueError(f"weight bound must be >= 0, got {n}")
+    monomials = weight_graded_monomials(len(P.gens), n)
+    orbits = rotation_orbits(monomials) if cyclic else [[m] for m in monomials]
+    orbit_of = {m: j for j, orbit in enumerate(orbits) for m in orbit}
+    rows = []
+    for _, terms in _relator_products(P, ring, n, one_sided=cyclic):
+        row: dict = {}
+        for m, c in terms.items():
+            j = orbit_of[m]
+            row[j] = row.get(j, 0) + c
+        rows.append(canon_terms(ring, row))
+    terms, added_at, anns = _orbit_kernel(ring, rows, orbits, n)
+    elements = tuple(BraidingTensor(ring, P.gens, t) for t in terms)
+    return TensorBasis(ring, P.gens, n, elements, added_at, anns)
 
 
 def finite_type_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
     """Basis of the weight <= n tensors that descend to functions on G."""
-    system = descend_conditions(P, ring, n)
-    elements, added_at, anns = _kernel_to_tensors(
-        ring, P.gens, system.columns, system.matrix, n
-    )
-    return TensorBasis(ring, P.gens, n, elements, added_at, anns)
+    return _descending_basis(P, ring, n, cyclic=False)
 
 
 def class_function_basis(
@@ -275,23 +290,27 @@ def class_function_basis(
 ) -> TensorBasis:
     """Basis of the descending *and* cycle-invariant weight <= n tensors.
 
+    The cycle-invariant tensors are free on the necklace sums
+    (rotation_orbits), so this is a kernel on those.  On them the
+    one-sided rows (r_i - 1) w, deg w < n, suffice: T(pre X suf) =
+    T(X suf pre) term by term for a cycle-invariant T, since rotation
+    keeps a monomial's length and hence the truncation.
+
     Every element is additionally certified by the sampled check of
     is_class_function_sampled (max_len=4, samples=25, DEFAULT_SEED) before
     being returned, all of them in one sweep (_sampled_verdicts); the
     first failing element raises AssertionError.  certify=False skips that when
     the caller re-checks with stronger bounds anyway.
     """
-    system = descend_conditions(P, ring, n)
-    stacked = system.matrix.stack_below(_sigma_minus_one_matrix(ring, system.columns))
-    elements, added_at, anns = _kernel_to_tensors(ring, P.gens, system.columns, stacked, n)
+    basis = _descending_basis(P, ring, n, cyclic=True)
     if certify:
-        verdicts = _sampled_verdicts(elements, P, max_len=4, samples=25, seed=DEFAULT_SEED)
+        verdicts = _sampled_verdicts(basis.elements, P, max_len=4, samples=25, seed=DEFAULT_SEED)
         for verdict in verdicts:
             if not verdict.ok:
                 raise AssertionError(
                     f"class-function certification failed: {verdict.witness}"
                 )
-    return TensorBasis(ring, P.gens, n, elements, added_at, anns)
+    return basis
 
 
 # ---------------------------------------------------------------------------

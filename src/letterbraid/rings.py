@@ -12,24 +12,27 @@ Conventions that keep runs byte-for-byte reproducible:
 * Smith pivot selection: the nonzero entry of smallest absolute value in
   the working submatrix, ties broken in row-major order.  The pivot sign
   is normalised to positive as soon as it reaches the diagonal.
-* Z/m matrices are lifted to Z.  The integer Smith form reduces mod m,
-  after which each diagonal entry d is rescaled by a unit to gcd(d, m),
-  the canonical divisor-of-m representative, so the divisibility chain
-  survives on canonical lifts.  The number of nonzero diagonal entries
-  is then the minimal number of generators of the span; matrix_rank
-  over Z/m counts it on the few pivot rows of one echelon pass, and
-  over Z and Q counts those pivot rows themselves.
+* Every Smith form is the integer one.  Z/m matrices are lifted to Z;
+  the integer Smith form reduces mod m, after which each diagonal entry
+  d is rescaled by a unit to gcd(d, m), the canonical divisor-of-m
+  representative, so the divisibility chain survives on canonical lifts.
+  The number of nonzero diagonal entries is then the minimal number of
+  generators of the span; matrix_rank over Z/m counts it on the few
+  pivot rows of one echelon pass, and over Z and Q counts those pivot
+  rows themselves.  A Q matrix is scaled by the lcm c of its
+  denominators, and row t of the integer U by c / d_t, so the diagonal
+  reads 1s, then 0s.
 * Echelon forms (row_canonical_form) come from one routine, _echelon,
   on sparse rows (column -> nonzero entry), with every entry kept mod m:
   the Howell form, whose pivots are divisors of m.  Its rows generate
   the span but need not be a minimal generating set, so counting them
   can exceed the minimal generator count.
-* Kernels (filtered_kernel, kernel_basis as its one-weight case, and
-  the group-ring oracle's stage kernels) are read off one echelon form
-  of the sparse rows [M^T | I] (_kernel_rows): the rows whose pivot lies
-  in the identity block.  Only those rows are back-reduced; the others
-  are dropped.  Over Z/m each generator carries its additive order as
-  annihilator (0 = free).
+* Kernels (_filtered_kernel on sparse rows, its dense wrappers
+  filtered_kernel and kernel_basis, and the group-ring oracle's stage
+  kernels) are read off one echelon form of the sparse rows [M^T | I]
+  (_kernel_rows): the rows whose pivot lies in the identity block.  Only
+  those rows are back-reduced; the others are dropped.  Over Z/m each
+  generator carries its additive order as annihilator (0 = free).
 * Over Q the same elimination is fraction-free, on primitive integer
   rows; Fractions appear only in the output, each row over its pivot.
 """
@@ -374,14 +377,6 @@ class IntMatrix:
             out.append(ring.canon(acc))
         return out
 
-    def transpose(self) -> "IntMatrix":
-        flat = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.ring, self.cols, self.rows, flat)
-
     def stack_below(self, other: "IntMatrix") -> "IntMatrix":
         if self.ring != other.ring or self.cols != other.cols:
             raise ShapeError("row stack needs equal column counts and rings")
@@ -438,21 +433,21 @@ def smith_normal_form(M: IntMatrix):
     Over Z the diagonal is nonnegative; over Q it is 0/1; over Z/m every
     diagonal entry is the canonical divisor gcd(lift, m) of m.
     """
-    if M.ring.kind == "Z":
-        u, d, v = _snf_int(M.to_rows(), M.rows, M.cols)
-        return (
-            IntMatrix.from_rows(M.ring, u) if M.rows else IntMatrix.zeros(M.ring, 0, 0),
-            IntMatrix.from_rows(M.ring, d) if M.rows else IntMatrix.zeros(M.ring, 0, M.cols),
-            IntMatrix.from_rows(M.ring, v) if M.cols else IntMatrix.zeros(M.ring, 0, 0),
-        )
-    if M.ring.kind == "Q":
-        u, d, v = _snf_field(M.to_rows(), M.rows, M.cols)
-        return (
-            IntMatrix.from_rows(M.ring, u) if M.rows else IntMatrix.zeros(M.ring, 0, 0),
-            IntMatrix.from_rows(M.ring, d) if M.rows else IntMatrix.zeros(M.ring, 0, M.cols),
-            IntMatrix.from_rows(M.ring, v) if M.cols else IntMatrix.zeros(M.ring, 0, 0),
-        )
-    return _snf_zmod(M)
+    ring, m = M.ring, M.ring.modulus
+    c = lcm(*(x.denominator for x in M.entries)) if ring.kind == "Q" else 1
+    u, d, v = _snf_int([[int(x * c) for x in row] for row in M.to_rows()], M.rows, M.cols)
+    for t in range(min(M.rows, M.cols)):
+        x = d[t][t]
+        if x and ring.kind == "Q":  # U'(cM)V = D' over Z: row t of U' times c / d_t
+            u[t], d[t][t] = [Fraction(c * y, x) for y in u[t]], 1
+        elif x and m:  # a unit times d_t is the canonical divisor gcd(d_t, m)
+            g, unit = _unit_scaling_to_gcd(x, m)
+            u[t], d[t][t] = [unit * y for y in u[t]], g
+    return (
+        IntMatrix.from_rows(ring, u) if M.rows else IntMatrix.zeros(ring, 0, 0),
+        IntMatrix.from_rows(ring, d) if M.rows else IntMatrix.zeros(ring, 0, M.cols),
+        IntMatrix.from_rows(ring, v) if M.cols else IntMatrix.zeros(ring, 0, 0),
+    )
 
 
 def _identity_rows(n):
@@ -555,48 +550,6 @@ def _snf_int(a, rows, cols):
     return u, a, v
 
 
-def _snf_field(a, rows, cols):
-    """Gaussian-elimination Smith form over Q: diagonal normalised to 1."""
-    a = [[Fraction(x) for x in row] for row in a]
-    u = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
-    v = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    limit = min(rows, cols)
-    for t in range(limit):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        scale = a[t][t]
-        a[t] = [x / scale for x in a[t]]
-        u[t] = [x / scale for x in u[t]]
-        for i in range(rows):
-            if i != t and a[i][t]:
-                f = a[i][t]
-                a[i] = [a[i][k] - f * a[t][k] for k in range(cols)]
-                u[i] = [u[i][k] - f * u[t][k] for k in range(rows)]
-        for j in range(cols):
-            if j != t and a[t][j]:
-                f = a[t][j]
-                for row in a:
-                    row[j] -= f * row[t]
-                for row in v:
-                    row[j] -= f * row[t]
-    return u, a, v
-
-
 def _unit_scaling_to_gcd(d0: int, m: int):
     """Return (g, u) with u a unit mod m and u * d0 = g = gcd(d0, m) mod m."""
     g = gcd(d0, m)
@@ -611,27 +564,6 @@ def _unit_scaling_to_gcd(d0: int, m: int):
             break
     assert w is not None, "unit representative must exist"
     return g, pow(w, -1, m)
-
-
-def _snf_zmod(M: IntMatrix):
-    ring = M.ring
-    m = ring.modulus
-    u0, d0, v0 = _snf_int(M.to_rows(), M.rows, M.cols)
-    u = [[x % m for x in row] for row in u0]
-    v = [[x % m for x in row] for row in v0]
-    d = [[0] * M.cols for _ in range(M.rows)]
-    for t in range(min(M.rows, M.cols)):
-        entry = d0[t][t]
-        if entry == 0:
-            continue
-        g, unit = _unit_scaling_to_gcd(entry, m)
-        if unit != 1:
-            u[t] = [(unit * x) % m for x in u[t]]
-        d[t][t] = g % m
-    U = IntMatrix.from_rows(ring, u) if M.rows else IntMatrix.zeros(ring, 0, 0)
-    D = IntMatrix.from_rows(ring, d) if M.rows else IntMatrix.zeros(ring, 0, M.cols)
-    V = IntMatrix.from_rows(ring, v) if M.cols else IntMatrix.zeros(ring, 0, 0)
-    return U, D, V
 
 
 def _diagonal(D: IntMatrix) -> list:
@@ -681,7 +613,7 @@ def solve(M: IntMatrix, b) -> list | None:
                 return None
             continue
         if ring.kind == "Q":
-            zvec[i] = c / d
+            zvec[i] = c
         elif ring.kind == "Z":
             if c % d:
                 return None
@@ -926,6 +858,21 @@ def _kernel_rows(ring: Ring, rows, keep) -> list:
     return [{j - height: x for j, x in r.items()} for r in _echelon(ring, stacked, height)]
 
 
+def _filtered_kernel(ring: Ring, rows, col_weights, up_to: int) -> list:
+    """filtered_kernel on sparse rows (column -> entry): (weight, sparse
+    vector) pairs, ordered by the weight at which each vector enters."""
+    keep = sorted(
+        (j for j, w in enumerate(col_weights) if w <= up_to),
+        key=lambda j: (-col_weights[j], j),
+    )
+    found = [
+        (col_weights[keep[min(r)]], {keep[t]: x for t, x in r.items()})
+        for r in _kernel_rows(ring, rows, keep)
+    ]
+    found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
+    return found
+
+
 def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     """Kernel generators of M, filtered by column weight.
 
@@ -943,24 +890,21 @@ def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     identity block are a canonical echelon basis of the kernel, and the
     rows pivoting at weight <= p span its part of weight <= p.  Those
     rows depend only on the kernel, hence only on the row span of M.
-    The rows of [M^T | I] are built sparse from M's entries, and the
-    rows pivoting in the M block are never back-reduced (_kernel_rows).
+
+    This is a dense wrapper: the work is done on sparse rows by
+    _filtered_kernel, which the H^0 and tensor-basis pipelines call
+    directly, so they build no IntMatrix, and the rows pivoting in the M
+    block are never back-reduced (_kernel_rows).
     """
-    ring = M.ring
-    z = ring.zero()
-    keep = sorted(
-        (j for j, w in enumerate(col_weights) if w <= up_to),
-        key=lambda j: (-col_weights[j], j),
-    )
-    found = []
-    for r in _kernel_rows(ring, _sparse_rows(M), keep):
-        v = [z] * M.cols
-        for t, x in r.items():
-            v[keep[t]] = x
-        found.append((col_weights[keep[min(r)]], v))
-    found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
-    vectors = [v for _, v in found]
-    anns = tuple(_vector_annihilator(ring, v) for v in vectors)
+    z = M.ring.zero()
+    vectors = []
+    found = _filtered_kernel(M.ring, _sparse_rows(M), col_weights, up_to)
+    for _, v in found:
+        dense = [z] * M.cols
+        for j, x in v.items():
+            dense[j] = x
+        vectors.append(dense)
+    anns = tuple(_vector_annihilator(M.ring, v) for v in vectors)
     return vectors, tuple(w for w, _ in found), anns
 
 

@@ -22,7 +22,9 @@ trie nodes per generator, so long words are cheap.
 
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
-chance of being conjugation-invariant functions.
+chance of being conjugation-invariant functions.  rotation_orbits
+enumerates the necklaces, and the H^0 and class-function pipelines solve
+their linear systems on the orbit sums (_orbit_kernel).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rings import Combination, Ring, ShapeError
+from .rings import Combination, Ring, ShapeError, _filtered_kernel, _vector_annihilator
 from .words import (
     GenSet,
     GeneratorMismatchError,
@@ -166,7 +168,51 @@ def cycle(T: BraidingTensor) -> BraidingTensor:
 
 
 def _min_rotation(seq):
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
+
+
+def weight_graded_monomials(k: int, n: int):
+    """Generator-index tuples of length <= n, shorter first, lex within."""
+    out = []
+    for p in range(n + 1):
+        out.extend(product(range(k), repeat=p))
+    return out
+
+
+def rotation_orbits(seqs):
+    """The rotation orbits (necklaces) of a list of index sequences that
+    is closed under rotation and in (length, lex) order.
+
+    Each orbit lists its members in that order, so its first member is
+    its least rotation, and the orbits come in the order of their first
+    members.
+    """
+    orbits = {}
+    for seq in seqs:
+        orbits.setdefault(_min_rotation(seq), []).append(seq)
+    return list(orbits.values())
+
+
+def _orbit_kernel(ring: Ring, rows, orbits, up_to: int):
+    """Weight-filtered kernel of a matrix on orbit sums, expanded onto the
+    orbits' members.
+
+    ``rows`` are sparse rows (orbit index -> entry); an orbit's weight is
+    the length of its members.  Returns (terms, added_at_weight,
+    annihilators) as rings.filtered_kernel does, each member a dict of
+    index sequence -> coefficient in (length, lex) order.  Each orbit
+    stands in the column order at its least rotation, where its members'
+    leading column would be, so the echelon basis (Hermite, reduced
+    echelon or Howell) expands to the echelon basis of the orbit-constant
+    kernel vectors in member coordinates.
+    """
+    found = _filtered_kernel(ring, rows, [len(orbit[0]) for orbit in orbits], up_to)
+    terms = []
+    for _, v in found:
+        members = ((s, c) for j, c in v.items() for s in orbits[j])
+        terms.append(dict(sorted(members, key=lambda sc: (len(sc[0]), sc[0]))))
+    anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
+    return terms, tuple(w for w, _ in found), anns
 
 
 def cycle_invariant_basis(gens: GenSet, p: int, ring: Ring):
@@ -178,15 +224,8 @@ def cycle_invariant_basis(gens: GenSet, p: int, ring: Ring):
     """
     if p < 1:
         raise ValueError(f"weight must be >= 1, got {p}")
-    k = len(gens)
-    orbits = {}
-    for seq in product(range(k), repeat=p):
-        orbits.setdefault(_min_rotation(seq), set()).add(seq)
-    basis = []
-    for rep in sorted(orbits):
-        terms = {seq: ring.one() for seq in orbits[rep]}
-        basis.append(BraidingTensor(ring, gens, terms))
-    return basis
+    orbits = rotation_orbits(list(product(range(len(gens)), repeat=p)))
+    return [BraidingTensor(ring, gens, dict.fromkeys(orbit, ring.one())) for orbit in orbits]
 
 
 # ---------------------------------------------------------------------------

@@ -473,17 +473,18 @@ def test_sampled_verdicts_repeated_difference_reaches_shorter_members(monkeypatc
 
 
 def test_class_function_basis_certification_catches_missing_cycle_rows(monkeypatch):
-    """With no cycle-invariance rows the basis is every finite-type
-    function, and over Z/4 on the Klein bottle the sampled certification
-    finds a conjugation that changes a value."""
+    """With every monomial its own rotation orbit the basis is no longer
+    cut down to cycle-invariant tensors (and its one-sided rows no longer
+    imply the two-sided ones), and over Z/4 on the Klein bottle the
+    sampled certification finds a conjugation that changes a value."""
     P = parse_presentation(KLEIN)
     Z4 = Ring.integers_mod(4)
     class_function_basis(P, Z4, 2)  # certified
 
-    def no_rows(ring, columns):
-        return IntMatrix(ring, 0, len(columns), ())
+    def singletons(seqs):
+        return [[s] for s in seqs]
 
-    monkeypatch.setattr(classfun, "_sigma_minus_one_matrix", no_rows)
+    monkeypatch.setattr(classfun, "rotation_orbits", singletons)
     with pytest.raises(AssertionError, match="class-function certification failed: conjugation"):
         class_function_basis(P, Z4, 2)
 

@@ -279,6 +279,28 @@ def test_solve_unsolvable_over_z():
     assert in_column_span(mat([[2, 4]]), [3]) is False
 
 
+def test_solve_over_q_on_a_sparse_40_by_40_matrix():
+    """The Q Smith form is the integer one of the matrix scaled by the lcm
+    of its denominators: U M V = D with a 0/1 diagonal, and solve finds x
+    with M x = b, also after dividing entries by small denominators."""
+    rng = random.Random(0)
+    rows = [[rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(40)] for _ in range(40)]
+    scaled = [[Fraction(x, rng.choice([1, 2, 3, 5])) for x in r] for r in rows]
+    for M in (mat(rows, Q), mat(scaled, Q)):
+        U, D, V = check_snf_contract(M)
+        assert all(d in (0, 1) for d in diag_of(D))
+        assert sum(diag_of(D)) == matrix_rank(M)
+        b = M.apply([Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range(40)])
+        x = solve(M, b)
+        assert x is not None and M.apply(x) == b
+    # a rank-deficient matrix with denominators: b outside the span has no solution
+    M = mat([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]], Q)
+    U, D, V = check_snf_contract(M)
+    assert diag_of(D) == [1, 0]
+    assert solve(M, [Fraction(1, 6), Fraction(1, 3)]) is not None
+    assert solve(M, [1, 1]) is None
+
+
 def test_determinism():
     rng = random.Random(99)
     M = random_matrix(rng, Z, max_dim=5)
