@@ -34,9 +34,9 @@ from .rings import (
     Ring,
     _echelon,
     _kernel_rows,
+    _rank,
     _vector_annihilator,
     canon_terms,
-    matrix_rank,
     row_canonical_form,
 )
 from .tensors import (
@@ -621,10 +621,10 @@ def oracle_group_ring_quotient(
     ValueError, counted (_ball_size) before any word is built.
 
     Relation rows stay sparse (class -> entry) throughout: the stages and
-    the saturation check are echelon forms of rings._echelon, and the
-    stage kernels come from rings._kernel_rows, the routine behind
-    filtered_kernel.  Words are built only for the reported
-    representatives and messages.
+    the saturation check are echelon forms of rings._echelon, the stage
+    kernels come from rings._kernel_rows, the routine behind
+    filtered_kernel, and their ranks from rings._rank on the same rows.
+    Words are built only for the reported representatives and messages.
     """
     if n < 0:
         raise ValueError(f"type bound must be >= 0, got {n}")
@@ -688,10 +688,7 @@ def oracle_group_ring_quotient(
     ranks = []
     for stage in relation_stages:
         kernel = _kernel_rows(ring, stage, range(c))
-        generators = IntMatrix.from_columns(
-            ring, [[v.get(cls, 0) for cls in range(c)] for v in kernel], c
-        )
-        ranks.append(matrix_rank(generators))
+        ranks.append(_rank(ring, kernel, c))
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
     hom = tuple(v.get(cls, z) for v in kernel for cls in base_classes)

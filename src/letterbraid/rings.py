@@ -7,11 +7,16 @@ transforms, and exact solvability of linear systems.  Coefficients are
 Python ints and ``fractions.Fraction`` -- never floats, never
 fixed-width.
 
-Conventions that keep runs byte-for-byte reproducible:
+There is one elimination, _echelon, with one step that reduces a row
+above the pivots, _reduce_tail.  Conventions that keep runs byte-for-byte
+reproducible:
 
-* Smith pivot selection: the nonzero entry of smallest absolute value in
-  the working submatrix, ties broken in row-major order.  The pivot sign
-  is normalised to positive as soon as it reaches the diagonal.
+* Smith forms come from Hermite forms alone (Kannan and Bachem): the
+  row Hermite forms of [D | U] and of [D^T | V^T] alternate until D is
+  diagonal, and a column sum repairs each break in the divisibility
+  chain.  The diagonal is unique; U and V are not.
+* solve reads a solution off the echelon kernel of [-b | M], so it runs
+  on the same elimination.
 * Every Smith form is the integer one.  Z/m matrices are lifted to Z;
   the integer Smith form reduces mod m, after which each diagonal entry
   d is rescaled by a unit to gcd(d, m), the canonical divisor-of-m
@@ -22,8 +27,8 @@ Conventions that keep runs byte-for-byte reproducible:
   rows themselves.  A Q matrix is scaled by the lcm c of its
   denominators, and row t of the integer U by c / d_t, so the diagonal
   reads 1s, then 0s.
-* Echelon forms (row_canonical_form) come from one routine, _echelon,
-  on sparse rows (column -> nonzero entry), with every entry kept mod m:
+* Echelon forms (row_canonical_form) are _echelon's, on sparse rows
+  (column -> nonzero entry), with every entry kept mod m:
   the Howell form, whose pivots are divisors of m.  Its rows generate
   the span but need not be a minimal generating set, so counting them
   can exceed the minimal generator count.
@@ -42,6 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -181,6 +187,9 @@ class Ring:
         if self.kind == "Q" and x.denominator != 1:
             return f"{x.numerator}/{x.denominator}"
         return str(int(x))
+
+
+_Z = Ring.integers()
 
 
 def canon_terms(ring: Ring, terms: dict) -> dict:
@@ -435,159 +444,99 @@ def smith_normal_form(M: IntMatrix):
     """
     ring, m = M.ring, M.ring.modulus
     c = lcm(*(x.denominator for x in M.entries)) if ring.kind == "Q" else 1
-    u, d, v = _snf_int([[int(x * c) for x in row] for row in M.to_rows()], M.rows, M.cols)
-    for t in range(min(M.rows, M.cols)):
-        x = d[t][t]
+    u, d, v = _snf_int([{j: int(x * c) for j, x in r.items()} for r in _sparse_rows(M)], M.cols)
+    for t, row in enumerate(d):
+        x = row.get(t)
         if x and ring.kind == "Q":  # U'(cM)V = D' over Z: row t of U' times c / d_t
-            u[t], d[t][t] = [Fraction(c * y, x) for y in u[t]], 1
+            u[t], row[t] = {k: Fraction(c * y, x) for k, y in u[t].items()}, 1
         elif x and m:  # a unit times d_t is the canonical divisor gcd(d_t, m)
             g, unit = _unit_scaling_to_gcd(x, m)
-            u[t], d[t][t] = [unit * y for y in u[t]], g
-    return (
-        IntMatrix.from_rows(ring, u) if M.rows else IntMatrix.zeros(ring, 0, 0),
-        IntMatrix.from_rows(ring, d) if M.rows else IntMatrix.zeros(ring, 0, M.cols),
-        IntMatrix.from_rows(ring, v) if M.cols else IntMatrix.zeros(ring, 0, 0),
+            u[t], row[t] = {k: unit * y for k, y in u[t].items()}, g
+    return tuple(
+        _dense(ring, [canon_terms(ring, r) for r in rows], width)
+        for rows, width in ((u, M.rows), (d, M.cols), (v, M.cols))
     )
 
 
-def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _hermite_pair(a: list, b: list, width: int):
+    """The row Hermite form of the sparse rows [a | b], with a `width`
+    columns wide, split back into its two blocks."""
+    h = _echelon(_Z, [{**r, **{width + k: x for k, x in s.items()}} for r, s in zip(a, b)])
+    return (
+        [{k: x for k, x in r.items() if k < width} for r in h],
+        [{k - width: x for k, x in r.items() if k >= width} for r in h],
+    )
 
 
-def _snf_int(a, rows, cols):
-    """In-place integer Smith reduction; returns (u, d, v) as row lists."""
-    u = _identity_rows(rows)
-    v = _identity_rows(cols)
-    limit = min(rows, cols)
-    for t in range(limit):
-        # Pivot: smallest absolute value among nonzero entries of the
-        # working submatrix, ties broken row-major.
-        best = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = ai[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            d = a[t][t]
-            # Clear column t below the pivot.
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x:
-                    q = x // d
-                    if q:
-                        ai, at = a[i], a[t]
-                        a[i] = [ai[k] - q * at[k] for k in range(cols)]
-                        ui, ut = u[i], u[t]
-                        u[i] = [ui[k] - q * ut[k] for k in range(rows)]
-            smaller = None
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x and abs(x) < d and (smaller is None or abs(x) < abs(a[smaller][t])):
-                    smaller = i
-            if smaller is not None:
-                a[t], a[smaller] = a[smaller], a[t]
-                u[t], u[smaller] = u[smaller], u[t]
-                continue
-            if any(a[i][t] for i in range(t + 1, rows)):
-                continue  # remainders of magnitude >= d cannot occur, but stay safe
-            # Clear row t to the right of the pivot.
-            for j in range(t + 1, cols):
-                x = a[t][j]
-                if x:
-                    q = x // d
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-            smaller = None
-            for j in range(t + 1, cols):
-                x = a[t][j]
-                if x and abs(x) < d and (smaller is None or abs(x) < abs(a[t][smaller])):
-                    smaller = j
-            if smaller is not None:
-                j = smaller
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            if any(a[t][j] for j in range(t + 1, cols)):
-                continue
-            # Row and column clear; enforce d | (everything below-right)
-            # so the diagonal comes out in divisibility order.
-            viol = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % d:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            at, av = a[t], a[viol]
-            a[t] = [at[k] + av[k] for k in range(cols)]
-            ut, uv = u[t], u[viol]
-            u[t] = [ut[k] + uv[k] for k in range(rows)]
-    return u, a, v
+def _transpose(rows: list, cols: int) -> list:
+    out = [{} for _ in range(cols)]
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            out[j][i] = x
+    return out
+
+
+def _snf_int(a: list, cols: int):
+    """Integer Smith form of the sparse rows `a` (`cols` columns wide) from
+    Hermite forms alone, as Kannan and Bachem build it: (u, d, v) as sparse
+    rows with u a v = d.
+
+    The row Hermite form of [D | U] and that of [D^T | V^T] alternate until
+    D is diagonal; both blocks U and V are invertible, so each form keeps
+    every row, and its pivot order sinks the zero rows of D.  Then, while
+    some d_i does not divide d_(i+1), column i+1 is added to column i, in
+    D and in V, and the alternation resumes: it brings d_i down to
+    gcd(d_i, d_(i+1)).
+    """
+    rows = len(a)
+    d, u, v = a, [{i: 1} for i in range(rows)], [{j: 1} for j in range(cols)]
+    while True:
+        d, u = _hermite_pair(d, u, cols)
+        dt, vt = _hermite_pair(_transpose(d, cols), _transpose(v, cols), rows)
+        d, v = _transpose(dt, rows), _transpose(vt, cols)
+        if any(j != i for i, r in enumerate(d) for j in r):
+            continue
+        diag = [r[i] for i, r in enumerate(d) if r]  # the nonzero ones lead
+        i = next((i for i in range(len(diag) - 1) if diag[i + 1] % diag[i]), None)
+        if i is None:
+            return u, d, v
+        d[i + 1][i] = diag[i + 1]
+        v = [canon_terms(_Z, {**r, i: r.get(i, 0) + r.get(i + 1, 0)}) for r in v]
 
 
 def _unit_scaling_to_gcd(d0: int, m: int):
     """Return (g, u) with u a unit mod m and u * d0 = g = gcd(d0, m) mod m."""
     g = gcd(d0, m)
-    if g == 0:  # d0 == 0 (and gcd(0, m) == m handled below)
-        return 0, 1
-    dprime, mprime = d0 // g, m // g
-    w = None
-    for t in range(m):
-        cand = dprime + mprime * t
-        if gcd(cand, m) == 1:
-            w = cand % m
-            break
-    assert w is not None, "unit representative must exist"
-    return g, pow(w, -1, m)
-
-
-def _diagonal(D: IntMatrix) -> list:
-    return [D.get(i, i) for i in range(min(D.rows, D.cols))]
+    # lifts of d0/g, a unit mod m/g; one of them is a unit mod m
+    lifts = (d0 // g + m // g * t for t in range(m))
+    return g, pow(next(w for w in lifts if gcd(w, m) == 1), -1, m)
 
 
 def matrix_rank(M: IntMatrix) -> int:
     """The rank over Z or Q, and over Z/m the minimal number of generators
-    of the span.
+    of the span."""
+    return _rank(M.ring, _sparse_rows(M), M.cols)
+
+
+def _rank(ring: Ring, rows: list, cols: int) -> int:
+    """matrix_rank of the sparse rows, `cols` columns wide.
 
     One echelon pass (no back-reduction) gives pivot rows that generate
     the same module; over Z and Q their number is the rank.  Over Z/m it
     is the number of integer Smith diagonal entries of their lifts that m
     does not divide: for any lifts B of generators of a submodule N,
     B = U D V gives N = (+) Z/(m / gcd(d_i, m)), an invariant-factor
-    decomposition.  There are at most M.cols pivot rows, so the Smith
-    form stays small whatever M.rows is.
+    decomposition.  The k lifts are independent over Z (distinct pivots),
+    so a basis of the lattice their columns span is k x k with B's Smith
+    diagonal: the Smith form stays k x k whatever the shape.  The count
+    is the same for the transpose, hence for the column span.
     """
-    pivots = _pivot_rows(M.ring, _sparse_rows(M))
-    if M.ring.kind != "Zmod":
+    pivots = _pivot_rows(ring, rows)
+    if ring.kind != "Zmod":
         return len(pivots)
-    lifts = [[r.get(j, 0) for j in range(M.cols)] for r in pivots.values()]
-    _, d, _ = _snf_int(lifts, len(lifts), M.cols)
-    return sum(1 for t in range(len(lifts)) if d[t][t] % M.ring.modulus)
+    square = _pivot_rows(_Z, _transpose(list(pivots.values()), cols))
+    _, d, _ = _snf_int(list(square.values()), len(pivots))
+    return sum(1 for t, r in enumerate(d) if r.get(t, 0) % ring.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -596,35 +545,25 @@ def matrix_rank(M: IntMatrix) -> int:
 
 
 def solve(M: IntMatrix, b) -> list | None:
-    """One solution x of M x = b over M's ring, or None when there is none."""
+    """One solution x of M x = b over M's ring, or None when there is none.
+
+    The first coordinates t of the kernel vectors (t, x) of [-b | M], the
+    solutions of M x = t b, form an ideal.  Its generator leads the echelon
+    kernel row that pivots at coordinate 0 (Hermite, reduced echelon and
+    Howell forms alike), so M x = b is solvable iff that entry is 1, and x
+    is the rest of the row.
+    """
     ring = M.ring
     if len(b) != M.rows:
         raise ShapeError("right-hand side of wrong length")
-    U, D, V = smith_normal_form(M)
-    rhs = U.apply([ring.canon(x) for x in b])
-    diag = _diagonal(D)
-    z = ring.zero()
-    zvec = [z] * M.cols
-    for i in range(M.rows):
-        c = rhs[i]
-        d = diag[i] if i < len(diag) else z
-        if d == z:
-            if c != z:
-                return None
-            continue
-        if ring.kind == "Q":
-            zvec[i] = c
-        elif ring.kind == "Z":
-            if c % d:
-                return None
-            zvec[i] = c // d
-        else:
-            m = ring.modulus
-            g = gcd(int(d), m)
-            if int(c) % g:
-                return None
-            zvec[i] = (int(c) // g) * pow(int(d) // g, -1, m // g) % m
-    return V.apply(zvec)
+    rows = [
+        canon_terms(ring, {0: -x, **{j + 1: y for j, y in r.items()}})
+        for x, r in zip(b, _sparse_rows(M))
+    ]
+    kernel = _kernel_rows(ring, rows, range(M.cols + 1))
+    if not kernel or kernel[0].get(0) != 1:
+        return None
+    return [kernel[0].get(j + 1, ring.zero()) for j in range(M.cols)]
 
 
 def in_column_span(M: IntMatrix, x) -> bool:
@@ -681,18 +620,30 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
 
 
 def _reduce_tail(ring: Ring, row: dict, j: int, pivots: dict) -> dict:
-    """Reduce row's entries at the pivot columns right of j modulo those
-    pivots, left to right, including entries the reduction creates."""
-    done = j
-    while True:
-        later = [k for k in row if k > done and k in pivots]
-        if not later:
-            return row
-        done = min(later)
-        piv = pivots[done]
-        q = row[done] // piv[done]
-        if q:
-            row = _combine(ring, 1, row, -q, piv)
+    """Reduce row at the pivot columns right of j modulo those pivots, left
+    to right, including the entries the reduction creates: over Q each
+    entry is cleared (_cross), over Z and Z/m brought into [0, pivot) by
+    the floor quotient.  A heap holds the pivot columns still to visit."""
+    heap = [k for k in row if k > j and k in pivots]
+    heapify(heap)
+    queued = set(heap)
+    while heap:
+        k = heappop(heap)
+        x = row.get(k)
+        if x is None:
+            continue
+        piv = pivots[k]
+        if ring.kind == "Q":
+            row = _cross(ring, row, piv, k)
+        elif x // piv[k]:
+            row = _combine(ring, 1, row, -(x // piv[k]), piv)
+        else:
+            continue
+        for c in piv:
+            if c > k and c in pivots and c not in queued:
+                queued.add(c)
+                heappush(heap, c)
+    return row
 
 
 def _primitive(row: dict) -> dict:
@@ -770,26 +721,18 @@ def _echelon(ring: Ring, rows, start: int = 0) -> list:
 
     Rows are reduced one at a time against the pivot rows found so far;
     a gcd step merges a row into a pivot row it cannot clear.  Entries
-    above the pivots are reduced at the end, and only in the rows
-    pivoting at or right of `start`: the others are dropped unreduced
-    (the "clearing" of persistent homology), since reducing a row uses
-    only the pivot rows to its right.  Over Q that reduction is _cross
-    too, and each row is divided by its pivot only at the end.
+    above the pivots are reduced at the end, bottom-up, and only in the
+    rows pivoting at or right of `start`: the others are dropped
+    unreduced (the "clearing" of persistent homology).  Each row is
+    reduced by _reduce_tail against the rows below it, which are final
+    by then.  Over Q each row is divided by its pivot only at the end.
     """
-    out = [r for j, r in sorted(_pivot_rows(ring, rows).items()) if j >= start]
-    rational = ring.kind == "Q"
-    for i, r in enumerate(out):
-        j = min(r)
-        p = r[j]
-        for k in range(i):
-            x = out[k].get(j)
-            if x is None:
-                continue
-            if rational:
-                out[k] = _cross(ring, out[k], r, j)
-            elif x // p:
-                out[k] = _combine(ring, 1, out[k], -(x // p), r)
-    if rational:
+    pivots = _pivot_rows(ring, rows)
+    final = {}
+    for j in sorted((j for j in pivots if j >= start), reverse=True):
+        final[j] = _reduce_tail(ring, pivots[j], j, final)
+    out = [final[j] for j in reversed(final)]
+    if ring.kind == "Q":
         for i, r in enumerate(out):
             p = r[min(r)]
             out[i] = {k: Fraction(x, p) for k, x in r.items()}
@@ -814,10 +757,13 @@ def row_canonical_form(M: IntMatrix) -> IntMatrix:
     over Z/m the Howell form, whose pivots divide m and whose entries
     above a pivot g lie in [0, g).
     """
-    reduced = _echelon(M.ring, _sparse_rows(M))
-    z = M.ring.zero()
-    flat = tuple(r.get(j, z) for r in reduced for j in range(M.cols))
-    return IntMatrix(M.ring, len(reduced), M.cols, flat)
+    return _dense(M.ring, _echelon(M.ring, _sparse_rows(M)), M.cols)
+
+
+def _dense(ring: Ring, rows: list, cols: int) -> IntMatrix:
+    """The matrix with the given sparse rows of canonical entries."""
+    z = ring.zero()
+    return IntMatrix(ring, len(rows), cols, tuple(r.get(j, z) for r in rows for j in range(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -829,12 +775,8 @@ def _vector_annihilator(ring: Ring, v) -> int:
     """Additive order of v over Z/m (0 when it is m, i.e. v is free); 0 over Z and Q."""
     if ring.kind != "Zmod":
         return 0
-    m = ring.modulus
-    g = 0
-    for c in v:
-        g = gcd(g, int(c))
-    d = m // gcd(m, g)
-    return 0 if d == m else d % m
+    d = ring.modulus // gcd(ring.modulus, *map(int, v))
+    return 0 if d == ring.modulus else d
 
 
 def _kernel_rows(ring: Ring, rows, keep) -> list:
@@ -897,13 +839,8 @@ def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     block are never back-reduced (_kernel_rows).
     """
     z = M.ring.zero()
-    vectors = []
     found = _filtered_kernel(M.ring, _sparse_rows(M), col_weights, up_to)
-    for _, v in found:
-        dense = [z] * M.cols
-        for j, x in v.items():
-            dense[j] = x
-        vectors.append(dense)
+    vectors = [[v.get(j, z) for j in range(M.cols)] for _, v in found]
     anns = tuple(_vector_annihilator(M.ring, v) for v in vectors)
     return vectors, tuple(w for w, _ in found), anns
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,11 @@ from letterbraid.rings import (
     IntMatrix,
     Ring,
     ShapeError,
+    _combine,
+    _cross,
+    _echelon,
     _pivot_rows,
+    canon_terms,
     filtered_kernel,
     in_column_span,
     kernel_basis,
@@ -530,3 +536,117 @@ def test_q_forms_of_integer_matrices_agree_with_z():
         H = row_canonical_form(M)
         HQ = mat(H.to_rows(), Q) if H.rows else IntMatrix.zeros(Q, 0, M.cols)
         assert row_canonical_form(MQ) == row_canonical_form(HQ)
+
+
+def _top_down_echelon(ring, rows, start=0):
+    """The back-reduction _echelon used to run, kept as a reference: every
+    pivot row clears its pivot column in all the rows above it, top-down."""
+    out = [r for j, r in sorted(_pivot_rows(ring, rows).items()) if j >= start]
+    for i, r in enumerate(out):
+        j = min(r)
+        for k in range(i):
+            x = out[k].get(j)
+            if x is None:
+                continue
+            if ring.kind == "Q":
+                out[k] = _cross(ring, out[k], r, j)
+            elif x // r[j]:
+                out[k] = _combine(ring, 1, out[k], -(x // r[j]), r)
+    if ring.kind == "Q":
+        out = [{k: Fraction(x, r[min(r)]) for k, x in r.items()} for r in out]
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6", "Z/12"])
+def test_echelon_matches_top_down_back_reduction(spec):
+    ring = Ring.from_spec(spec)
+    rng = random.Random(20261020)
+    shapes = [(0, 0), (0, 5), (5, 0)] + [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(300)]
+    for r, c in shapes:
+        rows = []
+        for _ in range(r):
+            kind = rng.random()
+            if rows and kind < 0.15:
+                rows.append(dict(rng.choice(rows)))  # a repeated row
+            elif kind < 0.25:
+                rows.append({})  # a zero row
+            else:
+                row = {j: rng.randint(-6, 6) for j in range(c) if rng.random() < 0.5}
+                if ring.kind == "Q":
+                    row = {j: Fraction(x, rng.choice([1, 2, 3])) for j, x in row.items()}
+                rows.append(canon_terms(ring, row))
+        for start in {0, rng.randint(0, c)}:
+            expected = _top_down_echelon(ring, rows, start)
+            assert _echelon(ring, rows, start) == expected, (rows, start)
+
+
+def _det(rows):
+    """Determinant by the Leibniz formula (for matrices up to 4 x 4)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += sign * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _invariant_factors(rows, cols):
+    """The integer invariant factors from the determinantal divisors: d_1 ... d_k
+    is the gcd of the k x k minors."""
+    divisors = [1]
+    for k in range(1, min(len(rows), cols) + 1):
+        divisors.append(math.gcd(*(
+            _det([[rows[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(range(len(rows)), k)
+            for cs in itertools.combinations(range(cols), k)
+        )))
+    return [b // a if a else 0 for a, b in zip(divisors, divisors[1:])]
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/4", "Z/6", "Z/12"])
+def test_smith_diagonal_is_the_determinantal_one(spec):
+    """Over Z, d_1 ... d_k equals the gcd of the k x k minors; over Z/m each
+    d_i is gcd(integer invariant factor of the lifts, m)."""
+    ring = Ring.from_spec(spec)
+    rng = random.Random(20261021)
+    for _ in range(80):
+        M = _random_matrix(rng, ring, rng.randint(1, 4), rng.randint(1, 4))
+        U, D, V = check_snf_contract(M)
+        expected = _invariant_factors([[int(x) for x in r] for r in M.to_rows()], M.cols)
+        if ring.kind == "Zmod":
+            expected = [math.gcd(e, ring.modulus) % ring.modulus for e in expected]
+        assert diag_of(D) == expected, M.to_rows()
+
+
+def _all_vectors(m, k):
+    return [list(v) for v in itertools.product(range(m), repeat=k)]
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_solve_against_exhaustive_search(m):
+    """solve returns None iff no x in (Z/m)^c has M x = b, and a solution
+    whenever one exists."""
+    ring = Ring.integers_mod(m)
+    rng = random.Random(m)
+    for _ in range(12):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        M = mat([[rng.randrange(m) for _ in range(c)] for _ in range(r)], ring)
+        image = {tuple(M.apply(x)) for x in _all_vectors(m, c)}
+        for b in _all_vectors(m, r):
+            x = solve(M, b)
+            assert (x is not None) == (tuple(b) in image), (M.to_rows(), b)
+            if x is not None:
+                assert M.apply(x) == b
+
+
+def test_solve_over_z_images_and_parity():
+    rng = random.Random(5)
+    for _ in range(60):
+        M = _random_matrix(rng, Z, rng.randint(1, 5), rng.randint(1, 5))
+        b = M.apply([rng.randint(-5, 5) for _ in range(M.cols)])
+        x = solve(M, b)
+        assert x is not None and M.apply(x) == b
+        even = mat([[2 * y for y in row] for row in M.to_rows()])
+        odd = [2 * rng.randint(-5, 5) for _ in range(M.rows)]
+        odd[rng.randrange(M.rows)] += 1
+        assert solve(even, odd) is None
