@@ -296,16 +296,18 @@ def class_function_basis(
     T(X suf pre) term by term for a cycle-invariant T, since rotation
     keeps a monomial's length and hence the truncation.
 
-    Every element is additionally certified by the sampled check of
-    is_class_function_sampled (max_len=4, samples=25, DEFAULT_SEED) before
-    being returned, all of them in one sweep (_sampled_verdicts); the
-    first failing element raises AssertionError.  certify=False skips that when
-    the caller re-checks with stronger bounds anyway.
+    Every element is additionally certified on the group side before
+    being returned, by a complete finite check that shares no rows with
+    the kernel above (_complete_verdicts): T(g w g^-1) = T(w) for each
+    positive word w of length <= n and g the inverse of its first letter,
+    and T(r w) = T(w) for each relator r and positive word w of length
+    < n.  All elements are checked in one sweep; the first failing
+    element raises AssertionError with its witness.  certify=False skips
+    that when the caller re-checks anyway.
     """
     basis = _descending_basis(P, ring, n, cyclic=True)
     if certify:
-        verdicts = _sampled_verdicts(basis.elements, P, max_len=4, samples=25, seed=DEFAULT_SEED)
-        for verdict in verdicts:
+        for verdict in _complete_verdicts(basis.elements, P, n):
             if not verdict.ok:
                 raise AssertionError(
                     f"class-function certification failed: {verdict.witness}"
@@ -373,18 +375,23 @@ def _witness(gens: GenSet, w: tuple, spelling: tuple, g) -> str:
     )
 
 
-def _integer_coefficients(T: BraidingTensor, position: dict):
-    """T's coefficients as a dense int vector over the difference
-    positions, and the modulus of the zero test (0 for none): over Q
-    scaled by the lcm of their denominators, over Z/m their lifts,
-    reduced mod m once."""
+def _integer_terms(T: BraidingTensor):
+    """T's terms with int coefficients, and the modulus of the zero test
+    (0 for none): over Q scaled by the lcm of their denominators, over
+    Z/m their lifts, reduced mod m once."""
     scale = 1
     if T.ring.kind == "Q":
         scale = lcm(*(c.denominator for c in T.terms.values()))
+    return {seq: int(c * scale) for seq, c in T.terms.items()}, T.ring.modulus or 0
+
+
+def _integer_coefficients(T: BraidingTensor, position: dict):
+    """_integer_terms as a dense int vector over the difference positions."""
+    terms, m = _integer_terms(T)
     dense = [0] * len(position)
-    for seq, c in T.terms.items():
-        dense[position[seq]] = int(c * scale)
-    return dense, T.ring.modulus or 0
+    for seq, c in terms.items():
+        dense[position[seq]] = c
+    return dense, m
 
 
 def _sampled_verdicts(
@@ -480,6 +487,100 @@ def is_class_function_sampled(
 
 
 # ---------------------------------------------------------------------------
+# Complete conjugation / relator-insertion check
+# ---------------------------------------------------------------------------
+
+
+def _positive_words(k: int, n: int) -> list:
+    """Letter tuples of the positive words of length <= n on k generators,
+    in (length, lex) order, the empty word first."""
+    return [tuple((g, 1) for g in m) for m in weight_graded_monomials(k, n)]
+
+
+def _complete_checks(P: Presentation, n: int):
+    """The checks of the complete test at weight bound n, in order.
+
+    Yields (w, spelling, g) with letter tuples, as _sampled_checks does: the
+    spelling must take the value of w, and g is the conjugator, None for
+    an insertion.  First the rotations: every positive word w = w_1 ...
+    w_p with 1 <= p <= n against g w g^-1 = w_2 ... w_p w_1, g = w_1^-1.
+    Then the front insertions: for each relator r, every positive word w
+    with |w| < n against r w.
+    """
+    positive = _positive_words(len(P.gens), n)
+    for w in positive[1:]:
+        yield w, w[1:] + w[:1], ((w[0][0], -1),)
+    for r in P.relators:
+        for w in positive:
+            if len(w) < n:
+                yield w, r.letters + w, None
+
+
+def _complete_verdicts(tensors, P: Presentation, n: int) -> list:
+    """One Verdict per tensor of weight <= n: whether it is a class
+    function on the presented group, decided by the finite list of
+    _complete_checks.
+
+    Why those checks suffice, over any commutative ring: T is a
+    functional on A_n = R<x>/(deg > n), read through the truncated Magnus
+    series E.  The E(w) of the positive words of length <= n span A_n
+    unitriangularly, and E(w_1 u) - E(u w_1) = [x_(w_1), E(u)]; since
+    [ab, c] = [a, bc] + [b, ca], these span [A_n, A_n], so the rotations
+    make T a trace, constant on conjugacy classes.  For a trace,
+    T(E(u) (E(r) - 1) E(v)) = T((E(r) - 1) E(v u)), and E(r) - 1 has no
+    constant term, so the front insertions give every two-sided descend
+    row: this is HH_0(A_n) = A_n/[A_n, A_n] cut down by the relators.
+
+    Each spelling is expanded once against one Magnus plan of all the
+    tensors' terms, as one letter step from its prefix: the positive
+    words are swept once from 1 and once from each E(r).  Each tensor's
+    value on a spelling is computed once, from its own terms, in
+    integers.  A tensor's first failing check is its witness.
+    """
+    tensors = list(tensors)
+    for T in tensors:
+        _require_same_gens(T.gens, P.gens)
+        if T.max_weight() > n:
+            raise ValueError(f"tensor weight {T.max_weight()} exceeds bound {n}")
+    plan = MagnusPlan(seq for T in tensors for seq in T.terms)
+    members, moduli = [], []
+    for T in tensors:
+        terms, m = _integer_terms(T)
+        members.append((tuple(plan.index[seq] for seq in terms), tuple(terms.values())))
+        moduli.append(m)
+    positive = _positive_words(len(P.gens), n)
+    values = {}  # spelling -> each tensor's value on it
+    for base, depth in [((), n)] + [(r.letters, n - 1) for r in P.relators]:
+        expansions = {}
+        for w in positive:
+            if len(w) > depth:
+                break
+            e = plan.expand(w[-1:], expansions[w[:-1]]) if w else plan.expand(base)
+            expansions[w] = e
+            get = e.__getitem__
+            values[base + w] = tuple(
+                sum(map(mul, coefficients, map(get, nodes))) for nodes, coefficients in members
+            )
+    verdicts = [Verdict(True)] * len(tensors)
+    passing = range(len(tensors))
+    for w, spelling, g in _complete_checks(P, n):
+        if not passing:
+            break
+        before, after = values[w], values[spelling]
+        if before == after:
+            continue
+        failed = []
+        for t in passing:
+            d, m = after[t] - before[t], moduli[t]
+            if d % m if m else d:
+                verdicts[t] = Verdict(False, _witness(P.gens, w, spelling, g))
+                failed.append(t)
+        if failed:
+            passing = [t for t in passing if t not in failed]
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle: Hom(R[G]/I^(d+1), R) from word enumeration
 # ---------------------------------------------------------------------------
 
@@ -513,14 +614,22 @@ def _enumerate_classes(P: Presentation, full_len: int):
     that differ by one relator (or inverse) insertion inside the ball.
 
     Works on letter tuples: an insertion head . r . tail of a reduced
-    word head + tail is free-reduced only at its two junctions.  Returns
-    the class representatives, the minimal member of each class in
-    (length, letters) order, sorted the same way, and the class index of
-    every word.
+    word head + tail is free-reduced only at its two junctions, so one
+    too long for the ball where neither junction cancels is skipped
+    unbuilt.  Returns the class representatives, the minimal member of
+    each class in (length, letters) order, sorted the same way, and the
+    class index of every word.
     """
     words = sorted(_reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
     position = {w: i for i, w in enumerate(words)}
-    inserted = [x for r in P.relators for x in (r.letters, r.inverse().letters)]
+    # each insertion with the letters that would cancel its first and its
+    # last letter across a junction
+    inserted = [
+        (x, (x[0][0], -x[0][1]), (x[-1][0], -x[-1][1]))
+        for r in P.relators
+        for x in (r.letters, r.inverse().letters)
+        if x
+    ]
     parent = list(range(len(words)))
 
     def find(i):
@@ -531,7 +640,11 @@ def _enumerate_classes(P: Presentation, full_len: int):
     for i, w in enumerate(words):
         for cut in range(len(w) + 1):
             head, tail = w[:cut], w[cut:]
-            for r in inserted:
+            last = head[-1] if head else None
+            first = tail[0] if tail else None
+            for r, cancels_first, cancels_last in inserted:
+                if len(w) + len(r) > full_len and last != cancels_first and first != cancels_last:
+                    continue
                 w2 = _join(_join(head, r), tail)
                 if len(w2) <= full_len:
                     a, b = find(i), find(position[w2])

@@ -394,7 +394,7 @@ class MagnusPlan:
         self._up = {g: tuple(reversed(pairs)) for g, pairs in shortest_first.items()}
         self._down = {g: tuple(pairs) for g, pairs in shortest_first.items()}
 
-    def expand(self, letters) -> list:
+    def expand(self, letters, start=None) -> list:
         """Coefficients of E(letters) at every node, as a list of ints.
 
         E is multiplied on the right by each letter in turn.  A letter s
@@ -402,10 +402,15 @@ class MagnusPlan:
         value, so the longest nodes go first.  A letter s^-1 multiplies by
         sum_k (-x_s)^k: each node ending in s subtracts its parent's new
         value, so the shortest nodes go first.  Any spelling works,
-        reduced or not.
+        reduced or not.  Given ``start``, the values of E(u) from this
+        plan, the sweep continues from them and returns E(u letters);
+        ``start`` itself is left unchanged.
         """
-        values = [0] * len(self.index)
-        values[0] = 1
+        if start is None:
+            values = [0] * len(self.index)
+            values[0] = 1
+        else:
+            values = list(start)
         up, down = self._up, self._down
         for g, s in letters:
             if s > 0:

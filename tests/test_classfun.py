@@ -489,6 +489,98 @@ def test_class_function_basis_certification_catches_missing_cycle_rows(monkeypat
         class_function_basis(P, Z4, 2)
 
 
+A2_B3 = "gens: a b\nrel: a^2\nrel: b^3\n"
+
+
+@pytest.mark.parametrize("text", [TORUS, KLEIN, A2_B3, FREE_2, CYCLIC_2])
+@pytest.mark.parametrize(
+    "ring", [Z, Ring.integers_mod(4), Ring.integers_mod(6), Ring.rationals()], ids=str
+)
+def test_complete_check_is_the_descend_and_cycle_conditions(text, ring):
+    """The complete check passes T exactly when T kills the two-sided
+    descend rows and is cycle-invariant (HH_0 = A/[A, A]); and it rejects
+    every tensor the sampled sweep rejects."""
+    P = parse_presentation(text)
+    rng = random.Random(f"complete{text}{ring.spec}")
+    for n in range(4):
+        members = list(class_function_basis(P, ring, n, certify=False))
+        tensors = members + list(finite_type_basis(P, ring, n))
+        for T in members:
+            seq = tuple(rng.randrange(len(P.gens)) for _ in range(rng.randrange(n + 1)))
+            c = rng.randrange(1, 4)
+            tensors.append(T + BraidingTensor(ring, P.gens, {seq: c}))
+        system = descend_conditions(P, ring, n)
+        got = classfun._complete_verdicts(tensors, P, n)
+        want = [system.satisfied_by(T) and cycle(T) == T for T in tensors]
+        assert [v.ok for v in got] == want
+        assert all(want[: len(members)])
+        for v in got:
+            assert v.ok or v.witness.startswith(("conjugation: w = ", "relator insertion: w = "))
+        for max_len in (4, 6):
+            sampled = _sampled_verdicts(tensors, P, max_len=max_len, samples=8, seed=3)
+            assert not any(v.ok for v, s in zip(got, sampled) if not s.ok)
+
+
+@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
+def test_class_function_basis_certification_catches_missing_relator_rows(monkeypatch, ring):
+    """Without its one-sided relator rows the basis holds cycle-invariant
+    tensors that do not descend; certification does not go through those
+    rows, so it finds a relator insertion that changes a value."""
+    P = parse_presentation(KLEIN)
+    class_function_basis(P, ring, 2)  # certified
+    relator_products = classfun._relator_products
+
+    def two_sided_only(P, ring, n, *, one_sided=False):
+        if not one_sided:
+            yield from relator_products(P, ring, n)
+
+    monkeypatch.setattr(classfun, "_relator_products", two_sided_only)
+    with pytest.raises(
+        AssertionError, match="class-function certification failed: relator insertion"
+    ):
+        class_function_basis(P, ring, 2)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [(TORUS, 3), (TORUS, 0), (KLEIN, 4), (A2_B3, 3), (FREE_2, 2), (CYCLIC_2, 5)],
+)
+def test_complete_check_cost(monkeypatch, text, n):
+    """Certification never samples, and it makes sum_(p=1..n) k^p rotation
+    checks and |R| sum_(p<n) k^p front insertions, expanding each of their
+    spellings once as one letter step on from its prefix (each relator
+    in full)."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled sweep called")
+
+    monkeypatch.setattr(classfun, "_sampled_verdicts", no_sampling)
+    P = parse_presentation(text)
+    k, relators = len(P.gens), len(P.relators)
+    checks = list(classfun._complete_checks(P, n))
+    rotations = sum(k**p for p in range(1, n + 1))
+    insertions = relators * sum(k**p for p in range(n))
+    assert len(checks) == rotations + insertions
+    assert all(g is not None for _, _, g in checks[:rotations])
+    assert all(g is None for _, _, g in checks[rotations:])
+    if text == TORUS and n == 3:
+        assert len(checks) == 21
+    basis = class_function_basis(P, Z, n)
+    expanded = []
+    expand = classfun.MagnusPlan.expand
+
+    def counting(plan, letters, start=None):
+        expanded.append(tuple(letters) if start is None else len(letters))
+        return expand(plan, letters, start)
+
+    monkeypatch.setattr(classfun.MagnusPlan, "expand", counting)
+    assert all(classfun._complete_verdicts(basis.elements, P, n))
+    fresh = [x for x in expanded if isinstance(x, tuple)]
+    assert fresh == [()] + [r.letters for r in P.relators if n]
+    steps = [x for x in expanded if not isinstance(x, tuple)]
+    assert steps == [1] * (rotations + insertions + 1 - len(fresh))
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -589,6 +681,54 @@ def test_enumerate_classes_counts():
     # <s | s^2>: s = s^-1, represented by s^-1, first in letter-tuple order
     reps, _ = _enumerate_classes(parse_presentation(CYCLIC_2), 6)
     assert reps == [(), ((0, -1),)]
+
+
+def _unpruned_enumeration(P, full_len):
+    """_enumerate_classes building every insertion, with no length prefilter."""
+    words = sorted(classfun._reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
+    position = {w: i for i, w in enumerate(words)}
+    inserted = [x for r in P.relators for x in (r.letters, r.inverse().letters)]
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, w in enumerate(words):
+        for cut in range(len(w) + 1):
+            for r in inserted:
+                w2 = classfun._join(classfun._join(w[:cut], r), w[cut:])
+                if len(w2) <= full_len:
+                    a, b = find(i), find(position[w2])
+                    parent[max(a, b)] = min(a, b)
+    reps, index, class_of_root = [], {}, {}
+    for i, w in enumerate(words):
+        root = find(i)
+        if root == i:
+            class_of_root[i] = len(reps)
+            reps.append(w)
+        index[w] = class_of_root[root]
+    return reps, index
+
+
+@pytest.mark.parametrize(
+    "text, radii",
+    [
+        (TORUS, 7),
+        (KLEIN, 6),
+        ("gens: a b\nrel: a^2\nrel: b^3\n", 6),
+        ("gens: a b\nrel: a b a^-1 b^-2\n", 6),
+        (FREE_2, 6),
+        ("gens: a b c\nrel: a b c a^-1 b^-1 c^-1\n", 5),
+        (CYCLIC_2, 7),
+        (FREE_1, 7),
+    ],
+)
+def test_enumerate_classes_prefilter_matches_unpruned_loop(text, radii):
+    P = parse_presentation(text)
+    for full_len in range(radii + 1):
+        assert _enumerate_classes(P, full_len) == _unpruned_enumeration(P, full_len)
 
 
 def test_oracle_klein_over_z_without_coefficient_swell():

@@ -7,6 +7,7 @@ from letterbraid.rings import Ring
 from letterbraid.words import (
     GenSet,
     GroupRingElement,
+    MagnusPlan,
     MonomialCombination,
     UnknownGeneratorError,
     Word,
@@ -273,3 +274,17 @@ def test_junction_reduction_is_free_reduction():
             Word(AB, x.letters[rng.randint(0, len(x)):]).inverse()
             * random_reduced_word(rng, AB, 3))
         assert _join(x.letters, y.letters) == Word(AB, x.letters + y.letters).letters
+
+
+def test_magnus_expand_continues_from_start():
+    """Sweeping v from the values of E(u) gives E(u v), and leaves them as
+    they were."""
+    rng = random.Random(11)
+    plan = MagnusPlan((0, 1, 1, 0) + m for m in [(), (1,), (0, 0)])
+    for _ in range(50):
+        u = random_reduced_word(rng, AB, 6).letters
+        v = random_reduced_word(rng, AB, 6).letters
+        start = plan.expand(u)
+        kept = list(start)
+        assert plan.expand(v, start) == plan.expand(u + v)
+        assert start == kept
