@@ -32,6 +32,7 @@ from operator import mul
 from .rings import (
     IntMatrix,
     Ring,
+    _combine,
     _echelon,
     _kernel_rows,
     _rank,
@@ -590,7 +591,8 @@ class PairingTable:
     """Values of the oracle's Hom generators on the enumerated words.
 
     Row i gives the i-th Hom generator evaluated on each word of
-    `words` (class representatives in (length, lex) order).  Tensor
+    `words`: class representatives sorted by length, then as letter
+    tuples, so a^-1 < a < b^-1 < b (not the order of words_up_to).  Tensor
     bases are compared against it through row_canonical_form.
     """
 
@@ -606,30 +608,27 @@ class OracleReport:
     length_bound: int
     class_count: int
     ranks: tuple  # Hom rank (minimal generator count over Z/m) per type degree 0..n
-    table: PairingTable
+    table: PairingTable  # words: class reps in letter-tuple order, a^-1 < a < b^-1 < b
 
 
 def _enumerate_classes(P: Presentation, full_len: int):
     """Classes of the reduced words of length <= full_len, merging words
     that differ by one relator (or inverse) insertion inside the ball.
+    Returns the class representatives, each its class's first word, and
+    every word's class index; words are letter tuples sorted by length,
+    then as tuples, so a^-1 < a < b^-1 < b.
 
-    Works on letter tuples: an insertion head . r . tail of a reduced
-    word head + tail is free-reduced only at its two junctions, so one
-    too long for the ball where neither junction cancels is skipped
-    unbuilt.  Returns the class representatives, the minimal member of
-    each class in (length, letters) order, sorted the same way, and the
-    class index of every word.
+    Inserting x into a word of length l stays in the ball only if at least
+    need = max(0, ceil((l + |x| - full_len) / 2)) letters cancel.  For a
+    split x = a v b with |a| + |b| = need, the words where a and b cancel
+    are h (b a)^-1 t, taken to red(h v t): only those pairs are built, a
+    block of tails with one first letter at a time.
     """
+    k = len(P.gens)
     words = sorted(_reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
     position = {w: i for i, w in enumerate(words)}
-    # each insertion with the letters that would cancel its first and its
-    # last letter across a junction
-    inserted = [
-        (x, (x[0][0], -x[0][1]), (x[-1][0], -x[-1][1]))
-        for r in P.relators
-        for x in (r.letters, r.inverse().letters)
-        if x
-    ]
+    # the words of length l are words[starts[l]:starts[l + 1]]
+    starts = [0] + [_ball_size(k, l, len(words)) for l in range(full_len + 1)]
     parent = list(range(len(words)))
 
     def find(i):
@@ -637,19 +636,45 @@ def _enumerate_classes(P: Presentation, full_len: int):
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, w in enumerate(words):
-        for cut in range(len(w) + 1):
-            head, tail = w[:cut], w[cut:]
-            last = head[-1] if head else None
-            first = tail[0] if tail else None
-            for r, cancels_first, cancels_last in inserted:
-                if len(w) + len(r) > full_len and last != cancels_first and first != cancels_last:
-                    continue
-                w2 = _join(_join(head, r), tail)
-                if len(w2) <= full_len:
-                    a, b = find(i), find(position[w2])
-                    # the smaller index, the earlier word, stays the root
-                    parent[max(a, b)] = min(a, b)
+    def merge(i, j):
+        a, b = find(i), find(j)
+        # the smaller index, the earlier word, stays the root
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+
+    def cancels(u, t):
+        """Whether the spelling u t of reduced u and t is not reduced."""
+        return bool(u and t) and u[-1] == (t[0][0], -t[0][1])
+
+    for x in (y for r in P.relators for y in (r.letters, r.inverse().letters) if y):
+        m = len(x)
+        for length in range(full_len + 1):
+            need = max(0, (length + m - full_len + 1) // 2)
+            rest = length - need
+            splits = {  # (middle (b a)^-1, v); no word holds an unreduced middle
+                (tuple((g, -e) for g, e in reversed(x[m - need + left :] + x[:left])),
+                 x[left : m - need + left])
+                for left in range(need + 1)
+                if rest >= 0 and not cancels(x[m - need + left :], x[:left])
+            }
+            for (middle, v), head_len in itertools.product(splits, range(rest + 1)):
+                lo, hi = starts[rest - head_len], starts[rest - head_len + 1]
+                size = (hi - lo) // (2 * k) if rest > head_len else 1
+                for h in words[starts[head_len] : starts[head_len + 1]]:
+                    if cancels(h, middle):
+                        continue
+                    hm, hv = h + middle, _join(h, v)
+                    for s in range(lo, hi, size):  # the blocks of tails, by first letter
+                        if cancels(hm, words[s]):
+                            continue
+                        i, target = position[hm + words[s]], position.get(hv + words[s])
+                        for j in range(size):
+                            if target is None:  # the tails cancel into h v
+                                merge(i + j, position[_join(hv, words[s + j])])
+                            else:
+                                merge(i + j, target + j)
     reps, index, class_of_root = [], {}, {}
     for i, w in enumerate(words):
         root = find(i)
@@ -672,43 +697,42 @@ def _ball_size(k: int, radius: int, cap: int) -> int:
     return size
 
 
-def _rewrite_rows(ring: Ring, k: int, reps, index, d: int):
-    """One sparse relation row per class: [v] minus its Fox expansion.
+def _fox_map(ring: Ring, k: int, reps, index, n: int):
+    """The oracle's rewriting map E and its dual, on sparse rows over classes.
 
-    In the free group [v] = 1 + sum_mono c_mono(v) mono modulo I^(d+1),
-    and each monomial (s_1 - 1)...(s_m - 1) expands by inclusion-
-    exclusion into classes of positive words of length <= d.  The image
-    of that identity in R[G] ties every enumerated class to the short
-    positive classes, so functionals cannot float free on the deep part
-    of the enumeration ball.  Every class is expanded against one Magnus
-    plan of all monomials of weight <= d.
+    In the free group v = sum_mono c_mono(v) mono modulo I^(d+1), over the
+    monomials (s_1 - 1)...(s_m - 1) with m <= d, and each monomial expands
+    by inclusion-exclusion into classes of positive words of length <= m.
+    So in R[G]/I^(d+1) a class v is E_d[v], a combination of the classes
+    S_d of positive words of length <= d.  Returns fox(row, d) =
+    sum_v row_v E_d[v] and dual(g) = (v -> <E_n[v], g>).
     """
-    monos = [m for p in range(1, d + 1) for m in itertools.product(range(k), repeat=p)]
-    plan = MagnusPlan(monos)
-    one_class = index[()]
-    mono_vectors = []
-    for mono in monos:
+    plan = MagnusPlan(itertools.product(range(k), repeat=n))
+    subsets = []
+    for mono in sorted(plan.index, key=plan.index.get):
         acc: dict = {}
         for size in range(len(mono) + 1):
-            sign = 1 if (len(mono) - size) % 2 == 0 else -1
             for chosen in itertools.combinations(mono, size):
                 cls = index[tuple((g, 1) for g in chosen)]
-                acc[cls] = acc.get(cls, 0) + sign
-        mono_vectors.append((plan.index[mono], tuple(acc.items())))
-    rows = []
-    for cls, letters in enumerate(reps):
-        values = plan.expand(letters)
-        row = {cls: 1}
-        row[one_class] = row.get(one_class, 0) - 1
-        for node, vector in mono_vectors:
-            coeff = values[node]
-            if coeff:
-                for tgt, mult in vector:
-                    row[tgt] = row.get(tgt, 0) - coeff * mult
-        row = canon_terms(ring, row)
-        if row:
-            rows.append(row)
-    return rows
+                acc[cls] = acc.get(cls, 0) + (-1) ** (len(mono) - size)
+        subsets.append(tuple(acc.items()))
+    expansions = [plan.expand(letters) for letters in reps]
+
+    def fox(row: dict, d: int) -> dict:
+        coeffs = [0] * sum(k**p for p in range(d + 1))
+        for v, x in row.items():
+            coeffs = [a + x * e for a, e in zip(coeffs, expansions[v])]
+        acc: dict = {}
+        for x, sub in zip(coeffs, subsets):
+            for cls, sign in sub if x else ():
+                acc[cls] = acc.get(cls, 0) + sign * x
+        return canon_terms(ring, acc)
+
+    def dual(g: dict) -> dict:
+        psi = [sum(sign * g.get(cls, 0) for cls, sign in sub) for sub in subsets]
+        return canon_terms(ring, {v: sum(map(mul, ex, psi)) for v, ex in enumerate(expansions)})
+
+    return fox, dual
 
 
 def oracle_group_ring_quotient(
@@ -722,22 +746,26 @@ def oracle_group_ring_quotient(
     left products (s_1 - 1)...(s_(d+1) - 1) w over positive generators
     and words w <= length_bound, built by repeatedly applying (s - 1),
     where s acts on a class representative by prepending s or cancelling
-    its first letter; and the Fox-expansion rewriting rows of
-    _rewrite_rows, which express every class through positive words of
-    length <= d.  Hom generators are the kernel of those rows.
-    Saturation is detected by checking that every class seen at the
-    length bound is, modulo the relations, a combination of strictly
-    shorter words; failing that raises NotSaturatedError
+    its first letter; and the Fox-expansion rewriting rows [v] - E_d[v]
+    (_fox_map), which express every class through the classes S_d of
+    positive words of length <= d.  Hom generators are the kernel of
+    those rows.  Saturation is detected by checking that every class seen
+    at the length bound is, modulo the relations, a combination of
+    strictly shorter words; failing that raises NotSaturatedError
     ("not_saturated").
 
-    A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
-    ValueError, counted (_ball_size) before any word is built.
+    [v] -> E_d[v] identifies R^c / <[v] - E_d[v]> with R^(S_d) / <E_d[t] - [t]>,
+    so kernels, ranks and saturation run on the |S_d| <= sum_(p<=d) k^p
+    columns of S_d, with E_d[v] for [v]; the dual of E_n carries the top
+    kernel to all c classes.  Hence when length_bound > n, S_n lies among
+    the classes of shorter words, the rewriting rows alone saturate, and
+    NotSaturatedError needs length_bound <= n.
 
-    Relation rows stay sparse (class -> entry) throughout: the stages and
-    the saturation check are echelon forms of rings._echelon, the stage
-    kernels come from rings._kernel_rows, the routine behind
-    filtered_kernel, and their ranks from rings._rank on the same rows.
-    Words are built only for the reported representatives and messages.
+    A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
+    ValueError, counted (_ball_size) before any word is built.  Relation
+    rows stay sparse (class -> entry) throughout, through rings._echelon,
+    _kernel_rows and _rank; words are built only for the reported
+    representatives and messages.
     """
     if n < 0:
         raise ValueError(f"type bound must be >= 0, got {n}")
@@ -752,45 +780,37 @@ def oracle_group_ring_quotient(
             "length or type bound"
         )
     reps, index = _enumerate_classes(P, full_len)
-    c = len(reps)
     o = ring.one()
-    action: dict = {}
-
-    def act(g: int, cls: int) -> int:
-        hit = action.get((g, cls))
-        if hit is None:
-            hit = index.get(_join(((g, 1),), reps[cls]))
-            if hit is None:
-                raise NotSaturatedError(
-                    "internal enumeration ball too small for generator action"
-                )
-            action[g, cls] = hit
-        return hit
-
+    # s [v] for each generator s; stage d acts on reps of length <= length_bound + d
+    act = [[index.get(_join(((g, 1),), w)) for g in range(k)] for w in reps]
+    fox, dual = _fox_map(ring, k, reps, index, n)
     base_classes = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound)})
     current = [{cls: o} for cls in base_classes]
-    relation_stages = []  # stage d: canonical span of the I^(d+1) relations
+    stages = []  # stage d: S_d, and the I^(d+1) relations on it
     for d in range(n + 1):
         nxt = []
         for row in current:
             for g in range(k):
                 shifted: dict = {}
                 for j, x in row.items():
-                    tgt = act(g, j)
+                    tgt = act[j][g]
                     shifted[tgt] = shifted.get(tgt, 0) + x
                     shifted[j] = shifted.get(j, 0) - x
                 nxt.append(canon_terms(ring, shifted))
         current = _echelon(ring, nxt)
-        relation_stages.append(_echelon(ring, current + _rewrite_rows(ring, k, reps, index, d)))
+        short = sorted({index[w] for w in _positive_words(k, d)})
+        rows = [fox(rho, d) for rho in current]
+        rows += [_combine(ring, 1, fox({t: o}, d), -1, {t: o}) for t in short]
+        stages.append((short, rows))
 
     # saturation: every class reached at length_bound must already be a
     # combination of strictly shorter words modulo the top relations, so
-    # adding the unit vectors of the base classes leaves the span unchanged
+    # adding the E_n of the base classes leaves the span unchanged
     def with_units(rows, classes):
-        return _echelon(ring, rows + [{cls: o} for cls in classes])
+        return _echelon(ring, rows + [fox({cls: o}, n) for cls in classes])
 
     shorter = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound - 1)})
-    spanned = with_units(relation_stages[n], shorter)
+    spanned = with_units(stages[n][1], shorter)
     if with_units(spanned, base_classes) != spanned:
         cls = next(cls for cls in base_classes if with_units(spanned, [cls]) != spanned)
         raise NotSaturatedError(
@@ -799,9 +819,10 @@ def oracle_group_ring_quotient(
         )
 
     ranks = []
-    for stage in relation_stages:
-        kernel = _kernel_rows(ring, stage, range(c))
-        ranks.append(_rank(ring, kernel, c))
+    for short, rows in stages:
+        kernel = _kernel_rows(ring, rows, short)
+        ranks.append(_rank(ring, kernel, len(short)))
+    kernel = _echelon(ring, [dual({short[t]: x for t, x in g.items()}) for g in kernel])
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
     hom = tuple(v.get(cls, z) for v in kernel for cls in base_classes)
@@ -810,7 +831,7 @@ def oracle_group_ring_quotient(
         IntMatrix(ring, len(kernel), len(words), hom),
         tuple(_vector_annihilator(ring, v.values()) for v in kernel),
     )
-    return OracleReport(ring, n, length_bound, c, tuple(ranks), table)
+    return OracleReport(ring, n, length_bound, len(reps), tuple(ranks), table)
 
 
 def evaluation_table(tensors, words, ring: Ring) -> IntMatrix:

@@ -486,22 +486,24 @@ def _snf_int(a: list, cols: int):
     every row, and its pivot order sinks the zero rows of D.  Then, while
     some d_i does not divide d_(i+1), column i+1 is added to column i, in
     D and in V, and the alternation resumes: it brings d_i down to
-    gcd(d_i, d_(i+1)).
+    gcd(d_i, d_(i+1)).  The alternation leaves a D that is already
+    diagonal, with positive entries leading its zero rows, as it is, with
+    identity blocks; so that test comes first, and a diagonal input with a
+    divisibility chain returns at once.
     """
     rows = len(a)
     d, u, v = a, [{i: 1} for i in range(rows)], [{j: 1} for j in range(cols)]
     while True:
+        diag = [r.get(i, 0) for i, r in enumerate(d[: sum(1 for r in d if r)])]
+        if all(x > 0 and len(r) == 1 for x, r in zip(diag, d)):
+            i = next((i for i in range(len(diag) - 1) if diag[i + 1] % diag[i]), None)
+            if i is None:
+                return u, d, v
+            d[i + 1][i] = diag[i + 1]
+            v = [canon_terms(_Z, {**r, i: r.get(i, 0) + r.get(i + 1, 0)}) for r in v]
         d, u = _hermite_pair(d, u, cols)
         dt, vt = _hermite_pair(_transpose(d, cols), _transpose(v, cols), rows)
         d, v = _transpose(dt, rows), _transpose(vt, cols)
-        if any(j != i for i, r in enumerate(d) for j in r):
-            continue
-        diag = [r[i] for i, r in enumerate(d) if r]  # the nonzero ones lead
-        i = next((i for i in range(len(diag) - 1) if diag[i + 1] % diag[i]), None)
-        if i is None:
-            return u, d, v
-        d[i + 1][i] = diag[i + 1]
-        v = [canon_terms(_Z, {**r, i: r.get(i, 0) + r.get(i + 1, 0)}) for r in v]
 
 
 def _unit_scaling_to_gcd(d0: int, m: int):

@@ -216,7 +216,10 @@ def _letter_order(gens: GenSet):
 
 def _reduced_spellings(gens: GenSet, max_len: int):
     """Letter tuples of all reduced words of length <= max_len, by
-    (length, lexicographic) order with a < a^-1 < b < b^-1 < ..."""
+    (length, lexicographic) order in the letter order of _letter_order,
+    a < a^-1 < b < b^-1 < ...  This is not the order of the tuples
+    themselves: a letter is (generator, exponent), so sorting the tuples
+    puts a^-1 = (0, -1) before a = (0, 1)."""
     order = _letter_order(gens)
     current = [()]
     yield ()
@@ -240,7 +243,8 @@ def _join(x: tuple, y: tuple) -> tuple:
 
 
 def words_up_to(gens: GenSet, max_len: int):
-    """All reduced words of length <= max_len, by (length, lexicographic) order."""
+    """All reduced words of length <= max_len, in the order of
+    _reduced_spellings: by length, then lexicographic with a < a^-1 < b."""
     for letters in _reduced_spellings(gens, max_len):
         yield Word(gens, letters)
 

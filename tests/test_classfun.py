@@ -731,6 +731,24 @@ def test_enumerate_classes_prefilter_matches_unpruned_loop(text, radii):
         assert _enumerate_classes(P, full_len) == _unpruned_enumeration(P, full_len)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gens: a b\nrel: a b a^-1\n",  # not cyclically reduced
+        "gens: a b\nrel: a b a^-1 b^-1\nrel: a^3\n",  # two relator lengths
+        "gens: a b\nrel: a b a b^-1 a\n",  # odd length
+    ],
+)
+def test_enumerate_classes_cancellation_splits_match_unpruned_loop(text):
+    """The insertions that must cancel to stay in the ball are built from
+    splits x = a v b; relators whose splits are uneven, of two lengths, or
+    whose middle (b a)^-1 is not reduced give the same classes as building
+    every insertion."""
+    P = parse_presentation(text)
+    for full_len in range(7):
+        assert _enumerate_classes(P, full_len) == _unpruned_enumeration(P, full_len)
+
+
 def test_oracle_klein_over_z_without_coefficient_swell():
     """Over Z the relation stages of the Klein bottle at n=3, L=4 once
     swelled to entries of half a million bits and did not finish."""

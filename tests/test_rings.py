@@ -618,6 +618,35 @@ def test_smith_diagonal_is_the_determinantal_one(spec):
         assert diag_of(D) == expected, M.to_rows()
 
 
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_snf_contract_on_diagonal_zero_and_one_by_one_inputs(spec):
+    """U M V = D with U and V invertible on 1 x 1 and zero matrices and on
+    diagonals with and without a divisibility chain, negative entries and
+    zero rows among them.  A diagonal chain of divisors of m with its
+    zeros last is its own Smith form: U and V come back as identities."""
+    ring = Ring.from_spec(spec)
+    cases = [[[x]] for x in (0, 1, 2, 3, -2, 5)]
+    cases += [[[0] * c for _ in range(r)] for r in (1, 2, 3) for c in (1, 2, 3)]
+    cases += [
+        [[1, 0, 0], [0, 2, 0], [0, 0, 6]],
+        [[1, 0, 0], [0, 2, 0], [0, 0, 0]],
+        [[2, 0], [0, 3]],
+        [[3, 0], [0, 2]],
+        [[-2, 0], [0, 4]],
+        [[0, 0], [0, 2]],
+        [[2, 0, 0], [0, 0, 0], [0, 0, 4]],
+        [[1, 0], [0, 2], [0, 0]],
+        [[2, 0, 0], [0, 4, 0]],
+    ]
+    for rows in cases:
+        check_snf_contract(mat(rows, ring))
+    if ring.kind != "Q":  # over Q, U scales the chain to 0/1
+        M = mat([[1, 0, 0], [0, 2, 0], [0, 0, 0]], ring)
+        U, D, V = smith_normal_form(M)
+        assert D == M
+        assert U == IntMatrix.identity(ring, 3) and V == IntMatrix.identity(ring, 3)
+
+
 def _all_vectors(m, k):
     return [list(v) for v in itertools.product(range(m), repeat=k)]
 
