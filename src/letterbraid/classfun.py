@@ -23,7 +23,6 @@ compared through evaluation pairing tables in canonical row form.
 from __future__ import annotations
 
 import itertools
-import random
 import warnings
 from dataclasses import dataclass
 from math import lcm
@@ -58,16 +57,11 @@ from .words import (
     WordSyntaxError,
     fox_expand,
     parse_word,
-    random_reduced_word,
     word_minus_one,
     _join,
     _reduced_spellings,
     _require_same_gens,
 )
-
-# Documented default seed for every sampled check in this module; pass an
-# explicit seed to vary it.
-DEFAULT_SEED = 1789
 
 # oracle_group_ring_quotient refuses a word ball of more reduced words than
 # this, counted before any word is built: the oracle holds every word of the
@@ -317,7 +311,7 @@ def class_function_basis(
 
 
 # ---------------------------------------------------------------------------
-# Sampled conjugation / relator-insertion check
+# Class-function check: conjugation and relator insertion
 # ---------------------------------------------------------------------------
 
 
@@ -328,42 +322,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _insertion_spellings(letters: tuple, r: tuple):
-    """Unreduced spellings of letters with r, then r^-1, inserted at each
-    position in turn."""
-    r_inv = tuple((g, -s) for g, s in reversed(r))
-    for i in range(len(letters) + 1):
-        head, tail = letters[:i], letters[i:]
-        yield head + r + tail
-        yield head + r_inv + tail
-
-
-def _sampled_checks(P: Presentation, short_w: int, max_len: int, samples: int, seed: int):
-    """The checks of the sampled test, in order, grouped by their word w.
-
-    Yields (w, sampled, checks) with letter tuples: first every reduced w
-    of length <= short_w, each against its conjugates by the g of length
-    1 and 2 and its relator insertions; then `samples` seeded pairs
-    (g, w) with |g|, |w| <= max_len.  A check is (spelling, g), with g
-    None for an insertion; the spelling must take the value of w.
-    """
-    inserted = [r.letters for r in P.relators]
-
-    def checks(conjugators, w):
-        out = [(g + w + tuple((h, -s) for h, s in reversed(g)), g) for g in conjugators]
-        out.extend((x, None) for r in inserted for x in _insertion_spellings(w, r))
-        return out
-
-    small = [g for g in _reduced_spellings(P.gens, min(2, max_len)) if g]
-    for w in _reduced_spellings(P.gens, short_w):
-        yield w, False, checks(small, w)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        g = random_reduced_word(rng, P.gens, max_len).letters
-        w = random_reduced_word(rng, P.gens, max_len).letters
-        yield w, True, checks([g] if g else [], w)
 
 
 def _witness(gens: GenSet, w: tuple, spelling: tuple, g) -> str:
@@ -386,112 +344,6 @@ def _integer_terms(T: BraidingTensor):
     return {seq: int(c * scale) for seq, c in T.terms.items()}, T.ring.modulus or 0
 
 
-def _integer_coefficients(T: BraidingTensor, position: dict):
-    """_integer_terms as a dense int vector over the difference positions."""
-    terms, m = _integer_terms(T)
-    dense = [0] * len(position)
-    for seq, c in terms.items():
-        dense[position[seq]] = c
-    return dense, m
-
-
-def _sampled_verdicts(
-    tensors,
-    P: Presentation,
-    *,
-    max_len: int = 6,
-    samples: int = 200,
-    seed: int = DEFAULT_SEED,
-) -> list:
-    """One Verdict of is_class_function_sampled per tensor, in one sweep.
-
-    Every spelling is expanded once, against one Magnus plan of all the
-    tensors' terms, and its difference E(spelling) - E(w) on the term
-    nodes is paired in integers with each tensor that still passes and
-    whose own order holds the check: the words of length <= its short_w,
-    then the samples.  A tensor's first failing check is its witness.
-    Each distinct nonzero difference is paired with a tensor at most
-    once: `paired` keeps the least word length it was paired at (0 once
-    every tensor has had it), and the tensors whose short_w reaches that
-    length have had it.
-    """
-    tensors = list(tensors)
-    for T in tensors:
-        _require_same_gens(T.gens, P.gens)
-    short = [min(max(2, T.max_weight()), max_len) for T in tensors]
-    plan = MagnusPlan(seq for T in tensors for seq in T.terms)
-    term_seqs = sorted({seq for T in tensors for seq in T.terms}, key=plan.index.get)
-    nodes = [plan.index[seq] for seq in term_seqs]
-    index = {seq: p for p, seq in enumerate(term_seqs)}
-    # (short_w, position, coefficients, modulus) of each tensor still passing
-    passing = [
-        (short[t], t, *_integer_coefficients(T, index)) for t, T in enumerate(tensors)
-    ]
-    verdicts = [Verdict(True)] * len(tensors)
-    paired: dict = {}  # difference -> least word length it was paired at
-    longest = max(short, default=0)
-    for w, sampled, checks in _sampled_checks(P, longest, max_len, samples, seed):
-        if not passing:
-            break
-        reach = 0 if sampled else len(w)
-        testing = [x for x in passing if x[0] >= reach]
-        if not testing:
-            continue
-        values = plan.expand(w)
-        base = [values[i] for i in nodes]
-        for spelling, g in checks:
-            values = plan.expand(spelling)
-            diff = tuple([values[i] - b for i, b in zip(nodes, base)])
-            if not any(diff):
-                continue
-            before = paired.get(diff, longest + 1)
-            if before <= reach:
-                continue
-            paired[diff] = reach
-            failed = []
-            for x in testing:
-                short_w, t, coefficients, m = x
-                if short_w >= before:
-                    continue
-                total = sum(map(mul, coefficients, diff))
-                if total % m if m else total:
-                    verdicts[t] = Verdict(False, _witness(P.gens, w, spelling, g))
-                    failed.append(x)
-            if failed:
-                passing = [x for x in passing if x not in failed]
-                testing = [x for x in testing if x not in failed]
-    return verdicts
-
-
-def is_class_function_sampled(
-    T: BraidingTensor,
-    P: Presentation,
-    *,
-    max_len: int = 6,
-    samples: int = 200,
-    seed: int = DEFAULT_SEED,
-) -> Verdict:
-    """Sampled check that T induces a class function on the presented group.
-
-    Tests eval(T, g w g^-1) = eval(T, w) and invariance of eval under
-    inserting any relator or inverse relator at any position.  A short
-    deterministic enumeration runs first (g up to length 2, w up to the
-    tensor weight, capped by max_len), then `samples` seeded random pairs
-    with |g|, |w| <= max_len.  Returns a pass verdict or the first
-    violating witness.
-
-    This is _sampled_verdicts on one tensor: conjugates and insertions
-    are expanded on their unreduced letter spellings against one Magnus
-    plan, and a Word is built only for a witness message.
-    """
-    return _sampled_verdicts([T], P, max_len=max_len, samples=samples, seed=seed)[0]
-
-
-# ---------------------------------------------------------------------------
-# Complete conjugation / relator-insertion check
-# ---------------------------------------------------------------------------
-
-
 def _positive_words(k: int, n: int) -> list:
     """Letter tuples of the positive words of length <= n on k generators,
     in (length, lex) order, the empty word first."""
@@ -501,9 +353,8 @@ def _positive_words(k: int, n: int) -> list:
 def _complete_checks(P: Presentation, n: int):
     """The checks of the complete test at weight bound n, in order.
 
-    Yields (w, spelling, g) with letter tuples, as _sampled_checks does: the
-    spelling must take the value of w, and g is the conjugator, None for
-    an insertion.  First the rotations: every positive word w = w_1 ...
+    Yields (w, spelling, g) with letter tuples: the spelling must take
+    the value of w, and g is the conjugator, None for an insertion.  First the rotations: every positive word w = w_1 ...
     w_p with 1 <= p <= n against g w g^-1 = w_2 ... w_p w_1, g = w_1^-1.
     Then the front insertions: for each relator r, every positive word w
     with |w| < n against r w.
@@ -579,6 +430,16 @@ def _complete_verdicts(tensors, P: Presentation, n: int) -> list:
         if failed:
             passing = [t for t in passing if t not in failed]
     return verdicts
+
+
+def is_class_function(T: BraidingTensor, P: Presentation) -> Verdict:
+    """Whether T induces a class function on the presented group.
+
+    The exact check of _complete_verdicts at T's own weight: T(g w g^-1)
+    = T(w) and invariance under inserting a relator.  Returns a pass
+    verdict or the first failing check as witness.
+    """
+    return _complete_verdicts([T], P, T.max_weight())[0]
 
 
 # ---------------------------------------------------------------------------

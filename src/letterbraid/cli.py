@@ -9,7 +9,7 @@ Verbs:
   bar-h0          degree-0 bar cohomology of a simplicial-set file
   verify          check a simplicial-set file's cochain algebra axioms, or
                   re-check an emitted basis file against its presentation;
-                  with --class the sampled class-function check runs on all
+                  with --class the exact class-function check runs on all
                   members in one sweep, reported member by member
   oracle-compare  compare pipeline ranks and pairings against the
                   group-ring quotient oracle; with --class the class-function
@@ -21,10 +21,10 @@ file and line where known), 2 when a verification or comparison fails.
 An oracle word ball of more than classfun.MAX_ORACLE_WORDS reduced words
 (length <= L + n + 1) is an input error, refused before any word is built.
 
-The environment variable LB_MAX_WEIGHT caps the -n weight bound (default
-cap 6); computations grow exponentially in n, so raise it deliberately.
-Sampled checks take --seed (default 1789) and are reproducible: the same
-command with the same seed writes byte-identical output.
+The environment variable LB_MAX_WEIGHT caps the -n weight bound, and the
+n of a basis file given to verify (default cap 6); computations grow
+exponentially in n, so raise it deliberately.  Every verb is
+deterministic: the same command writes byte-identical output.
 """
 
 import argparse
@@ -35,10 +35,9 @@ import sys
 
 from .barcyc import bar_element_to_tensor, h0_bar, h0_cyc
 from .classfun import (
-    DEFAULT_SEED,
     NotSaturatedError,
     TensorBasis,
-    _sampled_verdicts,
+    _complete_verdicts,
     basis_from_obj,
     basis_to_obj,
     class_function_basis,
@@ -224,6 +223,10 @@ def _verify_basis(args) -> int:
     if args.presentation is None:
         raise _InputError("--presentation is required with --basis")
     B = _load_file(args.basis, basis_from_obj)
+    try:
+        _checked_weight(B.n)
+    except _InputError as exc:
+        raise _InputError(f"{args.basis}: {exc}") from None
     P = _load_presentation(args.presentation)
     if B.gens.names != P.gens.names:
         raise _InputError(
@@ -234,7 +237,7 @@ def _verify_basis(args) -> int:
         raise _InputError(f"{args.basis}: basis is over {B.ring.spec}, not {args.ring}")
     system = descend_conditions(P, B.ring, B.n)
     if args.class_functions:
-        verdicts = _sampled_verdicts(B.elements, P, samples=args.samples, seed=args.seed)
+        verdicts = _complete_verdicts(B.elements, P, B.n)
     problems = []
     for i, T in enumerate(B):
         if not system.satisfied_by(T):
@@ -315,10 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="letterbraid",
         description="Letter-braiding invariants of words in presented groups.",
-        epilog=(
-            "LB_MAX_WEIGHT caps -n (default 6).  Sampled checks default to "
-            f"--seed {DEFAULT_SEED} and are reproducible."
-        ),
+        epilog="LB_MAX_WEIGHT caps -n and a verified basis file's n (default 6).",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
@@ -360,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="class_functions",
         action="store_true",
-        help="also require cycle-invariance and sampled conjugation checks",
+        help="also require cycle-invariance and the exact conjugation and "
+        "relator-insertion checks",
     )
-    p.add_argument("--samples", type=int, default=50, help="random samples per member")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(

@@ -29,10 +29,9 @@ from letterbraid.barcyc import (
     tau,
 )
 from letterbraid.classfun import (
-    DEFAULT_SEED,
     class_function_basis,
     finite_type_basis,
-    is_class_function_sampled,
+    is_class_function,
     oracle_group_ring_quotient,
     pairing_tables_agree,
     parse_presentation,
@@ -154,7 +153,7 @@ def _find_conjugation_witness(T, gens, cap=6):
 
 def test_criterion_05_cycle_vs_conjugation():
     gens = GenSet.of("a", "b")
-    rng = random.Random(DEFAULT_SEED)
+    rng = random.Random(1789)
 
     invariant_ok = True
     for _ in range(1000):
@@ -214,7 +213,7 @@ def test_criterion_07_cyclic_differential_squares_to_zero():
     A = cochain_algebra(torus_model(), Z)
     pool = A.augmentation_ideal_basis()
     m0_pool = [(d, i) for d in range(len(A.basis)) for i in range(A.dim(d))]
-    rng = random.Random(DEFAULT_SEED)
+    rng = random.Random(1789)
     ok = True
     for _ in range(500):
         terms = {}
@@ -270,9 +269,7 @@ def test_criterion_09_klein_bottle_pullback():
     def coords(T):
         return [T.coefficient(m) for m in columns]
 
-    passing = [
-        T for T in ft if is_class_function_sampled(T, P, max_len=6, samples=200).ok
-    ]
+    passing = [T for T in ft if is_class_function(T, P).ok]
     cf_span = IntMatrix.from_columns(Z, [coords(T) for T in cf], len(columns))
     ok = all(in_column_span(cf_span, coords(T)) for T in passing)
     if passing:
@@ -284,9 +281,9 @@ def test_criterion_09_klein_bottle_pullback():
         ok = ok and len(cf) == 0
     _report(
         9,
-        "Klein bottle sampled/exact span equality",
+        "Klein bottle class-check/basis span equality",
         ok,
-        f"{len(passing)} sampled members vs {len(cf)} exact",
+        f"{len(passing)} members pass is_class_function vs {len(cf)} basis members",
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,22 +8,19 @@ import pytest
 from letterbraid import classfun
 from letterbraid.barcyc import h0_bar, h0_cyc, bar_element_to_tensor
 from letterbraid.classfun import (
-    DEFAULT_SEED,
     DescendSystem,
     NotSaturatedError,
     Presentation,
     TensorBasis,
     MAX_ORACLE_WORDS,
-    Verdict,
     _enumerate_classes,
-    _sampled_verdicts,
     basis_from_obj,
     basis_to_obj,
     class_function_basis,
     descend_conditions,
     evaluation_table,
     finite_type_basis,
-    is_class_function_sampled,
+    is_class_function,
     oracle_group_ring_quotient,
     pairing_tables_agree,
     pairing_tables_contained,
@@ -306,96 +304,45 @@ def test_mod_two_cyclic_basis_has_torsion_annihilator():
 
 
 # ---------------------------------------------------------------------------
-# sampled class-function check
+# class-function check
 # ---------------------------------------------------------------------------
 
 
-def test_sampled_check_homomorphism_plus_constant_passes():
+def test_is_class_function_homomorphism_plus_constant_passes():
     P = parse_presentation(FREE_2)
     T = BraidingTensor(Z, P.gens, {(0,): 1, (): 5})
-    assert is_class_function_sampled(T, P).ok
+    assert is_class_function(T, P).ok
 
 
-def test_sampled_check_pure_pair_fails_with_witness():
+def test_is_class_function_pure_pair_fails_with_witness():
     P = parse_presentation(FREE_2)
     T = BraidingTensor(Z, P.gens, {(0, 1): 1})
-    verdict = is_class_function_sampled(T, P)
+    verdict = is_class_function(T, P)
     assert not verdict.ok
     assert verdict.witness is not None and "conjugation" in verdict.witness
     assert not bool(verdict)
 
 
-def test_sampled_check_symmetrization_passes():
+def test_is_class_function_symmetrization_passes():
     P = parse_presentation(FREE_2)
     T = BraidingTensor(Z, P.gens, {(0, 1): 1, (1, 0): 1})
-    verdict = is_class_function_sampled(T, P, max_len=6, samples=300)
+    verdict = is_class_function(T, P)
     assert verdict.ok and bool(verdict)
 
 
-def test_sampled_check_catches_relator_insertion():
+def test_is_class_function_catches_relator_insertion():
     P = parse_presentation(CYCLIC_2)
     T = BraidingTensor(Z, P.gens, {(0,): 1})
-    verdict = is_class_function_sampled(T, P)
+    verdict = is_class_function(T, P)
     assert not verdict.ok
     assert "relator insertion" in verdict.witness
 
 
-def test_sampled_check_respects_generator_sets():
+def test_is_class_function_respects_generator_sets():
     P = parse_presentation(FREE_2)
     T = BraidingTensor(Z, GenSet.of("x"), {(0,): 1})
     with pytest.raises(Exception):
-        is_class_function_sampled(T, P)
-
-
-def test_sampled_check_deterministic():
-    P = parse_presentation(FREE_2)
-    rng = random.Random(5)
-    terms = {}
-    for _ in range(4):
-        seq = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
-        terms[seq] = terms.get(seq, 0) + rng.randrange(-2, 3)
-    T = BraidingTensor(Z, P.gens, terms)
-    a = is_class_function_sampled(T, P, samples=50)
-    b = is_class_function_sampled(T, P, samples=50)
-    assert a == b
-
-
-def _reference_verdict(T, P, max_len, samples, seed):
-    """The sampled check member by member, on Word products and eval_word."""
-    gens = P.gens
-    short_w = min(max(2, T.max_weight()), max_len)
-    small = [g for g in words_up_to(gens, min(2, max_len)) if not g.is_identity()]
-
-    def first_failure(conjugators, w):
-        base = eval_word(T, w)
-        for g in conjugators:
-            moved = g * w * g.inverse()
-            if eval_word(T, moved) != base:
-                return (
-                    f"conjugation: w = {w.to_text()}, g = {g.to_text()}, "
-                    f"g w g^-1 = {moved.to_text()}"
-                )
-        for r in P.relators:
-            for i in range(len(w) + 1):
-                head, tail = Word(gens, w.letters[:i]), Word(gens, w.letters[i:])
-                for x in (r, r.inverse()):
-                    moved = head * x * tail
-                    if eval_word(T, moved) != base:
-                        return f"relator insertion: w = {w.to_text()} vs {moved.to_text()}"
-        return None
-
-    for w in words_up_to(gens, short_w):
-        witness = first_failure(small, w)
-        if witness:
-            return Verdict(False, witness)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        g = random_reduced_word(rng, gens, max_len)
-        w = random_reduced_word(rng, gens, max_len)
-        witness = first_failure([] if g.is_identity() else [g], w)
-        if witness:
-            return Verdict(False, witness)
-    return Verdict(True)
+        is_class_function(T, P)
 
 
 def _random_tensor(rng, ring, gens, weight):
@@ -407,14 +354,14 @@ def _random_tensor(rng, ring, gens, weight):
     return BraidingTensor(ring, gens, terms)
 
 
-@pytest.mark.parametrize("text", [FREE_2, CYCLIC_2, TORUS, KLEIN])
-@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
-def test_sampled_verdicts_match_member_by_member_reference(text, ring):
+def _checked_tensors(text, ring):
+    """A presentation, tensors of weights 0 to 3 and their is_class_function
+    verdicts: the class-function basis passes, and finite-type members and
+    random tensors mostly fail."""
     P = parse_presentation(text)
     rng = random.Random(f"{text}{ring.spec}")
-    # class functions pass; the finite-type members and random tensors of
-    # weights 1 to 3 mostly fail, each at its own first witness
     tensors = list(class_function_basis(P, ring, 2, certify=False))
+    members = len(tensors)
     tensors += list(finite_type_basis(P, ring, 2))[1:]
     tensors += [_random_tensor(rng, ring, P.gens, p) for p in (1, 2, 3)]
     # fails on every group but the free one: a relator has nonzero exponent
@@ -422,61 +369,69 @@ def test_sampled_verdicts_match_member_by_member_reference(text, ring):
     last = (0, len(P.gens) - 1) if len(P.gens) > 1 and P.relators else (0,)
     tensors.append(BraidingTensor(ring, P.gens, {last: 1}))
     tensors.append(BraidingTensor.zero(ring, P.gens))
-    for max_len in (4, 6):
-        got = _sampled_verdicts(tensors, P, max_len=max_len, samples=8, seed=3)
-        want = [_reference_verdict(T, P, max_len, 8, 3) for T in tensors]
-        assert got == want
-        assert want[-1].ok and not all(v.ok for v in want)
-        # each member alone gets the same verdict as in the list
-        for T, v in zip(tensors, got):
-            assert is_class_function_sampled(T, P, max_len=max_len, samples=8, seed=3) == v
+    verdicts = [is_class_function(T, P) for T in tensors]
+    assert all(v.ok for v in verdicts[:members]) and verdicts[-1].ok
+    assert not all(v.ok for v in verdicts)
+    return P, tensors, verdicts
 
 
-def test_sampled_verdicts_later_member_fails_at_its_own_first_witness():
-    P = parse_presentation(FREE_2)
-    ok = BraidingTensor(Z, P.gens, {(0,): 1, (0, 1): 1, (1, 0): 1})
-    # weight 2 (short_w 2) and weight 3 (short_w 3): each fails first on
-    # a word of its own enumeration
-    pair = BraidingTensor(Z, P.gens, {(0, 1): 1})
-    triple = BraidingTensor(Z, P.gens, {(0, 1, 1): 1})
-    got = _sampled_verdicts([ok, ok, pair, triple], P, max_len=4, samples=25, seed=DEFAULT_SEED)
-    assert [v.ok for v in got] == [True, True, False, False]
-    assert got[2] == _reference_verdict(pair, P, 4, 25, DEFAULT_SEED)
-    assert got[3] == _reference_verdict(triple, P, 4, 25, DEFAULT_SEED)
-    # a failure that only a sample reaches: max_len 1 limits short_w to 1
-    got = _sampled_verdicts([ok, pair], P, max_len=1, samples=25, seed=DEFAULT_SEED)
-    assert got == [_reference_verdict(T, P, 1, 25, DEFAULT_SEED) for T in (ok, pair)]
-    assert _sampled_verdicts([], P, max_len=4, samples=5, seed=1) == []
+WITNESS = re.compile(
+    r"conjugation: w = (?P<w>.+), g = (?P<g>.+), g w g\^-1 = (?P<moved>.+)"
+    r"|relator insertion: w = (?P<iw>.+) vs (?P<inserted>.+)"
+)
 
 
-def test_sampled_verdicts_repeated_difference_reaches_shorter_members(monkeypatch):
-    """A difference met first on a word longer than one member's short_w,
-    and again in a sample, is that member's witness at the sample."""
-    P = parse_presentation(FREE_2)
-    a, b, b_inv = (0, 1), (1, 1), (1, -1)
-    cube = (a, a, a)
-    moved = (b,) + cube + (b_inv,)
+@pytest.mark.parametrize("text", [FREE_2, CYCLIC_2, TORUS, KLEIN])
+@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
+def test_is_class_function_witnesses_hold_on_the_group(text, ring):
+    """Each failing witness names two words that are equal in G, one a
+    conjugate g w g^-1 or a relator insertion r w of the other, on which
+    eval_word of the tensor differs."""
+    P, tensors, verdicts = _checked_tensors(text, ring)
+    for T, v in zip(tensors, verdicts):
+        if v.ok:
+            continue
+        match = WITNESS.fullmatch(v.witness)
+        assert match, v.witness
+        if match["w"] is not None:
+            w, g = parse_word(match["w"], P.gens), parse_word(match["g"], P.gens)
+            moved = parse_word(match["moved"], P.gens)
+            assert moved == g * w * g.inverse()
+        else:
+            w, moved = parse_word(match["iw"], P.gens), parse_word(match["inserted"], P.gens)
+            assert any(moved == r * w for r in P.relators)
+        assert eval_word(T, moved) != eval_word(T, w)
 
-    def checks(P, short_w, max_len, samples, seed):
-        yield (), False, []
-        yield cube, False, [(moved, (b,))]
-        yield cube, True, [(moved, None)]
 
-    monkeypatch.setattr(classfun, "_sampled_checks", checks)
-    pair = BraidingTensor(Z, P.gens, {(1, 0): 1})  # weight 2: short_w 2
-    longer = BraidingTensor(Z, P.gens, {(1, 0): 1, (0, 0, 0): 1})  # short_w 3
-    got = _sampled_verdicts([longer, pair], P, max_len=4, samples=1, seed=0)
-    assert got == [
-        Verdict(False, "conjugation: w = a^3, g = b, g w g^-1 = b a^3 b^-1"),
-        Verdict(False, "relator insertion: w = a^3 vs b a^3 b^-1"),
+@pytest.mark.parametrize("text", [FREE_2, CYCLIC_2, TORUS, KLEIN])
+@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
+def test_is_class_function_passing_tensors_are_invariant_on_the_group(text, ring):
+    """Every passing tensor keeps its value, by eval_word on Word products,
+    under seeded conjugations g w g^-1 and under inserting a relator or its
+    inverse at each position of w, with |g|, |w| <= 6."""
+    P, tensors, verdicts = _checked_tensors(text, ring)
+    gens = P.gens
+    rng = random.Random(1789)
+    pairs = [
+        (random_reduced_word(rng, gens, 6), random_reduced_word(rng, gens, 6))
+        for _ in range(25)
     ]
+    for T in (T for T, v in zip(tensors, verdicts) if v.ok):
+        for g, w in pairs:
+            base = eval_word(T, w)
+            assert eval_word(T, g * w * g.inverse()) == base
+            for r in P.relators:
+                for i in range(len(w) + 1):
+                    head, tail = Word(gens, w.letters[:i]), Word(gens, w.letters[i:])
+                    for x in (r, r.inverse()):
+                        assert eval_word(T, head * x * tail) == base
 
 
 def test_class_function_basis_certification_catches_missing_cycle_rows(monkeypatch):
     """With every monomial its own rotation orbit the basis is no longer
     cut down to cycle-invariant tensors (and its one-sided rows no longer
-    imply the two-sided ones), and over Z/4 on the Klein bottle the
-    sampled certification finds a conjugation that changes a value."""
+    imply the two-sided ones), and over Z/4 on the Klein bottle
+    certification finds a conjugation that changes a value."""
     P = parse_presentation(KLEIN)
     Z4 = Ring.integers_mod(4)
     class_function_basis(P, Z4, 2)  # certified
@@ -498,8 +453,9 @@ A2_B3 = "gens: a b\nrel: a^2\nrel: b^3\n"
 )
 def test_complete_check_is_the_descend_and_cycle_conditions(text, ring):
     """The complete check passes T exactly when T kills the two-sided
-    descend rows and is cycle-invariant (HH_0 = A/[A, A]); and it rejects
-    every tensor the sampled sweep rejects."""
+    descend rows and is cycle-invariant (HH_0 = A/[A, A]); and
+    is_class_function, the check at each tensor's own weight, passes the
+    same tensors."""
     P = parse_presentation(text)
     rng = random.Random(f"complete{text}{ring.spec}")
     for n in range(4):
@@ -516,9 +472,7 @@ def test_complete_check_is_the_descend_and_cycle_conditions(text, ring):
         assert all(want[: len(members)])
         for v in got:
             assert v.ok or v.witness.startswith(("conjugation: w = ", "relator insertion: w = "))
-        for max_len in (4, 6):
-            sampled = _sampled_verdicts(tensors, P, max_len=max_len, samples=8, seed=3)
-            assert not any(v.ok for v, s in zip(got, sampled) if not s.ok)
+        assert [is_class_function(T, P).ok for T in tensors] == want
 
 
 @pytest.mark.parametrize("ring", [Z, Ring.integers_mod(4), Ring.rationals()], ids=str)
@@ -546,15 +500,9 @@ def test_class_function_basis_certification_catches_missing_relator_rows(monkeyp
     [(TORUS, 3), (TORUS, 0), (KLEIN, 4), (A2_B3, 3), (FREE_2, 2), (CYCLIC_2, 5)],
 )
 def test_complete_check_cost(monkeypatch, text, n):
-    """Certification never samples, and it makes sum_(p=1..n) k^p rotation
-    checks and |R| sum_(p<n) k^p front insertions, expanding each of their
-    spellings once as one letter step on from its prefix (each relator
-    in full)."""
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled sweep called")
-
-    monkeypatch.setattr(classfun, "_sampled_verdicts", no_sampling)
+    """Certification makes sum_(p=1..n) k^p rotation checks and
+    |R| sum_(p<n) k^p front insertions, expanding each of their spellings
+    once as one letter step on from its prefix (each relator in full)."""
     P = parse_presentation(text)
     k, relators = len(P.gens), len(P.relators)
     checks = list(classfun._complete_checks(P, n))

@@ -204,8 +204,7 @@ def test_verify_basis_ok_and_tampered(work, capsys):
     run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
         "-n", 2, "--class", "-o", out_file)
     rc, out, _ = run(capsys, "verify", "--basis", out_file,
-                     "--presentation", work / "torus.grp", "--class",
-                     "--samples", 10)
+                     "--presentation", work / "torus.grp", "--class")
     assert rc == 0 and out == "ok\n"
 
     obj = json.loads(out_file.read_text())
@@ -213,11 +212,30 @@ def test_verify_basis_ok_and_tampered(work, capsys):
     tampered = work / "tampered.json"
     tampered.write_text(json.dumps(obj))
     rc, out, _ = run(capsys, "verify", "--basis", tampered,
-                     "--presentation", work / "torus.grp", "--class",
-                     "--samples", 10)
+                     "--presentation", work / "torus.grp", "--class")
     assert rc == 2
     assert "descend" in out
     assert "cycle-invariant" in out
+    last = len(obj["tensors"]) - 1
+    assert (f"violation: tensor {last}: conjugation: w = " in out
+            or f"violation: tensor {last}: relator insertion: w = " in out)
+
+
+@pytest.mark.parametrize("verb_flags", [(), ("--class",)])
+def test_verify_basis_refuses_n_above_weight_cap(work, capsys, monkeypatch, verb_flags):
+    """A basis file's n is capped like -n, before any condition is built:
+    an empty basis at cap + 1 exits 1 with the cap message, and so does
+    one at n = 14, whose descend system would take minutes to build."""
+    monkeypatch.delenv("LB_MAX_WEIGHT", raising=False)
+    for n in (7, 14):
+        empty = work / f"empty{n}.json"
+        empty.write_text(json.dumps({"n": n, "ring": "Z", "gens": ["a", "b"],
+                                     "ranks_per_weight": [0] * (n + 1), "tensors": []}))
+        rc, out, err = run(capsys, "verify", "--basis", empty,
+                           "--presentation", work / "torus.grp", *verb_flags)
+        assert rc == 1 and out == ""
+        assert str(empty) in err and "LB_MAX_WEIGHT" in err
+        assert f"weight bound {n} exceeds" in err
 
 
 def test_verify_needs_exactly_one_mode(work, capsys):

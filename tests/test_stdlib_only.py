@@ -35,3 +35,10 @@ def test_package_imports_only_the_standard_library():
 def test_project_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_every_exported_name_is_bound():
+    import letterbraid
+
+    assert len(set(letterbraid.__all__)) == len(letterbraid.__all__)
+    assert [name for name in letterbraid.__all__ if not hasattr(letterbraid, name)] == []
