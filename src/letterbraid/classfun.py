@@ -51,13 +51,10 @@ from .tensors import (
 from .words import (
     GenSet,
     MagnusPlan,
-    MonomialCombination,
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
-    fox_expand,
     parse_word,
-    word_minus_one,
     _join,
     _reduced_spellings,
     _require_same_gens,
@@ -180,31 +177,42 @@ class DescendSystem:
         return all(x == z for x in self.matrix.apply(self.tensor_coordinates(T)))
 
 
-def _relator_products(P: Presentation, ring: Ring, n: int, *, one_sided: bool = False):
+def _relator_products(P: Presentation, n: int, *, one_sided: bool = False):
     """The rows pre (r_i - 1) suf of the descend system, truncated at
     weight n, as ((pre, i, suf), terms) in DescendSystem's row order;
-    with one_sided, only the rows with pre empty."""
+    with one_sided, only the rows with pre empty.
+
+    The Magnus series is multiplicative, so a row is E(r_i) - 1 with pre
+    put in front and suf behind: each relator is expanded once by the
+    integer Magnus sweep, and terms maps pre + m + suf to the int
+    coefficient of m in E(r_i) - 1, for |m| <= n - |pre| - |suf|.  The
+    caller canonicalises the row in its own coordinates.
+    """
     k = len(P.gens)
+    plan = MagnusPlan(weight_graded_monomials(k, n))
     for ri, r in enumerate(P.relators):
-        expansion = fox_expand(word_minus_one(ring, r), n)
+        values = plan.expand(r.letters)
+        expansion = [(m, values[i]) for m, i in plan.index.items() if m and values[i]]
         for total in range(n):
             for dpre in range(1 if one_sided else total + 1):
                 for pre in itertools.product(range(k), repeat=dpre):
-                    left = MonomialCombination.monomial(ring, P.gens, pre, n).multiply(expansion)
                     for suf in itertools.product(range(k), repeat=total - dpre):
-                        prod = left.multiply(MonomialCombination.monomial(ring, P.gens, suf, n))
-                        yield (pre, ri, suf), prod.terms
+                        yield (pre, ri, suf), {
+                            pre + m + suf: c for m, c in expansion if len(m) <= n - total
+                        }
 
 
 def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
-    """The full descend system at weight bound n (n = 0 gives no rows)."""
+    """The full descend system at weight bound n (n = 0 gives no rows),
+    its rows read from the integer Magnus sweep of _relator_products."""
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
     columns = tuple(weight_graded_monomials(len(P.gens), n))
     zero = ring.zero()
     labels = []
     flat = []
-    for label, terms in _relator_products(P, ring, n):
+    for label, terms in _relator_products(P, n):
+        terms = canon_terms(ring, terms)
         labels.append(label)
         flat.extend(terms.get(m, zero) for m in columns)
     matrix = IntMatrix(ring, len(labels), len(columns), tuple(flat))
@@ -264,7 +272,7 @@ def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> T
     orbits = rotation_orbits(monomials) if cyclic else [[m] for m in monomials]
     orbit_of = {m: j for j, orbit in enumerate(orbits) for m in orbit}
     rows = []
-    for _, terms in _relator_products(P, ring, n, one_sided=cyclic):
+    for _, terms in _relator_products(P, n, one_sided=cyclic):
         row: dict = {}
         for m, c in terms.items():
             j = orbit_of[m]
@@ -769,6 +777,10 @@ def basis_from_obj(obj: dict) -> TensorBasis:
         tensors = [tensor_from_obj(t) for t in obj["tensors"]]
     except KeyError as exc:
         raise ValueError(f"basis object missing key {exc}") from None
+    if n < 0:
+        raise ValueError(f"weight bound must be >= 0, got {n}")
+    if min(ranks, default=0) < 0:
+        raise ValueError("ranks_per_weight entries must be >= 0")
     if len(ranks) != n + 1:
         raise ValueError("ranks_per_weight must have n+1 entries")
     if sum(ranks) != len(tensors):

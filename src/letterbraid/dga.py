@@ -101,9 +101,6 @@ class SimplicialSetModel:
     def n_cells(self, d: int) -> int:
         return len(self.cells[d]) if 0 <= d <= self.dim else 0
 
-    def cell_name(self, d: int, i: int) -> str:
-        return self.cells[d][i]
-
     def face(self, ref, i):
         """The i-th face of an arbitrary (possibly degenerate) simplex."""
         degens, base = ref
@@ -299,9 +296,6 @@ class FiniteDGA:
 
     def label(self, d: int, i: int) -> str:
         return self.basis[d][i]
-
-    def basis_index(self, d: int, label: str) -> int:
-        return self.basis[d].index(label)
 
     def diff_matrix(self, d: int) -> IntMatrix:
         if d in self.diff:

@@ -132,36 +132,8 @@ class Ring:
     def add(self, x, y):
         return self.canon(x + y)
 
-    def sub(self, x, y):
-        return self.canon(x - y)
-
     def mul(self, x, y):
         return self.canon(x * y)
-
-    def neg(self, x):
-        return self.canon(-x)
-
-    def is_zero(self, x) -> bool:
-        return self.canon(x) == self.zero()
-
-    def is_unit(self, x) -> bool:
-        x = self.canon(x)
-        if self.kind == "Q":
-            return x != 0
-        if self.kind == "Z":
-            return x in (1, -1)
-        return gcd(x, self.modulus) == 1
-
-    def inv(self, x):
-        """Multiplicative inverse of a unit."""
-        x = self.canon(x)
-        if not self.is_unit(x):
-            raise ValueError(f"{x!r} is not a unit in {self.spec}")
-        if self.kind == "Q":
-            return self.canon(1 / x)
-        if self.kind == "Z":
-            return x
-        return pow(x, -1, self.modulus)
 
     def parse(self, text: str):
         """Parse a coefficient string: integer for Z and Z/m, "p" or "p/q" for Q."""
@@ -392,13 +364,6 @@ class IntMatrix:
         return IntMatrix(
             self.ring, self.rows + other.rows, self.cols, self.entries + other.entries
         )
-
-    def submatrix_columns(self, col_indices) -> "IntMatrix":
-        cols = list(col_indices)
-        flat = tuple(
-            self.entries[i * self.cols + j] for i in range(self.rows) for j in cols
-        )
-        return IntMatrix(self.ring, self.rows, len(cols), flat)
 
     def is_zero(self) -> bool:
         z = self.ring.zero()

@@ -11,8 +11,9 @@ power of the augmentation ideal, as a combination of products
 k <= n.  A monomial is stored as the tuple of its generator indices; the
 empty tuple is the unit and carries the augmentation of the element.
 
-Both that expansion and tensor evaluation run on one integer Magnus
-core, :class:`MagnusPlan`: the truncated Magnus series E(w) of a word,
+That expansion, tensor evaluation and the descend rows of classfun,
+which read E(r) - 1 of each relator directly, all run on one integer
+Magnus core, :class:`MagnusPlan`: the truncated Magnus series E(w) of a word,
 with s -> 1 + x_s and s^-1 -> 1 - x_s + x_s^2 - ..., restricted to a
 prefix-closed set of monomials and computed in one iterative sweep over
 the letters with plain Python ints.  A prefix-closed set is closed under

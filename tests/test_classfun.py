@@ -32,6 +32,7 @@ from letterbraid.dga import cochain_algebra, torus_model
 from letterbraid.rings import (
     IntMatrix,
     Ring,
+    canon_terms,
     in_column_span,
     matrix_rank,
     row_canonical_form,
@@ -39,7 +40,10 @@ from letterbraid.rings import (
 from letterbraid.tensors import BraidingTensor, cycle, eval_word
 from letterbraid.words import (
     GenSet,
+    MonomialCombination,
+    fox_expand,
     random_reduced_word,
+    word_minus_one,
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
@@ -160,6 +164,51 @@ def test_klein_relator_expansion_frozen():
     assert by_col[(1, 0)] == 1
     assert by_col[(0, 1)] == -1
     assert by_col[(1, 1)] == 0
+
+
+def _three_generator_relator():
+    """A seeded relator on a, b, c that uses every generator and inverse letters."""
+    gens = GenSet.of("a", "b", "c")
+    r = random_reduced_word(random.Random(2024), gens, 0, exact_len=7)
+    assert {g for g, _ in r.letters} == {0, 1, 2}
+    assert any(s < 0 for _, s in r.letters)
+    return Presentation(gens, (r,))
+
+
+@pytest.mark.parametrize(
+    "ring", [Z, Ring.integers_mod(4), Ring.integers_mod(6), Ring.rationals()], ids=str
+)
+@pytest.mark.parametrize(
+    "text",
+    [TORUS, "gens: a b\nrel: a b a^-1 b\n", KLEIN, "gens: a b\nrel: a^2\nrel: b^3\n", None],
+    ids=["torus", "klein-a-b-a^-1-b", "klein-a-b-a-b^-1", "a2-b3", "three-generators"],
+)
+def test_relator_products_match_the_monomial_product_route(text, ring):
+    """Each descend row, read from the integer Magnus sweep, equals the
+    public product route: monomial(pre) . fox(r - 1) . monomial(suf),
+    truncated at n; the rows come in the documented label order, and the
+    one-sided rows are those with no prefix."""
+    P = parse_presentation(text) if text is not None else _three_generator_relator()
+    k = len(P.gens)
+    for n in range(5):
+        monomials = weight_graded_monomials(k, n)
+        labels = sorted(
+            ((pre, ri, suf) for ri in range(len(P.relators))
+             for pre in monomials for suf in monomials if len(pre) + len(suf) < n),
+            key=lambda lab: (lab[1], len(lab[0]) + len(lab[2]), len(lab[0]), lab[0], lab[2]),
+        )
+        for one_sided in (False, True):
+            want = [lab for lab in labels if not (one_sided and lab[0])]
+            rows = list(classfun._relator_products(P, n, one_sided=one_sided))
+            assert [label for label, _ in rows] == want
+            for (pre, ri, suf), terms in rows:
+                expansion = fox_expand(word_minus_one(ring, P.relators[ri]), n)
+                product = (
+                    MonomialCombination.monomial(ring, P.gens, pre, n)
+                    .multiply(expansion)
+                    .multiply(MonomialCombination.monomial(ring, P.gens, suf, n))
+                )
+                assert canon_terms(ring, terms) == product.terms
 
 
 def test_descend_satisfied_by():
@@ -484,9 +533,9 @@ def test_class_function_basis_certification_catches_missing_relator_rows(monkeyp
     class_function_basis(P, ring, 2)  # certified
     relator_products = classfun._relator_products
 
-    def two_sided_only(P, ring, n, *, one_sided=False):
+    def two_sided_only(P, n, *, one_sided=False):
         if not one_sided:
-            yield from relator_products(P, ring, n)
+            yield from relator_products(P, n)
 
     monkeypatch.setattr(classfun, "_relator_products", two_sided_only)
     with pytest.raises(
@@ -884,3 +933,18 @@ def test_basis_file_rejects_corruption():
         basis_from_obj(bad)
     with pytest.raises(ValueError, match="object"):
         basis_from_obj([1, 2])
+
+
+def test_basis_file_rejects_negative_rank():
+    """ranks [2, -1] sum to one tensor but would record two entry weights."""
+    obj = basis_to_obj(finite_type_basis(parse_presentation(FREE_2), Z, 1))
+    bad = dict(obj, ranks_per_weight=[2, -1], tensors=obj["tensors"][:1])
+    with pytest.raises(ValueError, match="ranks_per_weight entries must be >= 0"):
+        basis_from_obj(bad)
+
+
+def test_basis_file_rejects_negative_weight_bound():
+    obj = basis_to_obj(finite_type_basis(parse_presentation(FREE_2), Z, 1))
+    bad = dict(obj, n=-1, ranks_per_weight=[], tensors=[])
+    with pytest.raises(ValueError, match="weight bound must be >= 0, got -1"):
+        basis_from_obj(bad)

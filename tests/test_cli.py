@@ -238,6 +238,17 @@ def test_verify_basis_refuses_n_above_weight_cap(work, capsys, monkeypatch, verb
         assert f"weight bound {n} exceeds" in err
 
 
+def test_verify_basis_refuses_negative_rank(work, capsys):
+    """ranks [2, -1] sum to the one tensor given, but are no weight filtration."""
+    bad = work / "negative.json"
+    bad.write_text(json.dumps({"n": 1, "ring": "Z", "gens": ["a", "b"],
+                               "ranks_per_weight": [2, -1],
+                               "tensors": [{"ring": "Z", "gens": ["a", "b"], "terms": []}]}))
+    rc, out, err = run(capsys, "verify", "--basis", bad, "--presentation", work / "torus.grp")
+    assert rc == 1 and out == ""
+    assert "ranks_per_weight entries must be >= 0" in err
+
+
 def test_verify_needs_exactly_one_mode(work, capsys):
     rc, _, err = run(capsys, "verify", "--ring", "Z",
                      "--space", work / "circle.json", "--basis", work / "lk.json")

@@ -521,7 +521,8 @@ def test_q_elimination_matches_gauss_jordan():
             assert vectors[: len(previous)] == previous  # prefix property
             previous = vectors
             low = [j for j in range(c) if weights[j] <= up_to]
-            assert len(vectors) == len(low) - matrix_rank(M.submatrix_columns(low))
+            columns = IntMatrix.from_columns(M.ring, [M.column(j) for j in low], r)
+            assert len(vectors) == len(low) - matrix_rank(columns)
             assert set(anns) <= {0} and all(w <= up_to for w in added)
         for v in K.generators() + previous:
             assert all(x == 0 for x in M.apply(v))
