@@ -288,9 +288,7 @@ def finite_type_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
     return _descending_basis(P, ring, n, cyclic=False)
 
 
-def class_function_basis(
-    P: Presentation, ring: Ring, n: int, *, certify: bool = True
-) -> TensorBasis:
+def class_function_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
     """Basis of the descending *and* cycle-invariant weight <= n tensors.
 
     The cycle-invariant tensors are free on the necklace sums
@@ -299,22 +297,15 @@ def class_function_basis(
     T(X suf pre) term by term for a cycle-invariant T, since rotation
     keeps a monomial's length and hence the truncation.
 
-    Every element is additionally certified on the group side before
-    being returned, by a complete finite check that shares no rows with
-    the kernel above (_complete_verdicts): T(g w g^-1) = T(w) for each
-    positive word w of length <= n and g the inverse of its first letter,
-    and T(r w) = T(w) for each relator r and positive word w of length
-    < n.  All elements are checked in one sweep; the first failing
-    element raises AssertionError with its witness.  certify=False skips
-    that when the caller re-checks anyway.
+    Every element is then certified on the group side, in one sweep, by
+    the complete finite check of _complete_verdicts, which shares no rows
+    with the kernel above; the first failing element raises
+    AssertionError with its witness.
     """
     basis = _descending_basis(P, ring, n, cyclic=True)
-    if certify:
-        for verdict in _complete_verdicts(basis.elements, P, n):
-            if not verdict.ok:
-                raise AssertionError(
-                    f"class-function certification failed: {verdict.witness}"
-                )
+    for verdict in _complete_verdicts(basis.elements, P, n):
+        if not verdict.ok:
+            raise AssertionError(f"class-function certification failed: {verdict.witness}")
     return basis
 
 
@@ -358,44 +349,52 @@ def _positive_words(k: int, n: int) -> list:
     return [tuple((g, 1) for g in m) for m in weight_graded_monomials(k, n)]
 
 
-def _complete_checks(P: Presentation, n: int):
+def _complete_checks(P: Presentation, n: int, *, cyclic: bool = True):
     """The checks of the complete test at weight bound n, in order.
 
     Yields (w, spelling, g) with letter tuples: the spelling must take
-    the value of w, and g is the conjugator, None for an insertion.  First the rotations: every positive word w = w_1 ...
-    w_p with 1 <= p <= n against g w g^-1 = w_2 ... w_p w_1, g = w_1^-1.
-    Then the front insertions: for each relator r, every positive word w
-    with |w| < n against r w.
+    the value of w, and g is the conjugator, None for an insertion.  With
+    cyclic, the rotations, every positive word w = w_1 ... w_p with
+    1 <= p <= n against g w g^-1 = w_2 ... w_p w_1, g = w_1^-1, then the
+    front insertions, r w for each relator r and positive w with |w| < n.
+    Without, the two-sided insertions u r v against u v for positive u, v
+    with |u| + |v| < n, in the descend rows' order.
     """
     positive = _positive_words(len(P.gens), n)
-    for w in positive[1:]:
-        yield w, w[1:] + w[:1], ((w[0][0], -1),)
+    of_length = [[w for w in positive if len(w) == p] for p in range(n + 1)]
+    if cyclic:
+        for w in positive[1:]:
+            yield w, w[1:] + w[:1], ((w[0][0], -1),)
     for r in P.relators:
-        for w in positive:
-            if len(w) < n:
-                yield w, r.letters + w, None
+        for total in range(n):
+            for du in range(1 if cyclic else total + 1):
+                for u, v in itertools.product(of_length[du], of_length[total - du]):
+                    yield u + v, u + r.letters + v, None
 
 
-def _complete_verdicts(tensors, P: Presentation, n: int) -> list:
-    """One Verdict per tensor of weight <= n: whether it is a class
-    function on the presented group, decided by the finite list of
-    _complete_checks.
+def _complete_verdicts(tensors, P: Presentation, n: int, *, cyclic: bool = True) -> list:
+    """One Verdict per tensor of weight <= n, from the finite list of
+    _complete_checks: whether it is a class function on the presented
+    group, or without cyclic whether it is a function on it at all.
 
     Why those checks suffice, over any commutative ring: T is a
     functional on A_n = R<x>/(deg > n), read through the truncated Magnus
-    series E.  The E(w) of the positive words of length <= n span A_n
-    unitriangularly, and E(w_1 u) - E(u w_1) = [x_(w_1), E(u)]; since
+    series E, and the E(w) of the positive words of length <= n span A_n
+    unitriangularly.  T is a function on G exactly when it kills every
+    E(u r v) - E(u v) = E(u) (E(r) - 1) E(v), which is the two-sided
+    insertions.  E(w_1 u) - E(u w_1) = [x_(w_1), E(u)]; since
     [ab, c] = [a, bc] + [b, ca], these span [A_n, A_n], so the rotations
     make T a trace, constant on conjugacy classes.  For a trace,
     T(E(u) (E(r) - 1) E(v)) = T((E(r) - 1) E(v u)), and E(r) - 1 has no
-    constant term, so the front insertions give every two-sided descend
-    row: this is HH_0(A_n) = A_n/[A_n, A_n] cut down by the relators.
+    constant term, so the front insertions give every two-sided
+    insertion: this is HH_0(A_n) = A_n/[A_n, A_n] cut down by the
+    relators.
 
     Each spelling is expanded once against one Magnus plan of all the
     tensors' terms, as one letter step from its prefix: the positive
-    words are swept once from 1 and once from each E(r).  Each tensor's
-    value on a spelling is computed once, from its own terms, in
-    integers.  A tensor's first failing check is its witness.
+    words are swept once from 1 and once from each E(u r), which is r
+    stepped on from E(u).  Each tensor's value on a spelling is computed
+    once, in integers.  A tensor's first failing check is its witness.
     """
     tensors = list(tensors)
     for T in tensors:
@@ -410,20 +409,24 @@ def _complete_verdicts(tensors, P: Presentation, n: int) -> list:
         moduli.append(m)
     positive = _positive_words(len(P.gens), n)
     values = {}  # spelling -> each tensor's value on it
-    for base, depth in [((), n)] + [(r.letters, n - 1) for r in P.relators]:
-        expansions = {}
+    ones = {}  # positive word w -> E(w), once the first sweep is done
+    fronts = [u for u in positive[: 1 if cyclic else None] if len(u) < n]  # u of u r v
+    sweeps = [((), (), n)] + [(u, r.letters, n - 1 - len(u)) for r in P.relators for u in fronts]
+    for u, x, depth in sweeps:
+        expansions = {}  # w -> E(u x w), E(u x) stepped on from E(u)
         for w in positive:
             if len(w) > depth:
                 break
-            e = plan.expand(w[-1:], expansions[w[:-1]]) if w else plan.expand(base)
+            e = plan.expand(w[-1:], expansions[w[:-1]]) if w else plan.expand(x, ones.get(u))
             expansions[w] = e
             get = e.__getitem__
-            values[base + w] = tuple(
+            values[u + x + w] = tuple(
                 sum(map(mul, coefficients, map(get, nodes))) for nodes, coefficients in members
             )
+        ones = ones or expansions
     verdicts = [Verdict(True)] * len(tensors)
     passing = range(len(tensors))
-    for w, spelling, g in _complete_checks(P, n):
+    for w, spelling, g in _complete_checks(P, n, cyclic=cyclic):
         if not passing:
             break
         before, after = values[w], values[spelling]
@@ -441,12 +444,9 @@ def _complete_verdicts(tensors, P: Presentation, n: int) -> list:
 
 
 def is_class_function(T: BraidingTensor, P: Presentation) -> Verdict:
-    """Whether T induces a class function on the presented group.
-
-    The exact check of _complete_verdicts at T's own weight: T(g w g^-1)
-    = T(w) and invariance under inserting a relator.  Returns a pass
-    verdict or the first failing check as witness.
-    """
+    """Whether T induces a class function on the presented group: the
+    exact check of _complete_verdicts at T's own weight, with the first
+    failing check as witness."""
     return _complete_verdicts([T], P, T.max_weight())[0]
 
 

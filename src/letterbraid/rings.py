@@ -45,6 +45,7 @@ reproducible:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -136,16 +137,16 @@ class Ring:
         return self.canon(x * y)
 
     def parse(self, text: str):
-        """Parse a coefficient string: integer for Z and Z/m, "p" or "p/q" for Q."""
+        """Parse a coefficient string: integer for Z and Z/m, "p" or "p/q" for
+        Q (Fraction alone would also take "1e999999999", of 10^9 digits)."""
         text = text.strip()
-        if self.kind == "Q":
+        q = self.kind == "Q"
+        if re.fullmatch(r"[+-]?\d+(/\d+)?" if q else r"[+-]?\d+", text):
             try:
-                return self.canon(Fraction(text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational coefficient {text!r}") from exc
-        if not re.fullmatch(r"[+-]?\d+", text):
-            raise ValueError(f"bad integer coefficient {text!r}")
-        return self.canon(int(text))
+                return self.canon(Fraction(text) if q else int(text))
+            except ZeroDivisionError:
+                pass
+        raise ValueError(f"bad {'rational' if q else 'integer'} coefficient {text!r}")
 
     def from_json(self, value, field: str):
         """Parse a JSON integer or string.  A float, bool or null is refused,
@@ -155,10 +156,14 @@ class Ring:
         return self.parse(str(value))
 
     def show(self, x) -> str:
+        """x as text that parse reads back: a value past Python's cap on
+        integer text, which parse also has, raises a ValueError naming it."""
         x = self.canon(x)
-        if self.kind == "Q" and x.denominator != 1:
-            return f"{x.numerator}/{x.denominator}"
-        return str(int(x))
+        try:
+            return str(x if self.kind == "Q" else int(x))
+        except ValueError:
+            cap = sys.get_int_max_str_digits()
+            raise ValueError(f"value has more than {cap} digits, the cap on integer text") from None
 
 
 _Z = Ring.integers()

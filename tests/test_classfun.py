@@ -409,7 +409,7 @@ def _checked_tensors(text, ring):
     random tensors mostly fail."""
     P = parse_presentation(text)
     rng = random.Random(f"{text}{ring.spec}")
-    tensors = list(class_function_basis(P, ring, 2, certify=False))
+    tensors = list(classfun._descending_basis(P, ring, 2, cyclic=True))
     members = len(tensors)
     tensors += list(finite_type_basis(P, ring, 2))[1:]
     tensors += [_random_tensor(rng, ring, P.gens, p) for p in (1, 2, 3)]
@@ -508,7 +508,7 @@ def test_complete_check_is_the_descend_and_cycle_conditions(text, ring):
     P = parse_presentation(text)
     rng = random.Random(f"complete{text}{ring.spec}")
     for n in range(4):
-        members = list(class_function_basis(P, ring, n, certify=False))
+        members = list(classfun._descending_basis(P, ring, n, cyclic=True))
         tensors = members + list(finite_type_basis(P, ring, n))
         for T in members:
             seq = tuple(rng.randrange(len(P.gens)) for _ in range(rng.randrange(n + 1)))
@@ -544,14 +544,51 @@ def test_class_function_basis_certification_catches_missing_relator_rows(monkeyp
         class_function_basis(P, ring, 2)
 
 
+@pytest.mark.parametrize("text", [TORUS, KLEIN, A2_B3, FREE_2, CYCLIC_2])
+@pytest.mark.parametrize(
+    "ring", [Z, Ring.integers_mod(4), Ring.integers_mod(6), Ring.rationals()], ids=str
+)
+def test_complete_check_without_cyclic_is_the_descend_conditions(text, ring):
+    """Without cyclic the complete check passes T exactly when T kills the
+    two-sided descend rows, and each witness names a positive word w =
+    u v and u r v, equal in G, on which eval_word of the tensor differs."""
+    P = parse_presentation(text)
+    rng = random.Random(f"two-sided{text}{ring.spec}")
+    failures = 0
+    for n in range(4):
+        members = list(finite_type_basis(P, ring, n))
+        tensors = members + list(classfun._descending_basis(P, ring, n, cyclic=True))
+        for T in members:
+            seq = tuple(rng.randrange(len(P.gens)) for _ in range(rng.randrange(n + 1)))
+            tensors.append(T + BraidingTensor(ring, P.gens, {seq: rng.randrange(1, 4)}))
+        system = descend_conditions(P, ring, n)
+        got = classfun._complete_verdicts(tensors, P, n, cyclic=False)
+        assert [v.ok for v in got] == [system.satisfied_by(T) for T in tensors]
+        assert all(v.ok for v in got[: len(members)])
+        for T, verdict in zip(tensors, got):
+            if verdict.ok:
+                continue
+            failures += 1
+            match = WITNESS.fullmatch(verdict.witness)
+            assert verdict.witness.startswith("relator insertion: w = ") and match, verdict.witness
+            w, moved = parse_word(match["iw"], P.gens), parse_word(match["inserted"], P.gens)
+            splits = [(Word(P.gens, w.letters[:i]), Word(P.gens, w.letters[i:]))
+                      for i in range(len(w.letters) + 1)]
+            assert any(moved == u * r * v for u, v in splits for r in P.relators)
+            assert eval_word(T, moved) != eval_word(T, w)
+    assert failures or not P.relators
+
+
 @pytest.mark.parametrize(
     "text, n",
     [(TORUS, 3), (TORUS, 0), (KLEIN, 4), (A2_B3, 3), (FREE_2, 2), (CYCLIC_2, 5)],
 )
 def test_complete_check_cost(monkeypatch, text, n):
     """Certification makes sum_(p=1..n) k^p rotation checks and
-    |R| sum_(p<n) k^p front insertions, expanding each of their spellings
-    once as one letter step on from its prefix (each relator in full)."""
+    |R| sum_(p<n) k^p front insertions; without cyclic there are
+    |R| sum_(p<n) (p+1) k^p two-sided insertions and no rotations.  Each
+    spelling is expanded once, as one letter step on from its prefix, and
+    each E(u r) as r's letters stepped on from E(u): only E(1) is fresh."""
     P = parse_presentation(text)
     k, relators = len(P.gens), len(P.relators)
     checks = list(classfun._complete_checks(P, n))
@@ -562,20 +599,38 @@ def test_complete_check_cost(monkeypatch, text, n):
     assert all(g is None for _, _, g in checks[rotations:])
     if text == TORUS and n == 3:
         assert len(checks) == 21
+    two_sided = list(classfun._complete_checks(P, n, cyclic=False))
+    assert len(two_sided) == relators * sum((p + 1) * k**p for p in range(n))
+    assert all(g is None for _, _, g in two_sided)
     basis = class_function_basis(P, Z, n)
-    expanded = []
     expand = classfun.MagnusPlan.expand
 
-    def counting(plan, letters, start=None):
-        expanded.append(tuple(letters) if start is None else len(letters))
-        return expand(plan, letters, start)
+    def letter_steps(cyclic):
+        expanded = []
 
-    monkeypatch.setattr(classfun.MagnusPlan, "expand", counting)
-    assert all(classfun._complete_verdicts(basis.elements, P, n))
-    fresh = [x for x in expanded if isinstance(x, tuple)]
-    assert fresh == [()] + [r.letters for r in P.relators if n]
-    steps = [x for x in expanded if not isinstance(x, tuple)]
-    assert steps == [1] * (rotations + insertions + 1 - len(fresh))
+        def counting(plan, letters, start=None):
+            expanded.append(tuple(letters) if start is None else len(letters))
+            return expand(plan, letters, start)
+
+        monkeypatch.setattr(classfun.MagnusPlan, "expand", counting)
+        assert all(classfun._complete_verdicts(basis.elements, P, n, cyclic=cyclic))
+        monkeypatch.setattr(classfun.MagnusPlan, "expand", expand)
+        assert expanded[0] == ()
+        assert not any(isinstance(x, tuple) for x in expanded[1:])
+        return expanded[1:]
+
+    def sweep(depth):
+        return [1] * sum(k**p for p in range(1, depth + 1))
+
+    want = sweep(n)
+    for r in P.relators if n else ():
+        want += [len(r.letters)] + sweep(n - 1)
+    assert letter_steps(True) == want
+    want = sweep(n)
+    for r in P.relators:
+        for u in range(n):
+            want += ([len(r.letters)] + sweep(n - 1 - u)) * k**u
+    assert letter_steps(False) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,11 +215,32 @@ def test_verify_basis_ok_and_tampered(work, capsys):
     rc, out, _ = run(capsys, "verify", "--basis", tampered,
                      "--presentation", work / "torus.grp", "--class")
     assert rc == 2
-    assert "descend" in out
-    assert "cycle-invariant" in out
+    # one line per failing member, with the group-side witness
     last = len(obj["tensors"]) - 1
-    assert (f"violation: tensor {last}: conjugation: w = " in out
-            or f"violation: tensor {last}: relator insertion: w = " in out)
+    assert len(out.splitlines()) == 1
+    assert (out.startswith(f"violation: tensor {last}: conjugation: w = ")
+            or out.startswith(f"violation: tensor {last}: relator insertion: w = "))
+
+
+def test_verify_finite_type_basis_ok_and_tampered(work, capsys):
+    """Without --class, verify runs the two-sided relator insertions: an
+    emitted finite-type basis prints "ok", and each member that is no
+    function on the group prints one relator-insertion line."""
+    out_file = work / "ft.json"
+    run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
+        "-n", 2, "-o", out_file)
+    argv = ["verify", "--basis", out_file, "--presentation", work / "torus.grp"]
+    assert run(capsys, *argv)[:2] == (0, "ok\n")
+
+    obj = json.loads(out_file.read_text())
+    assert obj["ranks_per_weight"] == [1, 2, 3]
+    obj["tensors"][3] = obj["tensors"][5] = LK  # T(a b a^-1 b^-1) = 1 = T(1) + 1
+    (work / "ft.json").write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 2
+    assert out.splitlines() == [
+        f"violation: tensor {i}: relator insertion: w = 1 vs a b a^-1 b^-1" for i in (3, 5)
+    ]
 
 
 @pytest.mark.parametrize("verb_flags", [(), ("--class",)])
@@ -428,3 +450,50 @@ def test_module_entry_point(work):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def _q_tensor_with_exponent(work):
+    obj = {"ring": "Q", "gens": ["a"], "terms": [{"seq": ["a"], "coeff": "1e999999999"}]}
+    (work / "exp.json").write_text(json.dumps(obj))
+    return ["eval", "--tensor", work / "exp.json", "--word", "a"]
+
+
+def _value_past_the_text_cap(work):
+    # 4290 nines times C(100000, 3), about 1.7e14, has more than 4300 digits
+    obj = {"ring": "Z", "gens": ["a"], "terms": [{"seq": ["a"] * 3, "coeff": "9" * 4290}]}
+    (work / "big.json").write_text(json.dumps(obj))
+    return ["eval", "--tensor", work / "big.json", "--word", "a^100000"]
+
+
+def _basis_past_the_weight_cap(work):
+    obj = {"n": 7, "ring": "Z", "gens": ["a", "b"], "ranks_per_weight": [0] * 8, "tensors": []}
+    (work / "n7.json").write_text(json.dumps(obj))
+    return ["verify", "--basis", work / "n7.json", "--presentation", work / "torus.grp"]
+
+
+def _modulus_one(work):
+    return ["basis", "--ring", "Z/1", "--presentation", work / "torus.grp", "-n", 1]
+
+
+@pytest.mark.parametrize("make_argv", [_q_tensor_with_exponent, _value_past_the_text_cap,
+                                       _basis_past_the_weight_cap, _modulus_one])
+def test_hostile_inputs_exit_one_with_an_error_line(work, capsys, monkeypatch, make_argv):
+    """Each input is refused with exit 1 and an "error:" message, never a
+    traceback."""
+    monkeypatch.delenv("LB_MAX_WEIGHT", raising=False)
+    rc, out, err = run(capsys, *make_argv(work))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_refuses_an_exponent_coefficient_at_once(work, capsys):
+    """"1e999999999" is not read as a number of 10^9 digits."""
+    start = time.perf_counter()
+    rc, _, err = run(capsys, *_q_tensor_with_exponent(work))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and "bad rational coefficient '1e999999999'" in err
+
+
+def test_eval_value_past_the_text_cap_names_the_cap(work, capsys):
+    rc, _, err = run(capsys, *_value_past_the_text_cap(work))
+    assert rc == 1 and f"more than {sys.get_int_max_str_digits()} digits" in err

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,30 @@ def test_ring_specs_and_parsing():
     assert Ring.integers_mod(5).parse("-1") == 4
     with pytest.raises(ValueError):
         Z.parse("1.5")
+
+
+def test_rational_parse_takes_only_p_or_p_over_q():
+    """Q reads "p" and "p/q" only: Fraction alone would also read decimals
+    and exponents, and "1e999999999" would build a number of 10^9 digits."""
+    assert [Q.parse(t) for t in ("7", " -3/6 ", "+2/1", "0/5")] == [
+        Fraction(7), Fraction(-1, 2), Fraction(2), Fraction(0)
+    ]
+    for text in ("1e999999999", "1e3", "1.5", "1_000", "3/-4", "3 / 4", "1/0", "", "/2"):
+        with pytest.raises(ValueError, match="bad rational coefficient"):
+            Q.parse(text)
+
+
+def test_show_refuses_values_past_the_integer_text_cap():
+    """show writes only what parse can read back: past Python's cap on
+    integer text it raises a ValueError naming the cap, over Z and Q."""
+    cap = sys.get_int_max_str_digits()
+    if not cap:
+        pytest.skip("integer text conversion is not capped in this interpreter")
+    big = 10**cap
+    assert Z.parse(Z.show(big - 1)) == big - 1
+    for ring, x in ((Z, big), (Q, Fraction(1, big)), (Ring.integers_mod(big + 1), big)):
+        with pytest.raises(ValueError, match=f"more than {cap} digits"):
+            ring.show(x)
 
 
 # ---------------------------------------------------------------------------
