@@ -33,6 +33,7 @@ from .rings import (
     Ring,
     _combine,
     _echelon,
+    _integral,
     _kernel_rows,
     _rank,
     _vector_annihilator,
@@ -574,31 +575,49 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
     by inclusion-exclusion into classes of positive words of length <= m.
     So in R[G]/I^(d+1) a class v is E_d[v], a combination of the classes
     S_d of positive words of length <= d.  Returns fox(row, d) =
-    sum_v row_v E_d[v] and dual(g) = (v -> <E_n[v], g>).
+    sum_v row_v E_d[v] for an integer row, canonical over the ring, and
+    dual(g) = (v -> <E_n[v], g>).  Each E_d[v] is built once, when a row
+    first holds v, as a dense list over S_d in the order of the classes'
+    first positive spellings.
     """
     plan = MagnusPlan(itertools.product(range(k), repeat=n))
-    subsets = []
+    positive = _positive_words(k, n)
+    order = list(dict.fromkeys(index[w] for w in positive))  # each S_d is a prefix
+    at = {cls: t for t, cls in enumerate(order)}
+    subsets = []  # per monomial: (position in order, sign) of its classes
     for mono in sorted(plan.index, key=plan.index.get):
         acc: dict = {}
         for size in range(len(mono) + 1):
             for chosen in itertools.combinations(mono, size):
-                cls = index[tuple((g, 1) for g in chosen)]
-                acc[cls] = acc.get(cls, 0) + (-1) ** (len(mono) - size)
+                t = at[index[tuple((g, 1) for g in chosen)]]
+                acc[t] = acc.get(t, 0) + (-1) ** (len(mono) - size)
         subsets.append(tuple(acc.items()))
     expansions = [plan.expand(letters) for letters in reps]
+    # the monomials of degree <= d come first in the plan, as do the
+    # positive words of length <= d in `positive`
+    widths = list(itertools.accumulate(k**p for p in range(n + 1)))
+    sizes = [len({index[w] for w in positive[:w]}) for w in widths]
+    images = [{} for _ in widths]  # images[d][v] = E_d[v]
+
+    def image(v: int, d: int) -> list:
+        acc = [0] * sizes[d]
+        for x, sub in zip(expansions[v][: widths[d]], subsets):
+            for t, sign in sub if x else ():
+                acc[t] += sign * x
+        return acc
 
     def fox(row: dict, d: int) -> dict:
-        coeffs = [0] * sum(k**p for p in range(d + 1))
-        for v, x in row.items():
-            coeffs = [a + x * e for a, e in zip(coeffs, expansions[v])]
-        acc: dict = {}
-        for x, sub in zip(coeffs, subsets):
-            for cls, sign in sub if x else ():
-                acc[cls] = acc.get(cls, 0) + sign * x
-        return canon_terms(ring, acc)
+        cache = images[d]
+        for v in row:
+            if v not in cache:
+                cache[v] = image(v, d)
+        xs = tuple(row.values())
+        values = (sum(map(mul, xs, col)) for col in zip(*map(cache.__getitem__, row)))
+        return canon_terms(ring, {cls: x for cls, x in zip(order, values) if x})
 
     def dual(g: dict) -> dict:
-        psi = [sum(sign * g.get(cls, 0) for cls, sign in sub) for sub in subsets]
+        g = {at[cls]: x for cls, x in g.items()}
+        psi = [sum(sign * g.get(t, 0) for t, sign in sub) for sub in subsets]
         return canon_terms(ring, {v: sum(map(mul, ex, psi)) for v, ex in enumerate(expansions)})
 
     return fox, dual
@@ -631,10 +650,14 @@ def oracle_group_ring_quotient(
     NotSaturatedError needs length_bound <= n.
 
     A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
-    ValueError, counted (_ball_size) before any word is built.  Relation
-    rows stay sparse (class -> entry) throughout, through rings._echelon,
-    _kernel_rows and _rank; words are built only for the reported
-    representatives and messages.
+    ValueError, counted (_ball_size) before any word is built.  The stage
+    rows are sparse integer combinations of classes (class -> int), never
+    echelonned: fox, the kernels and the ranks read only their span, and
+    fox is Z-linear, so over Z/m the integer lifts span the same rows mod m.
+    Only the saturation check and the final Hom kernel are echelonned over
+    classes; over Q the top kernel rows are cleared of denominators first,
+    which keeps Fractions out of dual.  Words are built only for the
+    reported representatives and messages.
     """
     if n < 0:
         raise ValueError(f"type bound must be >= 0, got {n}")
@@ -649,12 +672,11 @@ def oracle_group_ring_quotient(
             "length or type bound"
         )
     reps, index = _enumerate_classes(P, full_len)
-    o = ring.one()
     # s [v] for each generator s; stage d acts on reps of length <= length_bound + d
     act = [[index.get(_join(((g, 1),), w)) for g in range(k)] for w in reps]
     fox, dual = _fox_map(ring, k, reps, index, n)
     base_classes = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound)})
-    current = [{cls: o} for cls in base_classes]
+    current = [{cls: 1} for cls in base_classes]
     stages = []  # stage d: S_d, and the I^(d+1) relations on it
     for d in range(n + 1):
         nxt = []
@@ -665,18 +687,20 @@ def oracle_group_ring_quotient(
                     tgt = act[j][g]
                     shifted[tgt] = shifted.get(tgt, 0) + x
                     shifted[j] = shifted.get(j, 0) - x
-                nxt.append(canon_terms(ring, shifted))
-        current = _echelon(ring, nxt)
+                nxt.append({j: x for j, x in shifted.items() if x})
+        current = [row for row in nxt if row]
         short = sorted({index[w] for w in _positive_words(k, d)})
-        rows = [fox(rho, d) for rho in current]
-        rows += [_combine(ring, 1, fox({t: o}, d), -1, {t: o}) for t in short]
+        # only the span is read, and most fox rows are zero or repeat
+        unique = {frozenset(r.items()): r for r in (fox(rho, d) for rho in current) if r}
+        rows = list(unique.values())
+        rows += [_combine(ring, 1, fox({t: 1}, d), -1, {t: ring.one()}) for t in short]
         stages.append((short, rows))
 
     # saturation: every class reached at length_bound must already be a
     # combination of strictly shorter words modulo the top relations, so
     # adding the E_n of the base classes leaves the span unchanged
     def with_units(rows, classes):
-        return _echelon(ring, rows + [fox({cls: o}, n) for cls in classes])
+        return _echelon(ring, rows + [fox({cls: 1}, n) for cls in classes])
 
     shorter = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound - 1)})
     spanned = with_units(stages[n][1], shorter)
@@ -691,6 +715,8 @@ def oracle_group_ring_quotient(
     for short, rows in stages:
         kernel = _kernel_rows(ring, rows, short)
         ranks.append(_rank(ring, kernel, len(short)))
+    if ring.kind == "Q":  # the echelon below reads only the Q-span
+        kernel = [_integral(g) for g in kernel]
     kernel = _echelon(ring, [dual({short[t]: x for t, x in g.items()}) for g in kernel])
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)

@@ -660,6 +660,40 @@ def test_oracle_free_rank_one():
     assert rep.ranks == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("text", [TORUS, FREE_2], ids=["torus", "free2"])
+def test_oracle_echelons_only_saturation_and_final_kernel(monkeypatch, text):
+    """The stage rows are never echelonned over classes: a saturated run
+    makes two echelon calls for the saturation check and one for the
+    final Hom kernel, whatever n."""
+    P = parse_presentation(text)
+    echelon = classfun._echelon
+    calls = []
+
+    def counting(ring, rows, start=0):
+        calls.append(len(rows))
+        return echelon(ring, rows, start)
+
+    monkeypatch.setattr(classfun, "_echelon", counting)
+    for n in range(4):
+        calls.clear()
+        oracle_group_ring_quotient(P, Z, n, n + 1)
+        assert len(calls) == 3, (n, calls)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+@pytest.mark.parametrize("gens, n", [("a b", n) for n in range(4)] + [("a b c", n) for n in range(2)])
+def test_oracle_free_group_closed_forms(gens, n, spec):
+    """On the free group of rank k, Hom(R[F]/I^(d+1), R) is free of rank
+    sum_(p<=d) k^p, every reduced word is its own class, and the oracle's
+    pairing table is the finite-type basis's."""
+    P, ring = parse_presentation(f"gens: {gens}\n"), Ring.from_spec(spec)
+    k, L = len(P.gens), n + 1
+    rep = oracle_group_ring_quotient(P, ring, n, L)
+    assert rep.ranks == tuple(sum(k**p for p in range(d + 1)) for d in range(n + 1))
+    assert rep.class_count == classfun._ball_size(k, L + n + 1, MAX_ORACLE_WORDS)
+    assert pairing_tables_agree(finite_type_basis(P, ring, n).elements, rep)
+
+
 def test_oracle_torus_ranks():
     P = parse_presentation(TORUS)
     rep = oracle_group_ring_quotient(P, Z, 2, 3)

@@ -167,3 +167,32 @@ def test_not_saturated_only_when_length_bound_at_most_n():
         raised[L > n] += outcome.startswith("NotSaturatedError")
     assert raised[True] == 0
     assert raised[False] > 0
+
+
+# Fixed cases next to the sample, so the stage rows, the Q-only clearing of
+# denominators and the saturation failure run whatever the sample draws,
+# with one NotSaturatedError case per ring in RINGS.  The free group at
+# (n, L) = (2, 2) is not saturated (L <= n); at (1, 2) over Q it reaches
+# the final kernel.
+FIXED = [
+    ("free2", "Q", 2, 2),
+    ("free2", "Z/6", 2, 2),
+    ("free2", "Q", 1, 2),
+    ("klein", "Z/4", 2, 3),
+    ("klein", "Q", 2, 3),
+]
+NOT_SATURATED = [
+    ("torus", "Z", 2, 2),
+    ("klein", "Q", 2, 1),
+    ("a2_b3", "Z/2", 2, 1),
+    ("comm_a3", "Z/4", 2, 1),
+    ("aba", "Z/6", 3, 2),
+]
+
+
+@pytest.mark.parametrize("name, spec, n, L", FIXED + NOT_SATURATED)
+def test_fixed_cases_match_all_class_reference(name, spec, n, L):
+    outcome = _outcome(oracle_group_ring_quotient, name, spec, n, L)
+    assert outcome == _outcome(reference_oracle, name, spec, n, L)
+    if (name, spec, n, L) in NOT_SATURATED:
+        assert outcome.startswith("NotSaturatedError")
