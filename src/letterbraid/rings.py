@@ -8,8 +8,10 @@ Python ints and ``fractions.Fraction`` -- never floats, never
 fixed-width.
 
 There is one elimination, _echelon, with one step that reduces a row
-above the pivots, _reduce_tail.  Conventions that keep runs byte-for-byte
-reproducible:
+above the pivots, _reduce_tail.  It copies each input row once, on entry,
+and reduces the copies in place with one row update, _axpy (row += c *
+pivot, touching only the pivot's columns), so callers' rows are never
+modified.  Conventions that keep runs byte-for-byte reproducible:
 
 * Smith forms come from Hermite forms alone (Kannan and Bachem): the
   row Hermite forms of [D | U] and of [D^T | V^T] alternate until D is
@@ -89,14 +91,19 @@ class Ring:
 
     @staticmethod
     def from_spec(spec: str) -> "Ring":
-        """Parse "Z", "Q", or "Z/m"."""
+        """Parse "Z", "Q", or "Z/m"; an m past Python's cap on integer text
+        raises a ValueError naming the cap."""
         if spec == "Z":
             return Ring.integers()
         if spec == "Q":
             return Ring.rationals()
         m = _ZMOD_RE.match(spec)
         if m:
-            return Ring.integers_mod(int(m.group(1)))
+            try:
+                modulus = int(m.group(1))
+            except ValueError:  # the digits matched, so only their number fails
+                raise _text_cap_error() from None
+            return Ring.integers_mod(modulus)
         raise ValueError(f"unrecognised ring spec {spec!r} (expected Z, Q, or Z/m)")
 
     @property
@@ -138,7 +145,9 @@ class Ring:
 
     def parse(self, text: str):
         """Parse a coefficient string: integer for Z and Z/m, "p" or "p/q" for
-        Q (Fraction alone would also take "1e999999999", of 10^9 digits)."""
+        Q (Fraction alone would also take "1e999999999", of 10^9 digits).
+        A number past Python's cap on integer text raises a ValueError
+        naming the cap, as show does."""
         text = text.strip()
         q = self.kind == "Q"
         if re.fullmatch(r"[+-]?\d+(/\d+)?" if q else r"[+-]?\d+", text):
@@ -146,6 +155,8 @@ class Ring:
                 return self.canon(Fraction(text) if q else int(text))
             except ZeroDivisionError:
                 pass
+            except ValueError:  # the text matched, so only its length fails
+                raise _text_cap_error() from None
         raise ValueError(f"bad {'rational' if q else 'integer'} coefficient {text!r}")
 
     def from_json(self, value, field: str):
@@ -162,8 +173,14 @@ class Ring:
         try:
             return str(x if self.kind == "Q" else int(x))
         except ValueError:
-            cap = sys.get_int_max_str_digits()
-            raise ValueError(f"value has more than {cap} digits, the cap on integer text") from None
+            raise _text_cap_error() from None
+
+
+def _text_cap_error() -> ValueError:
+    """The error for a number past Python's cap on integer text, which
+    int() and str() refuse with a message about sys.set_int_max_str_digits."""
+    cap = sys.get_int_max_str_digits()
+    return ValueError(f"value has more than {cap} digits, the cap on integer text")
 
 
 _Z = Ring.integers()
@@ -559,20 +576,50 @@ def _xgcd(a: int, b: int):
     return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
 
 
+def _axpy(ring: Ring, row: dict, c, piv: dict) -> None:
+    """row += c * piv in place, for sparse rows (column -> nonzero entry):
+    each sum reduced mod m over Z/m, and entries that become 0 deleted.
+
+    It costs O(|piv|), not O(|row| + |piv|).  A column new to row goes
+    after row's own, in piv's order, so keys come in the order of the
+    fresh sum {**row, **piv} with its zeros dropped.
+    """
+    m = ring.modulus
+    for j, x in piv.items():
+        y = row.get(j, 0) + c * x
+        if m:
+            y %= m
+        if y:
+            row[j] = y
+        elif j in row:
+            del row[j]
+
+
 def _combine(ring: Ring, c1, r1: dict, c2, r2: dict) -> dict:
-    """c1 * r1 + c2 * r2 for sparse rows (column -> nonzero entry)."""
+    """c1 * r1 + c2 * r2 as a fresh sparse row: a scaled copy of r1, then
+    _axpy.  Keys come in r1's order, then r2's new ones; an entry of r1
+    that c1 kills (mod m) is dropped only after the sum, so a column r2
+    revives keeps r1's place."""
     out = {j: c1 * x for j, x in r1.items()}
-    for j, x in r2.items():
-        out[j] = out.get(j, 0) + c2 * x
+    _axpy(ring, out, c2, r2)
     m = ring.modulus
     if m:
         return {j: x % m for j, x in out.items() if x % m}
     return {j: x for j, x in out.items() if x}
 
 
+def _scale(ring: Ring, row: dict, c) -> None:
+    """row *= c in place, mod m over Z/m.  c is a unit, or a nonzero
+    integer on an integer row, so no entry becomes 0."""
+    m = ring.modulus
+    for j, x in row.items():
+        row[j] = c * x % m if m else c * x
+
+
 def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
-    """Scale row by a unit so its entry at column j is canonical (positive
-    over Z, and over Q, whose rows here are primitive integer rows).
+    """Scale row in place by a unit so its entry at column j is canonical
+    (positive over Z, and over Q, whose rows here are primitive integer
+    rows).
 
     Over Z/m the entry becomes g = gcd(entry, m), and (m/g) * row, which
     vanishes at j, is queued: the rows pivoting right of j must span it
@@ -580,11 +627,13 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
     """
     x = row[j]
     if ring.kind != "Zmod":
-        return _combine(ring, -1, row, 0, {}) if x < 0 else row
+        if x < 0:
+            _scale(ring, row, -1)
+        return row
     m = ring.modulus
     g, unit = _unit_scaling_to_gcd(x, m)
     if unit != 1:
-        row = _combine(ring, unit, row, 0, {})
+        _scale(ring, row, unit)
     multiple = _combine(ring, m // g, row, 0, {})
     if multiple:
         pending.append(multiple)
@@ -595,7 +644,8 @@ def _reduce_tail(ring: Ring, row: dict, j: int, pivots: dict) -> dict:
     """Reduce row at the pivot columns right of j modulo those pivots, left
     to right, including the entries the reduction creates: over Q each
     entry is cleared (_cross), over Z and Z/m brought into [0, pivot) by
-    the floor quotient.  A heap holds the pivot columns still to visit."""
+    the floor quotient (_axpy, in place).  A heap holds the pivot columns
+    still to visit."""
     heap = [k for k in row if k > j and k in pivots]
     heapify(heap)
     queued = set(heap)
@@ -608,7 +658,7 @@ def _reduce_tail(ring: Ring, row: dict, j: int, pivots: dict) -> dict:
         if ring.kind == "Q":
             row = _cross(ring, row, piv, k)
         elif x // piv[k]:
-            row = _combine(ring, 1, row, -(x // piv[k]), piv)
+            _axpy(ring, row, -(x // piv[k]), piv)
         else:
             continue
         for c in piv:
@@ -633,15 +683,25 @@ def _integral(row: dict) -> dict:
 
 def _cross(ring: Ring, row: dict, piv: dict, j: int) -> dict:
     """Over Q, the primitive row (a/g)*row - (b/g)*piv, which vanishes at
-    column j, for a = piv[j], b = row[j] and g = gcd(a, b)."""
+    column j, for a = piv[j], b = row[j] and g = gcd(a, b).
+
+    It consumes row: row is scaled and reduced in place, and the result
+    is row itself or, when it has a content to divide out, a fresh row.
+    """
     a, b = piv[j], row[j]
     g = gcd(a, b)
-    return _primitive(_combine(ring, a // g, row, -(b // g), piv))
+    if a != g:
+        _scale(ring, row, a // g)
+    _axpy(ring, row, -(b // g), piv)
+    return _primitive(row)
 
 
 def _pivot_rows(ring: Ring, rows) -> dict:
     """The forward pass of _echelon: pivot column -> pivot row, unreduced
     above the pivots.  Its size is the rank over Z and Q.
+
+    Each input row is copied once, on entry; the copies are then reduced
+    in place (_axpy), so no input row is modified and none is returned.
 
     Over Z the row a gcd merge installs is tail-reduced (_reduce_tail), as
     in Kannan and Bachem's Hermite algorithm: the Bezout combination of
@@ -652,7 +712,7 @@ def _pivot_rows(ring: Ring, rows) -> dict:
     cleared by cross-multiplication (_cross), so the pivot rows hold ints.
     """
     rational = ring.kind == "Q"
-    pending = [_integral(r) for r in reversed(rows)] if rational else list(reversed(rows))
+    pending = [_integral(r) if rational else dict(r) for r in reversed(rows)]
     pivots = {}
     while pending:
         row = pending.pop()
@@ -666,7 +726,7 @@ def _pivot_rows(ring: Ring, rows) -> dict:
             if rational:
                 row = _cross(ring, row, piv, j)
             elif b % a == 0:
-                row = _combine(ring, 1, row, -(b // a), piv)
+                _axpy(ring, row, -(b // a), piv)
             else:
                 g, s, t = _xgcd(a, b)
                 merged = _combine(ring, s, piv, t, row)

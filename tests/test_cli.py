@@ -475,8 +475,13 @@ def _modulus_one(work):
     return ["basis", "--ring", "Z/1", "--presentation", work / "torus.grp", "-n", 1]
 
 
+def _modulus_past_the_text_cap(work):
+    return ["basis", "--ring", "Z/" + "9" * 5000, "--presentation", work / "torus.grp", "-n", 1]
+
+
 @pytest.mark.parametrize("make_argv", [_q_tensor_with_exponent, _value_past_the_text_cap,
-                                       _basis_past_the_weight_cap, _modulus_one])
+                                       _basis_past_the_weight_cap, _modulus_one,
+                                       _modulus_past_the_text_cap])
 def test_hostile_inputs_exit_one_with_an_error_line(work, capsys, monkeypatch, make_argv):
     """Each input is refused with exit 1 and an "error:" message, never a
     traceback."""
@@ -497,3 +502,10 @@ def test_eval_refuses_an_exponent_coefficient_at_once(work, capsys):
 def test_eval_value_past_the_text_cap_names_the_cap(work, capsys):
     rc, _, err = run(capsys, *_value_past_the_text_cap(work))
     assert rc == 1 and f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_modulus_past_the_text_cap_names_the_cap(work, capsys):
+    rc, _, err = run(capsys, *_modulus_past_the_text_cap(work))
+    cap = sys.get_int_max_str_digits()
+    assert rc == 1
+    assert err == f"error: value has more than {cap} digits, the cap on integer text\n"

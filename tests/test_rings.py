@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -10,10 +11,12 @@ from letterbraid.rings import (
     IntMatrix,
     Ring,
     ShapeError,
-    _combine,
-    _cross,
+    _axpy,
     _echelon,
+    _filtered_kernel,
+    _kernel_rows,
     _pivot_rows,
+    _rank,
     canon_terms,
     filtered_kernel,
     in_column_span,
@@ -564,9 +567,22 @@ def test_q_forms_of_integer_matrices_agree_with_z():
         assert row_canonical_form(MQ) == row_canonical_form(HQ)
 
 
+def _added(ring, c1, r1, c2, r2):
+    """c1 * r1 + c2 * r2 for sparse rows, out of place: a fresh scaled copy
+    of r1, r2 added, then one pass that reduces mod m and drops zeros."""
+    out = {j: c1 * x for j, x in r1.items()}
+    for j, x in r2.items():
+        out[j] = out.get(j, 0) + c2 * x
+    m = ring.modulus
+    if m:
+        return {j: x % m for j, x in out.items() if x % m}
+    return {j: x for j, x in out.items() if x}
+
+
 def _top_down_echelon(ring, rows, start=0):
     """The back-reduction _echelon used to run, kept as a reference: every
-    pivot row clears its pivot column in all the rows above it, top-down."""
+    pivot row clears its pivot column in all the rows above it, top-down,
+    each step a fresh row (_added), never an update in place."""
     out = [r for j, r in sorted(_pivot_rows(ring, rows).items()) if j >= start]
     for i, r in enumerate(out):
         j = min(r)
@@ -574,10 +590,13 @@ def _top_down_echelon(ring, rows, start=0):
             x = out[k].get(j)
             if x is None:
                 continue
-            if ring.kind == "Q":
-                out[k] = _cross(ring, out[k], r, j)
+            if ring.kind == "Q":  # cross-multiply, then divide out the content
+                g = math.gcd(r[j], x)
+                row = _added(ring, r[j] // g, out[k], -(x // g), r)
+                content = math.gcd(*row.values())
+                out[k] = {c: y // content for c, y in row.items()}
             elif x // r[j]:
-                out[k] = _combine(ring, 1, out[k], -(x // r[j]), r)
+                out[k] = _added(ring, 1, out[k], -(x // r[j]), r)
     if ring.kind == "Q":
         out = [{k: Fraction(x, r[min(r)]) for k, x in r.items()} for r in out]
     return out
@@ -705,3 +724,94 @@ def test_solve_over_z_images_and_parity():
         odd = [2 * rng.randint(-5, 5) for _ in range(M.rows)]
         odd[rng.randrange(M.rows)] += 1
         assert solve(even, odd) is None
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6", "Z/12"])
+def test_axpy_matches_the_out_of_place_sum(spec):
+    """row += c * piv in place gives the fresh sum's entries in the fresh
+    sum's key order, over rows whose entries cancel and, over Z/m, over
+    multipliers c with c * x = 0 mod m."""
+    ring = Ring.from_spec(spec)
+    rng = random.Random(20261019)
+    m = ring.modulus or 7
+    cancelled = killed = 0
+    for _ in range(2000):
+        cols = rng.sample(range(12), rng.randint(0, 12))
+        row = canon_terms(ring, {j: rng.randint(-m, m) for j in cols[: rng.randint(0, 8)]})
+        piv = canon_terms(ring, {j: rng.randint(-m, m) for j in cols[rng.randint(0, 4):]})
+        if ring.kind == "Q":  # the elimination runs over Q on integer rows
+            row = {j: int(x * 6) for j, x in row.items()}
+            piv = {j: int(x * 6) for j, x in piv.items()}
+        if piv and rng.random() < 0.3:  # c = -row[j] / piv[j] cancels column j
+            j = rng.choice(list(piv))
+            row[j] = piv[j]
+            c = -1
+        else:
+            c = rng.choice([-3, -2, -1, 1, 2, 3, m // 2, m])
+        expected = _added(ring, 1, row, c, piv)
+        cancelled += len(set(row) & set(piv)) > len(set(expected) & set(row) & set(piv))
+        killed += ring.kind == "Zmod" and any(c * x % m == 0 for x in piv.values())
+        _axpy(ring, row, c, piv)
+        assert list(row.items()) == list(expected.items())
+    assert cancelled > 100
+    assert killed > 100 or ring.kind != "Zmod"
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_elimination_leaves_its_inputs_alone(spec):
+    """Rows are reduced in place on private copies: no routine modifies an
+    input row, even one listed twice, and no output row is an input row."""
+    ring = Ring.from_spec(spec)
+    rng = random.Random(20261022)
+    for _ in range(60):
+        cols = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            row = {j: rng.randint(-5, 5) for j in range(cols) if rng.random() < 0.5}
+            if ring.kind == "Q":
+                row = {j: Fraction(x, rng.choice([1, 2, 3])) for j, x in row.items()}
+            rows.append(canon_terms(ring, row))
+        rows.append(rows[rng.randrange(len(rows))])  # one dict object, twice
+        before = copy.deepcopy(rows)
+        inputs = {id(r) for r in rows}
+        keep = rng.sample(range(cols), rng.randint(0, cols))
+        weights = [rng.randint(0, 2) for _ in range(cols)]
+        outputs = [
+            *_echelon(ring, rows),
+            *_echelon(ring, rows, rng.randint(0, cols)),
+            *_pivot_rows(ring, rows).values(),
+            *_kernel_rows(ring, rows, keep),
+            *(v for _, v in _filtered_kernel(ring, rows, weights, 1)),
+        ]
+        _rank(ring, rows, cols)
+        assert rows == before
+        assert not any(id(r) in inputs for r in outputs)
+        M = IntMatrix.from_rows(ring, [[r.get(j, ring.zero()) for j in range(cols)] for r in rows])
+        b = [ring.from_int(rng.randint(-3, 3)) for _ in range(M.rows)]
+        M_before, b_before = copy.deepcopy(M), list(b)
+        row_canonical_form(M)
+        x = solve(M, b)
+        assert M == M_before and b == b_before and x is not b
+
+
+def test_numbers_past_the_integer_text_cap_name_the_cap():
+    """A modulus or a coefficient past Python's cap on integer text raises
+    the cap message show uses, not int()'s own."""
+    cap = sys.get_int_max_str_digits()
+    if not cap:
+        pytest.skip("integer text conversion is not capped in this interpreter")
+    digits = "9" * (cap + 700)
+    message = f"value has more than {cap} digits, the cap on integer text"
+    attempts = [
+        lambda: Ring.from_spec("Z/" + digits),
+        lambda: Z.parse(digits),
+        lambda: Z.parse("-" + digits),
+        lambda: Ring.integers_mod(6).parse(digits),
+        lambda: Q.parse(digits),
+        lambda: Q.parse("1/" + digits),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError) as info:
+            attempt()
+        assert str(info.value) == message
+    assert Ring.from_spec("Z/" + "9" * cap).modulus == 10**cap - 1
