@@ -13,8 +13,12 @@ and the bar differential maps it into degree 1.  sigma permutes those
 words (with no sign), so the cycle-invariant ones are free on the orbit
 sums (necklaces), and the cyclic H^0 is the kernel of d_Bar on them:
 HH_0, computed in orbit coordinates, with the bar H^0 the case of
-one-word orbits.  d_Bar of each orbit sum is a sparse column, fed
-straight to the sparse kernel routine (rings._filtered_kernel).  Kernels
+one-word orbits.  The rows of d_Bar come by concatenation from two small
+tables, read once: the letters g whose differential has a t-coordinate,
+and the pairs g h whose product has one.  The row of a degree-1 word
+[u|t|v] puts those coordinates, negated, at the orbits of u·g·v and
+u·g·h·v, and goes straight to the sparse kernel routine
+(rings._filtered_kernel).  Kernels
 are weight-filtered: one echelon form, with coordinates ordered highest
 weight first, gives a basis whose members of weight <= p span the kernel
 at weight <= p, so the basis at weight bound n extends the basis at n-1.
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .dga import FiniteDGA
-from .rings import Combination, Ring, filtered_kernel  # noqa: F401  (filtered_kernel: re-exported)
+from .rings import Combination, Ring, canon_terms, filtered_kernel  # noqa: F401  (filtered_kernel: re-exported)
 from .tensors import BraidingTensor, _orbit_kernel, rotation_orbits, weight_graded_monomials
 from .words import GenSet
 
@@ -324,19 +328,62 @@ def _degree_zero_words(A: FiniteDGA, n: int):
     return weight_graded_monomials(A.dim(1), n)
 
 
+def _d_bar_rows(A: FiniteDGA, n: int, orbits) -> list:
+    """The rows of d_Bar on the orbit sums of degree-0 words of weight <= n.
+
+    One sparse row (orbit index -> entry) per degree-1 word [u|t|v], t a
+    degree-2 direction and |u| + |v| = p <= n - 1, that has a nonzero
+    entry.  Every slot of a degree-0 word has shifted degree 0, so both
+    sign families of bar_differential (internal differentials and
+    neighbour products) are -1: the row has -e at the orbit of u·g·v for
+    each letter g whose differential has entry e at t, and, when
+    p + 2 <= n, -e at the orbit of u·g·h·v for each pair of letters whose
+    product has entry e at t.  Those two lists are read once per call.
+    """
+    k = A.dim(1)
+    lin = [[] for _ in range(A.dim(2))]
+    quad = [[] for _ in range(A.dim(2))]
+    for g in range(k):
+        for t, e in A.diff_column(1, g):
+            lin[t].append(((g,), -e))
+        for h in range(k):
+            for t, e in A.product(1, g, 1, h):
+                quad[t].append(((g, h), -e))
+    short = [x for x in lin if x]
+    full = [x + y for x, y in zip(lin, quad) if x or y]
+    orbit_of = {s: j for j, orbit in enumerate(orbits) for s in orbit}
+    ring = A.ring
+    rows = []
+    for p in range(n):
+        tables = full if p + 2 <= n else short
+        for s in iproduct(range(k), repeat=p):
+            for cut in range(p + 1):
+                u, v = s[:cut], s[cut:]
+                for table in tables:
+                    row = {}
+                    for m, c in table:
+                        j = orbit_of[u + m + v]
+                        row[j] = row.get(j, 0) + c
+                    row = canon_terms(ring, row)
+                    if row:
+                        rows.append(row)
+    # Longest words first.  The output does not depend on the row order
+    # (the kernel's echelon basis is unique), but the elimination's cost
+    # does: on h0_cyc of the torus over Z at n = 8, this order takes
+    # 11,140 row updates where shortest-first takes 15,023, and less
+    # than half the time.
+    rows.reverse()
+    return rows
+
+
 def _h0(A: FiniteDGA, n: int, orbits) -> H0Basis:
     """Kernel of d_Bar on the span of the orbit sums of degree-0 words.
 
-    Each orbit is a list of index sequences, (length, lex) ordered; d_Bar
-    of its sum is one sparse column, so the rows (one per degree-1 word
-    that appears) are sparse over orbit indices from the start.
+    Each orbit is a list of index sequences, (length, lex) ordered.  The
+    rows of d_Bar are built by concatenation from per-letter tables
+    (_d_bar_rows), sparse over orbit indices, with no BarElement per orbit.
     """
-    rows = {}
-    for j, orbit in enumerate(orbits):
-        x = BarElement(A, {tuple((1, i) for i in s): 1 for s in orbit})
-        for key, c in bar_differential(x).terms.items():
-            rows.setdefault(key, {})[j] = c
-    terms, added_at, anns = _orbit_kernel(A.ring, list(rows.values()), orbits, n)
+    terms, added_at, anns = _orbit_kernel(A.ring, _d_bar_rows(A, n, orbits), orbits, n)
     elements = tuple(
         BarElement(A, {tuple((1, i) for i in s): c for s, c in t.items()}) for t in terms
     )

@@ -21,7 +21,10 @@ Verbs:
 Exit status: 0 on success, 1 on input errors (message names the offending
 file and line where known), 2 when a verification or comparison fails.
 An oracle word ball of more than classfun.MAX_ORACLE_WORDS reduced words
-(length <= L + n + 1) is an input error, refused before any word is built.
+(length <= L + n + 1) is an input error, refused before any word is built;
+so is a weight bound with more than tensors.MAX_MONOMIALS positive words
+of length <= n on the generators (basis) or the edges (cyc-h0, bar-h0),
+counted before any is built.
 
 The environment variable LB_MAX_WEIGHT caps the -n weight bound, and the
 n of a basis file given to verify (default cap 6); computations grow
@@ -177,7 +180,10 @@ def _cmd_basis(args) -> int:
     n = _checked_weight(args.n)
     P = _load_presentation(args.presentation)
     maker = class_function_basis if args.class_functions else finite_type_basis
-    basis = maker(P, ring, n)
+    try:
+        basis = maker(P, ring, n)
+    except ValueError as exc:
+        raise _InputError(f"{args.presentation}: {exc}") from None
     print(f"ranks_per_weight {_fmt(basis.ranks_per_weight)}")
     print(f"total {len(basis)}")
     if args.output:

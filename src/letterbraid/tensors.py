@@ -167,12 +167,30 @@ def cycle(T: BraidingTensor) -> BraidingTensor:
     return T._like(out)
 
 
+# weight_graded_monomials refuses to build more tuples than this, counted
+# first: its callers hold all of them, and rows or columns over them, in
+# memory at once.
+MAX_MONOMIALS = 1_000_000
+
+
 def _min_rotation(seq):
     return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
 
 
 def weight_graded_monomials(k: int, n: int):
-    """Generator-index tuples of length <= n, shorter first, lex within."""
+    """Generator-index tuples of length <= n, shorter first, lex within.
+
+    More than MAX_MONOMIALS of them are refused with a ValueError, counted
+    before any tuple is built.
+    """
+    count = 0
+    for p in range(n + 1):
+        count += k**p
+        if count > MAX_MONOMIALS:
+            raise ValueError(
+                f"there are more than {MAX_MONOMIALS} words of length <= {n} on "
+                f"{k} letters; lower the weight bound"
+            )
     out = []
     for p in range(n + 1):
         out.extend(product(range(k), repeat=p))

@@ -1,8 +1,11 @@
+import collections
 import itertools
 import random
+import warnings
 
 import pytest
 
+from letterbraid import barcyc
 from letterbraid.barcyc import (
     BarElement,
     CycElement,
@@ -21,6 +24,14 @@ from letterbraid.barcyc import (
     iota,
     sigma,
     tau,
+    _d_bar_rows,
+    _degree_zero_words,
+)
+from letterbraid.classfun import (
+    Presentation,
+    class_function_basis,
+    evaluation_table,
+    finite_type_basis,
 )
 from letterbraid.dga import (
     circle_model,
@@ -32,9 +43,16 @@ from letterbraid.dga import (
     wedge_with_trivial_2cells,
     wedge_model,
 )
-from letterbraid.rings import IntMatrix, Ring, matrix_rank, smith_normal_form, solve
-from letterbraid.tensors import cycle, eval_word
-from letterbraid.words import GenSet, parse_word
+from letterbraid.rings import (
+    IntMatrix,
+    Ring,
+    matrix_rank,
+    row_canonical_form,
+    smith_normal_form,
+    solve,
+)
+from letterbraid.tensors import cycle, eval_word, rotation_orbits
+from letterbraid.words import GenSet, Word, parse_word, words_up_to
 
 Z = Ring.integers()
 Q = Ring.rationals()
@@ -398,6 +416,140 @@ def test_h0_weight_zero():
     basis = h0_bar(TORUS, 0)
     assert basis.total_rank == 1
     assert basis[0].terms == {(): 1}
+
+
+# ---------------------------------------------------------------------------
+# d_Bar rows by concatenation, against bar_differential of each orbit sum
+# ---------------------------------------------------------------------------
+
+
+def _row_spaces():
+    spaces = [torus_model(), circle_model(), wedge_model(2), wedge_with_trivial_2cells(2)]
+    for seed in range(4):
+        rng = random.Random(seed)
+        spaces.append(random_two_complex(rng, rng.randint(1, 3), rng.randint(1, 4)))
+    return spaces
+
+
+def _rows_through_bar_differential(A, orbits):
+    """One row per degree-1 word: d_Bar of each orbit sum, grouped by key."""
+    rows = {}
+    for j, orbit in enumerate(orbits):
+        x = BarElement(A, {tuple((1, i) for i in s): 1 for s in orbit})
+        for key, c in bar_differential(x).terms.items():
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
+
+
+def _row_multiset(rows):
+    return collections.Counter(tuple(sorted(r.items())) for r in rows)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_d_bar_rows_match_the_bar_differential(spec):
+    ring = Ring.from_spec(spec)
+    for X in _row_spaces():
+        A = cochain_algebra(X, ring)
+        for n in range(5):
+            words = _degree_zero_words(A, n)
+            for orbits in ([[s] for s in words], rotation_orbits(words)):
+                got = _d_bar_rows(A, n, orbits)
+                assert all(got), (X.name, n)  # empty rows are dropped
+                want = _rows_through_bar_differential(A, orbits)
+                assert _row_multiset(got) == _row_multiset(want), (X.name, spec, n)
+
+
+def test_h0_builds_no_bar_element_before_its_kernel(monkeypatch):
+    counts = {"d_bar": 0, "elements": 0}
+    seen_at_kernel = []
+    real_d, real_element, real_kernel = (
+        barcyc.bar_differential, barcyc.BarElement, barcyc._orbit_kernel)
+
+    def d_bar(x):
+        counts["d_bar"] += 1
+        return real_d(x)
+
+    def element(*args):
+        counts["elements"] += 1
+        return real_element(*args)
+
+    def kernel(*args):
+        seen_at_kernel.append(counts["elements"])
+        return real_kernel(*args)
+
+    monkeypatch.setattr(barcyc, "bar_differential", d_bar)
+    monkeypatch.setattr(barcyc, "BarElement", element)
+    monkeypatch.setattr(barcyc, "_orbit_kernel", kernel)
+    for h0 in (h0_bar, h0_cyc):
+        seen_at_kernel.clear()
+        counts["elements"] = 0
+        basis = h0(TORUS, 3)
+        assert counts["d_bar"] == 0
+        assert seen_at_kernel == [0]
+        assert counts["elements"] == len(basis)  # the output elements only
+        assert all(isinstance(x, real_element) for x in basis)
+
+
+# ---------------------------------------------------------------------------
+# two routes: H^0 of the cochains against the presentation of pi_1
+# ---------------------------------------------------------------------------
+
+
+def _presentation_of(X):
+    """The presentation of pi_1 of a one-vertex 2-complex: one generator per
+    nondegenerate edge, one relator d2(t) d0(t) d1(t)^-1 per triangle, the
+    degenerate edge read as the identity; trivial relators are dropped
+    with a UserWarning each."""
+    gens = GenSet(X.cells[1])
+
+    def letters(ref, sign):
+        degens, (_, i) = ref
+        return () if degens else ((i, sign),)
+
+    relators = []
+    for t in range(X.n_cells(2)):
+        d0, d1, d2 = X.faces[(2, t)]
+        relators.append(Word(gens, letters(d2, 1) + letters(d0, 1) + letters(d1, -1)))
+    trivial = sum(r.is_identity() for r in relators)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        P = Presentation(gens, tuple(relators))
+    assert [str(w.message) for w in caught] == ["dropping trivial relator"] * trivial
+    assert all(w.category is UserWarning for w in caught)
+    return P
+
+
+def test_presentation_of_the_torus_model():
+    P = _presentation_of(torus_model())
+    assert P.gens.names == ("a", "b", "c")
+    assert [r.to_text() for r in P.relators] == ["a b c^-1", "b a c^-1"]
+
+
+def _one_vertex_complexes():
+    out = [torus_model()]
+    for seed in range(20):
+        rng = random.Random(1000 + seed)
+        out.append(random_two_complex(rng, rng.randint(1, 3), rng.randint(0, 3)))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/2", "Z/3", "Z/4", "Z/6"])
+def test_h0_agrees_with_the_bases_of_the_presented_group(spec):
+    """h0_bar spans the finite-type functions and h0_cyc the class
+    functions of pi_1, compared by their values on the words of length <= 3."""
+    ring = Ring.from_spec(spec)
+    n = 3
+    for X in _one_vertex_complexes():
+        P = _presentation_of(X)
+        words = list(words_up_to(P.gens, 3))
+        A = cochain_algebra(X, ring)
+
+        def table(tensors):
+            return row_canonical_form(evaluation_table(tensors, words, ring))
+
+        for h0, basis in ((h0_bar, finite_type_basis), (h0_cyc, class_function_basis)):
+            ours = [bar_element_to_tensor(x, P.gens) for x in h0(A, n)]
+            assert table(ours) == table(basis(P, ring, n).elements), (P, spec, n, h0.__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from letterbraid import classfun
+from letterbraid import classfun, tensors
 from letterbraid.barcyc import h0_bar, h0_cyc, bar_element_to_tensor
 from letterbraid.classfun import (
     DescendSystem,
@@ -227,6 +227,16 @@ def test_weight_graded_monomials_order():
     assert weight_graded_monomials(2, 2) == [
         (), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)
     ]
+
+
+def test_weight_graded_monomials_refuses_past_the_cap(monkeypatch):
+    monkeypatch.setattr(tensors, "MAX_MONOMIALS", 15)
+    assert len(weight_graded_monomials(2, 3)) == 15  # 1 + 2 + 4 + 8
+    with pytest.raises(ValueError, match="more than 15 words of length <= 4 on 2 letters"):
+        weight_graded_monomials(2, 4)
+    monkeypatch.undo()
+    # the wedge of three circles at n = 12 stays within the cap
+    assert sum(3**p for p in range(13)) == 797_161 <= tensors.MAX_MONOMIALS
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from letterbraid.classfun import basis_from_obj
 from letterbraid.cli import main
-from letterbraid.dga import circle_model, model_to_obj, wedge_model
+from letterbraid.dga import SimplicialSetModel, circle_model, model_to_obj, wedge_model
+from letterbraid.tensors import MAX_MONOMIALS
 from letterbraid.words import MAX_WORD_LETTERS
 
 TORUS_GRP = "gens: a b\nrel: a b a^-1 b^-1\n"
@@ -335,6 +336,24 @@ def test_oracle_compare_refuses_oversized_ball(work, capsys):
     assert rc == 1
     assert out == ""
     assert "more than 500000 words" in err
+
+
+@pytest.mark.parametrize("verb", [["basis"], ["basis", "--class"], ["cyc-h0"], ["bar-h0"]])
+def test_weight_bound_past_the_monomial_cap_is_refused(work, capsys, monkeypatch, verb):
+    # 200 letters at n = 6, under the default weight cap, give about
+    # 6.4e13 positive words: counted and refused before any is built
+    monkeypatch.delenv("LB_MAX_WEIGHT", raising=False)
+    names = [f"e{i}" for i in range(200)]
+    (work / "wide.grp").write_text("gens: " + " ".join(names) + "\n")
+    v = ((), (0, 0))
+    wide = SimplicialSetModel((("v",), tuple(names)), {(1, i): (v, v) for i in range(200)})
+    (work / "wide.json").write_text(json.dumps(model_to_obj(wide)))
+    source = ["--space", work / "wide.json"] if verb[0].endswith("h0") else [
+        "--presentation", work / "wide.grp"]
+    rc, out, err = run(capsys, *verb, "--ring", "Z", *source, "-n", 6)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {MAX_MONOMIALS} words of length <= 6 on 200 letters" in err
 
 
 def test_oracle_compare_not_saturated(work, capsys):
