@@ -12,19 +12,19 @@ connected algebra that part is spanned by words in the degree-1 basis,
 and the bar differential maps it into degree 1.  sigma permutes those
 words (with no sign), so the cycle-invariant ones are free on the orbit
 sums (necklaces), and the cyclic H^0 is the kernel of d_Bar on them:
-HH_0, computed in orbit coordinates, with the bar H^0 the case of
-one-word orbits.  The rows of d_Bar come by concatenation from two small
-tables, read once: the letters g whose differential has a t-coordinate,
-and the pairs g h whose product has one.  The row of a degree-1 word
-[u|t|v] puts those coordinates, negated, at the orbits of u·g·v and
-u·g·h·v, and goes straight to the sparse kernel routine
-(rings._filtered_kernel).  Kernels
-are weight-filtered: one echelon form, with coordinates ordered highest
-weight first, gives a basis whose members of weight <= p span the kernel
-at weight <= p, so the basis at weight bound n extends the basis at n-1.
-Over Z/m the echelon form is the Howell form and the kernel comes as a
-generating sequence; ranks_per_weight counts its members, which can
-exceed the minimal number of generators.
+HH_0, with the bar H^0 the same kernel on single words.  The rows of
+d_Bar come by concatenation from two small tables, read once: the
+letters g whose differential has a t-coordinate, and the pairs g h
+whose product has one.  The row of a degree-1 word [u|t|v] puts those
+coordinates, negated, at the words u·g·v and u·g·h·v, and goes to
+tensors._orbit_kernel, which alone chooses the coordinates (words or
+necklaces) and projects the rows onto them.  Kernels are weight-filtered:
+one echelon form, with coordinates ordered highest weight first, gives a
+basis whose members of weight <= p span the kernel at weight <= p, so
+the basis at weight bound n extends the basis at n-1.  Over Z/m the
+echelon form is the Howell form and the kernel comes as a generating
+sequence; ranks_per_weight counts its members, which can exceed the
+minimal number of generators.
 """
 
 from __future__ import annotations
@@ -33,8 +33,14 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .dga import FiniteDGA
-from .rings import Combination, Ring, canon_terms, filtered_kernel  # noqa: F401  (filtered_kernel: re-exported)
-from .tensors import BraidingTensor, _orbit_kernel, rotation_orbits, weight_graded_monomials
+from .rings import Combination, Ring
+from .tensors import (
+    BraidingTensor,
+    FilteredBasis,
+    _orbit_kernel,
+    rotation_orbits,
+    weight_graded_monomials,
+)
 from .words import GenSet
 
 
@@ -53,8 +59,9 @@ def _shift(slot) -> int:
 def _check_word(A: FiniteDGA, seq) -> tuple:
     """The tensor word as a tuple of slots, each a positive-degree basis direction."""
     seq = tuple(seq)
+    basis = A.basis
     for d, i in seq:
-        if d < 1 or not 0 <= i < A.dim(d):
+        if not (0 < d < len(basis) and 0 <= i < len(basis[d])):
             raise ValueError(f"invalid tensor slot {(d, i)}: need a positive-degree basis direction")
     return seq
 
@@ -284,36 +291,10 @@ def connecting_map(x: BarElement) -> CycElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class H0Basis:
+class H0Basis(FilteredBasis):
     """Basis (generating sequence over Z/m) of the degree-0 cohomology at
-    a tensor-weight bound, remembering at which weight each vector entered."""
-
-    algebra: FiniteDGA
-    weight_bound: int
-    elements: tuple  # BarElement
-    added_at_weight: tuple
-    annihilators: tuple  # 0 = free
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    @property
-    def ranks_per_weight(self):
-        counts = [0] * (self.weight_bound + 1)
-        for p in self.added_at_weight:
-            counts[p] += 1
-        return counts
-
-    @property
-    def total_rank(self) -> int:
-        return len(self.elements)
+    the tensor-weight bound n: BarElements, with the weight at which each
+    entered."""
 
 
 def _degree_zero_words(A: FiniteDGA, n: int):
@@ -328,17 +309,19 @@ def _degree_zero_words(A: FiniteDGA, n: int):
     return weight_graded_monomials(A.dim(1), n)
 
 
-def _d_bar_rows(A: FiniteDGA, n: int, orbits) -> list:
-    """The rows of d_Bar on the orbit sums of degree-0 words of weight <= n.
+def _d_bar_rows(A: FiniteDGA, n: int) -> list:
+    """The rows of d_Bar on the degree-0 words of weight <= n.
 
-    One sparse row (orbit index -> entry) per degree-1 word [u|t|v], t a
-    degree-2 direction and |u| + |v| = p <= n - 1, that has a nonzero
-    entry.  Every slot of a degree-0 word has shifted degree 0, so both
-    sign families of bar_differential (internal differentials and
-    neighbour products) are -1: the row has -e at the orbit of u·g·v for
-    each letter g whose differential has entry e at t, and, when
-    p + 2 <= n, -e at the orbit of u·g·h·v for each pair of letters whose
-    product has entry e at t.  Those two lists are read once per call.
+    One sparse row, a list of (index sequence, int entry) pairs, per
+    degree-1 word [u|t|v], t a degree-2 direction and |u| + |v| = p <=
+    n - 1, that some degree-0 word reaches; entries are not yet in the
+    ring, and _orbit_kernel drops the rows that vanish there.  Every
+    slot of a degree-0 word has shifted degree 0, so both sign families
+    of bar_differential (internal differentials and neighbour products)
+    are -1: the row has -e at u·g·v for each letter g whose differential
+    has entry e at t, and, when p + 2 <= n, -e at u·g·h·v for each pair
+    of letters whose product has entry e at t.  Those two lists are read
+    once per call.
     """
     k = A.dim(1)
     lin = [[] for _ in range(A.dim(2))]
@@ -351,8 +334,6 @@ def _d_bar_rows(A: FiniteDGA, n: int, orbits) -> list:
                 quad[t].append(((g, h), -e))
     short = [x for x in lin if x]
     full = [x + y for x, y in zip(lin, quad) if x or y]
-    orbit_of = {s: j for j, orbit in enumerate(orbits) for s in orbit}
-    ring = A.ring
     rows = []
     for p in range(n):
         tables = full if p + 2 <= n else short
@@ -360,13 +341,7 @@ def _d_bar_rows(A: FiniteDGA, n: int, orbits) -> list:
             for cut in range(p + 1):
                 u, v = s[:cut], s[cut:]
                 for table in tables:
-                    row = {}
-                    for m, c in table:
-                        j = orbit_of[u + m + v]
-                        row[j] = row.get(j, 0) + c
-                    row = canon_terms(ring, row)
-                    if row:
-                        rows.append(row)
+                    rows.append([(u + m + v, c) for m, c in table])
     # Longest words first.  The output does not depend on the row order
     # (the kernel's echelon basis is unique), but the elimination's cost
     # does: on h0_cyc of the torus over Z at n = 8, this order takes
@@ -376,23 +351,24 @@ def _d_bar_rows(A: FiniteDGA, n: int, orbits) -> list:
     return rows
 
 
-def _h0(A: FiniteDGA, n: int, orbits) -> H0Basis:
-    """Kernel of d_Bar on the span of the orbit sums of degree-0 words.
+def _h0(A: FiniteDGA, n: int, *, cyclic: bool) -> H0Basis:
+    """Kernel of d_Bar on the degree-0 words, or with cyclic on their
+    necklace sums.
 
-    Each orbit is a list of index sequences, (length, lex) ordered.  The
-    rows of d_Bar are built by concatenation from per-letter tables
-    (_d_bar_rows), sparse over orbit indices, with no BarElement per orbit.
+    The rows of d_Bar are built by concatenation from per-letter tables
+    (_d_bar_rows), sparse over words, with no BarElement per word.
     """
-    terms, added_at, anns = _orbit_kernel(A.ring, _d_bar_rows(A, n, orbits), orbits, n)
+    words = _degree_zero_words(A, n)
+    terms, added_at, anns = _orbit_kernel(A.ring, _d_bar_rows(A, n), words, n, cyclic)
     elements = tuple(
         BarElement(A, {tuple((1, i) for i in s): c for s, c in t.items()}) for t in terms
     )
-    return H0Basis(A, n, elements, added_at, anns)
+    return H0Basis(n, elements, added_at, anns)
 
 
 def h0_bar(A: FiniteDGA, n: int) -> H0Basis:
     """Kernel of d_Bar on degree-0 words of tensor weight <= n."""
-    return _h0(A, n, [[s] for s in _degree_zero_words(A, n)])
+    return _h0(A, n, cyclic=False)
 
 
 def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
@@ -400,10 +376,10 @@ def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
     cohomology for a connected algebra: sigma permutes the degree-0 words
     (their shifted degrees are 0, so no sign), and its fixed vectors are
     free on the necklace sums, so this is the kernel of d_Bar on those."""
-    return _h0(A, n, rotation_orbits(_degree_zero_words(A, n)))
+    return _h0(A, n, cyclic=True)
 
 
-def coinvariant_rank(names, p: int, ring: Ring | None = None) -> int:
+def coinvariant_rank(names, p: int) -> int:
     """Number of cyclic summands of the weight-p rotation coinvariants
     (cokernel of sigma - 1 on words in degree-1 letters).
 
@@ -420,7 +396,7 @@ def bar_element_to_tensor(x: BarElement, gens: GenSet | None = None) -> Braiding
     degree-1 basis labels (so h0 output can be fed to the evaluator)."""
     A = x.algebra
     if gens is None:
-        gens = GenSet(tuple(A.basis[1]))
+        gens = GenSet(tuple(A.label(1, i) for i in range(A.dim(1))))
     if len(gens) != A.dim(1):
         raise ValueError("generator set does not match the degree-1 basis")
     terms = {}

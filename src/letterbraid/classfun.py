@@ -9,9 +9,9 @@ is a finite linear system on tensor coefficients; its kernel is the
 finite-type function space.  The class functions are the cycle-invariant
 part, HH_0 = A/[A, A]: tensors constant on rotation orbits, so the same
 kernel is taken on the orbit sums, where the one-sided rows (r_i - 1) m
-already imply the two-sided ones.  Both bases come from sparse rows over
-orbit indices (one-monomial orbits for the finite-type basis) and one
-kernel routine.
+already imply the two-sided ones.  Both bases hand the same sparse rows
+over monomials to one kernel routine, tensors._orbit_kernel, which takes
+the kernel on single monomials or on necklace sums.
 
 An independent oracle goes the other way round: enumerate group
 elements as reduced words identified by relator insertions, present
@@ -42,9 +42,9 @@ from .rings import (
 )
 from .tensors import (
     BraidingTensor,
+    FilteredBasis,
     _orbit_kernel,
     pair_with_expansion,
-    rotation_orbits,
     tensor_from_obj,
     tensor_to_obj,
     weight_graded_monomials,
@@ -187,7 +187,7 @@ def _relator_products(P: Presentation, n: int, *, one_sided: bool = False):
     put in front and suf behind: each relator is expanded once by the
     integer Magnus sweep, and terms maps pre + m + suf to the int
     coefficient of m in E(r_i) - 1, for |m| <= n - |pre| - |suf|.  The
-    caller canonicalises the row in its own coordinates.
+    caller puts the entries in the ring.
     """
     k = len(P.gens)
     plan = MagnusPlan(weight_graded_monomials(k, n))
@@ -226,41 +226,11 @@ def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
 
 
 @dataclass(frozen=True)
-class TensorBasis:
-    """Weight-filtered basis (generating sequence over Z/m) of tensors.
-
-    Elements are ordered by the weight at which they enter; the basis
-    for a smaller weight bound is always a prefix.  annihilators[i] is
-    the additive order of elements[i] over Z/m (0 = free), and is always
-    0 over Z and Q.
-    """
+class TensorBasis(FilteredBasis):
+    """Weight-filtered basis (generating sequence over Z/m) of tensors on gens."""
 
     ring: Ring
     gens: GenSet
-    n: int
-    elements: tuple
-    added_at_weight: tuple
-    annihilators: tuple
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    @property
-    def ranks_per_weight(self):
-        counts = [0] * (self.n + 1)
-        for p in self.added_at_weight:
-            counts[p] += 1
-        return counts
-
-    @property
-    def total_rank(self) -> int:
-        return len(self.elements)
 
 
 def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> TensorBasis:
@@ -269,19 +239,11 @@ def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> T
     rows, as tensors."""
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
+    rows = (terms.items() for _, terms in _relator_products(P, n, one_sided=cyclic))
     monomials = weight_graded_monomials(len(P.gens), n)
-    orbits = rotation_orbits(monomials) if cyclic else [[m] for m in monomials]
-    orbit_of = {m: j for j, orbit in enumerate(orbits) for m in orbit}
-    rows = []
-    for _, terms in _relator_products(P, n, one_sided=cyclic):
-        row: dict = {}
-        for m, c in terms.items():
-            j = orbit_of[m]
-            row[j] = row.get(j, 0) + c
-        rows.append(canon_terms(ring, row))
-    terms, added_at, anns = _orbit_kernel(ring, rows, orbits, n)
+    terms, added_at, anns = _orbit_kernel(ring, rows, monomials, n, cyclic)
     elements = tuple(BraidingTensor(ring, P.gens, t) for t in terms)
-    return TensorBasis(ring, P.gens, n, elements, added_at, anns)
+    return TensorBasis(n, elements, added_at, anns, ring, P.gens)
 
 
 def finite_type_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
@@ -822,4 +784,4 @@ def basis_from_obj(obj: dict) -> TensorBasis:
     anns = tuple(Z.from_json(a, "annihilators") for a in obj.get("annihilators", [0] * len(tensors)))
     if len(anns) != len(tensors):
         raise ValueError("annihilators must match the tensor count")
-    return TensorBasis(ring, gens, n, tuple(tensors), tuple(added), anns)
+    return TensorBasis(n, tuple(tensors), tuple(added), anns, ring, gens)

@@ -197,22 +197,16 @@ def _cmd_h0(args, *, cyclic: bool) -> int:
     X = _load_file(args.space, model_from_obj, name=os.path.basename(args.space))
     try:
         A = cochain_algebra(X, ring)
+        if args.output:  # the edge labels name the basis file's generators
+            gens = GenSet(tuple(A.label(1, i) for i in range(A.dim(1))))
         basis = (h0_cyc if cyclic else h0_bar)(A, n)
     except ValueError as exc:
         raise _InputError(f"{args.space}: {exc}") from None
     print(f"ranks_per_weight {_fmt(basis.ranks_per_weight)}")
     print(f"rank {basis.total_rank}")
     if args.output:
-        gens = GenSet(tuple(A.basis[1]))
         tensors = tuple(bar_element_to_tensor(x, gens) for x in basis)
-        out = TensorBasis(
-            ring=ring,
-            gens=gens,
-            n=n,
-            elements=tensors,
-            added_at_weight=basis.added_at_weight,
-            annihilators=basis.annihilators,
-        )
+        out = TensorBasis(n, tensors, basis.added_at_weight, basis.annihilators, ring, gens)
         _write_json(args.output, basis_to_obj(out))
     return 0
 

@@ -866,9 +866,9 @@ def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
     rows depend only on the kernel, hence only on the row span of M.
 
     This is a dense wrapper: the work is done on sparse rows by
-    _filtered_kernel, which the H^0 and tensor-basis pipelines call
-    directly, so they build no IntMatrix, and the rows pivoting in the M
-    block are never back-reduced (_kernel_rows).
+    _filtered_kernel, which the H^0 and tensor-basis pipelines reach
+    through tensors._orbit_kernel, so they build no IntMatrix, and the
+    rows pivoting in the M block are never back-reduced (_kernel_rows).
     """
     z = M.ring.zero()
     found = _filtered_kernel(M.ring, _sparse_rows(M), col_weights, up_to)

@@ -23,8 +23,11 @@ trie nodes per generator, so long words are cheap.
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
 chance of being conjugation-invariant functions.  rotation_orbits
-enumerates the necklaces, and the H^0 and class-function pipelines solve
-their linear systems on the orbit sums (_orbit_kernel).
+enumerates the necklaces.  The H^0 and tensor-basis pipelines hand their
+rows over words to one kernel, _orbit_kernel, which alone picks the
+coordinates (single words, or necklace sums for the cycle-invariant
+case) and projects the rows onto them.  Both pipelines return a
+FilteredBasis, the one weight-filtered basis type.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rings import Combination, Ring, ShapeError, _filtered_kernel, _vector_annihilator
+from .rings import Combination, Ring, ShapeError, _filtered_kernel, _vector_annihilator, canon_terms
 from .words import (
     GenSet,
     GeneratorMismatchError,
@@ -173,10 +176,6 @@ def cycle(T: BraidingTensor) -> BraidingTensor:
 MAX_MONOMIALS = 1_000_000
 
 
-def _min_rotation(seq):
-    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
-
-
 def weight_graded_monomials(k: int, n: int):
     """Generator-index tuples of length <= n, shorter first, lex within.
 
@@ -203,28 +202,86 @@ def rotation_orbits(seqs):
 
     Each orbit lists its members in that order, so its first member is
     its least rotation, and the orbits come in the order of their first
-    members.
+    members.  A sequence not yet in an orbit is therefore the least
+    rotation of its own, and its orbit is the set of its rotations.
     """
-    orbits = {}
+    orbits, seen = [], set()
     for seq in seqs:
-        orbits.setdefault(_min_rotation(seq), []).append(seq)
-    return list(orbits.values())
+        if seq not in seen:
+            orbit = sorted({seq[i:] + seq[:i] for i in range(len(seq))} or [seq])
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
-def _orbit_kernel(ring: Ring, rows, orbits, up_to: int):
-    """Weight-filtered kernel of a matrix on orbit sums, expanded onto the
-    orbits' members.
+@dataclass(frozen=True)
+class FilteredBasis:
+    """Weight-filtered basis (generating sequence over Z/m) at weight bound n.
 
-    ``rows`` are sparse rows (orbit index -> entry); an orbit's weight is
-    the length of its members.  Returns (terms, added_at_weight,
-    annihilators) as rings.filtered_kernel does, each member a dict of
-    index sequence -> coefficient in (length, lex) order.  Each orbit
-    stands in the column order at its least rotation, where its members'
-    leading column would be, so the echelon basis (Hermite, reduced
-    echelon or Howell) expands to the echelon basis of the orbit-constant
-    kernel vectors in member coordinates.
+    Elements are ordered by the weight at which they enter; the basis
+    for a smaller weight bound is always a prefix.  annihilators[i] is
+    the additive order of elements[i] over Z/m (0 = free), and is always
+    0 over Z and Q.
     """
-    found = _filtered_kernel(ring, rows, [len(orbit[0]) for orbit in orbits], up_to)
+
+    n: int
+    elements: tuple
+    added_at_weight: tuple
+    annihilators: tuple
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __getitem__(self, i):
+        return self.elements[i]
+
+    @property
+    def ranks_per_weight(self):
+        counts = [0] * (self.n + 1)
+        for p in self.added_at_weight:
+            counts[p] += 1
+        return counts
+
+    @property
+    def total_rank(self) -> int:
+        return len(self.elements)
+
+
+def _orbit_kernel(ring: Ring, rows, words, up_to: int, cyclic: bool):
+    """Weight-filtered kernel of a matrix on word coordinates, or with
+    cyclic on necklace sums, expanded onto the words.
+
+    ``rows`` are sparse rows over ``words``, each an iterable of (index
+    sequence, int entry) pairs, and ``words`` is closed under rotation
+    when cyclic and in (length, lex) order.  The coordinates are the
+    orbits of ``words``: single words, or with cyclic the necklaces
+    (rotation_orbits), whose sums span the cycle-invariant vectors.  Each
+    row is projected onto them, its entries summed per orbit and put in
+    the ring once; rows that vanish are dropped.  An orbit's weight is
+    the length of its members.
+
+    Returns (terms, added_at_weight, annihilators) as rings.filtered_kernel
+    does, each member a dict of index sequence -> coefficient in (length,
+    lex) order.  Each orbit stands in the column order at its least
+    rotation, where its members' leading column would be, so the echelon
+    basis (Hermite, reduced echelon or Howell) expands to the echelon
+    basis of the orbit-constant kernel vectors in word coordinates.
+    """
+    orbits = rotation_orbits(words) if cyclic else [[s] for s in words]
+    orbit_of = {s: j for j, orbit in enumerate(orbits) for s in orbit}
+    projected = []
+    for row in rows:
+        acc = {}
+        for s, c in row:
+            j = orbit_of[s]
+            acc[j] = acc.get(j, 0) + c
+        acc = canon_terms(ring, acc)
+        if acc:
+            projected.append(acc)
+    found = _filtered_kernel(ring, projected, [len(orbit[0]) for orbit in orbits], up_to)
     terms = []
     for _, v in found:
         members = ((s, c) for j, c in v.items() for s in orbits[j])

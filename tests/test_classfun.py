@@ -498,7 +498,7 @@ def test_class_function_basis_certification_catches_missing_cycle_rows(monkeypat
     def singletons(seqs):
         return [[s] for s in seqs]
 
-    monkeypatch.setattr(classfun, "rotation_orbits", singletons)
+    monkeypatch.setattr(tensors, "rotation_orbits", singletons)
     with pytest.raises(AssertionError, match="class-function certification failed: conjugation"):
         class_function_basis(P, Z4, 2)
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import letterbraid
 from letterbraid.classfun import basis_from_obj
 from letterbraid.cli import main
 from letterbraid.dga import SimplicialSetModel, circle_model, model_to_obj, wedge_model
@@ -187,6 +190,35 @@ def test_h0_output_file_round_trips(work, capsys):
     basis = basis_from_obj(json.loads(out_file.read_text()))
     assert basis.ranks_per_weight == [1, 2, 3]
     assert basis.gens.names == ("e1", "e2")
+
+
+@pytest.mark.parametrize("verb", ["cyc-h0", "bar-h0"])
+def test_h0_output_refuses_an_edge_label_that_is_no_generator_name(work, capsys, verb):
+    obj = model_to_obj(circle_model())
+    obj["simplices"]["1"] = ["e-1"]
+    obj["faces"] = {"e-1": obj["faces"]["e"]}
+    space = work / "dashed.json"
+    space.write_text(json.dumps(obj))
+    out_file = work / "dashed_basis.json"
+    rc, out, err = run(capsys, verb, "--ring", "Z", "--space", space, "-n", 2, "-o", out_file)
+    assert rc == 1
+    assert out == ""
+    assert "dashed.json" in err and "e-1" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("verb", ["cyc-h0", "bar-h0"])
+def test_h0_output_of_a_space_with_no_edges(work, capsys, verb):
+    space = work / "point.json"
+    space.write_text(json.dumps({"dims": 0, "simplices": {"0": ["v"]}}))
+    out_file = work / "point_basis.json"
+    rc, out, _ = run(capsys, verb, "--ring", "Z", "--space", space, "-n", 2, "-o", out_file)
+    assert rc == 0
+    assert out == "ranks_per_weight [1,0,0]\nrank 1\n"
+    basis = basis_from_obj(json.loads(out_file.read_text()))
+    assert basis.gens.names == ()
+    assert basis.ranks_per_weight == [1, 0, 0]
+    assert [T.terms for T in basis] == [{(): 1}]
 
 
 def test_verify_space_ok(work, capsys):
@@ -461,11 +493,15 @@ def test_usage_errors_exit_one(work, capsys):
 
 
 def test_module_entry_point(work):
+    # the child imports the package from where this process found it
+    src = str(Path(letterbraid.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "letterbraid.cli", "eval", "--ring", "Z",
          "--tensor", str(work / "lk.json"), "--word", "a b a^-1 b^-1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

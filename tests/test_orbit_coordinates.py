@@ -9,14 +9,22 @@ elements with their terms in the same order, entry weights and
 annihilators.
 """
 
+import random
+
 import pytest
 
 from letterbraid import classfun
 from letterbraid.barcyc import BarElement, bar_differential, h0_cyc
 from letterbraid.classfun import descend_conditions, parse_presentation
 from letterbraid.dga import cochain_algebra, torus_model, wedge_model
-from letterbraid.rings import IntMatrix, Ring, filtered_kernel
-from letterbraid.tensors import weight_graded_monomials
+from letterbraid.rings import (
+    IntMatrix,
+    Ring,
+    _filtered_kernel,
+    _vector_annihilator,
+    filtered_kernel,
+)
+from letterbraid.tensors import _orbit_kernel, weight_graded_monomials
 
 RINGS = ["Z", "Q", "Z/4", "Z/6"]
 
@@ -88,3 +96,59 @@ def test_class_function_basis_matches_the_stacked_two_sided_system(spec):
             assert [list(T.terms.items()) for T in B] == terms, (name, n)
             assert B.added_at_weight == added
             assert B.annihilators == anns
+
+
+def _random_word_rows(rng, words, modulus):
+    """Random rows of (word, int entry) pairs, a word possibly twice, with
+    rows that vanish once projected: a word against its rotation or
+    itself with the opposite entry, and multiples of the modulus."""
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            s = rng.choice(words)
+            c = rng.choice([-3, -1, 1, 2])
+            rows.append([(s, c), (s[1:] + s[:1], -c)])
+        elif kind == 1 and modulus:
+            picked = rng.sample(words, min(3, len(words)))
+            rows.append([(s, modulus * rng.randint(-2, 2)) for s in picked])
+        else:
+            rows.append([(rng.choice(words), rng.randint(-5, 5)) for _ in range(rng.randint(0, 5))])
+    return rows
+
+
+def _kernel_projected_by_hand(ring, rows, words, n, cyclic):
+    """_filtered_kernel on the rows summed onto each word's least rotation
+    (or the word itself), every row kept, the kernel vectors spread back
+    onto the words."""
+
+    def key(s):
+        return min((s[i:] + s[:i] for i in range(len(s))), default=s) if cyclic else s
+
+    columns = sorted({key(s) for s in words}, key=lambda s: (len(s), s))
+    col = {s: j for j, s in enumerate(columns)}
+    projected = []
+    for row in rows:
+        acc = {}
+        for s, c in row:
+            acc[col[key(s)]] = acc.get(col[key(s)], 0) + c
+        projected.append({j: ring.canon(c) for j, c in acc.items() if ring.canon(c)})
+    found = _filtered_kernel(ring, projected, [len(s) for s in columns], n)
+    terms = [{s: v[col[key(s)]] for s in words if col[key(s)] in v} for _, v in found]
+    anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
+    return terms, tuple(w for w, _ in found), anns
+
+
+@pytest.mark.parametrize("spec", RINGS)
+def test_orbit_kernel_is_the_filtered_kernel_of_the_projected_rows(spec):
+    ring = Ring.from_spec(spec)
+    rng = random.Random(f"orbit-kernel-{spec}")
+    for trial in range(60):
+        k, n = rng.randint(1, 3), rng.randint(0, 3)
+        words = weight_graded_monomials(k, n)
+        rows = _random_word_rows(rng, words, ring.modulus or 0)
+        for cyclic in (False, True):
+            got = _orbit_kernel(ring, rows, words, n, cyclic)
+            want = _kernel_projected_by_hand(ring, rows, words, n, cyclic)
+            assert [list(t.items()) for t in got[0]] == [list(t.items()) for t in want[0]]
+            assert got[1:] == want[1:], (spec, trial, cyclic)
