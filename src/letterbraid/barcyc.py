@@ -12,19 +12,11 @@ connected algebra that part is spanned by words in the degree-1 basis,
 and the bar differential maps it into degree 1.  sigma permutes those
 words (with no sign), so the cycle-invariant ones are free on the orbit
 sums (necklaces), and the cyclic H^0 is the kernel of d_Bar on them:
-HH_0, with the bar H^0 the same kernel on single words.  The rows of
-d_Bar come by concatenation from two small tables, read once: the
-letters g whose differential has a t-coordinate, and the pairs g h
-whose product has one.  The row of a degree-1 word [u|t|v] puts those
-coordinates, negated, at the words u·g·v and u·g·h·v, and goes to
-tensors._orbit_kernel, which alone chooses the coordinates (words or
-necklaces) and projects the rows onto them.  Kernels are weight-filtered:
-one echelon form, with coordinates ordered highest weight first, gives a
-basis whose members of weight <= p span the kernel at weight <= p, so
-the basis at weight bound n extends the basis at n-1.  Over Z/m the
-echelon form is the Howell form and the kernel comes as a generating
-sequence; ranks_per_weight counts its members, which can exceed the
-minimal number of generators.
+HH_0, with the bar H^0 the same kernel on single words.  Both are
+tensors._orbit_kernel of the d_Bar series (_d_bar_series).  Kernels are
+weight-filtered: the basis at weight bound n extends the basis at n-1.
+Over Z/m the kernel comes as a generating sequence; ranks_per_weight
+counts its members, which can exceed the minimal number of generators.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from .tensors import (
     FilteredBasis,
     _orbit_kernel,
     rotation_orbits,
-    weight_graded_monomials,
 )
 from .words import GenSet
 
@@ -297,69 +288,40 @@ class H0Basis(FilteredBasis):
     entered."""
 
 
-def _degree_zero_words(A: FiniteDGA, n: int):
-    """Index sequences of the degree-0 words of weight <= n, (length, lex)
-    ordered: the words in the degree-1 basis of a connected algebra."""
+def _d_bar_series(A: FiniteDGA) -> list:
+    """d_Bar on the degree-0 words, per 2-cell t: the row of the degree-1
+    word [u|t|v] is u·x_t·v (tensors._ideal_rows), and x_t lists the
+    terms (index sequence, int entry) read off two small tables.
+
+    Every slot of a degree-0 word has shifted degree 0, so both sign
+    families of bar_differential (internal differentials and neighbour
+    products) are -1: x_t has -e at g for each letter g whose
+    differential has entry e at t, and -e at g·h for each pair of letters
+    whose product has entry e at t.
+    """
+    k = A.dim(1)
+    series = [[] for _ in range(A.dim(2))]
+    for g in range(k):
+        for t, e in A.diff_column(1, g):
+            series[t].append(((g,), -e))
+    for g, h in iproduct(range(k), repeat=2):
+        for t, e in A.product(1, g, 1, h):
+            series[t].append(((g, h), -e))
+    return series
+
+
+def _h0(A: FiniteDGA, n: int, *, cyclic: bool) -> H0Basis:
+    """Kernel of d_Bar on the degree-0 words of weight <= n, the words in
+    the degree-1 basis of a connected algebra, or with cyclic on their
+    necklace sums (tensors._orbit_kernel); no BarElement is built before
+    the output."""
     if not A.is_connected:
         raise NotConnectedAlgebraError(
             f"{A.name}: degree 0 has dimension {A.dim(0)}, need a single vertex"
         )
     if n < 0:
         raise ValueError("weight bound must be >= 0")
-    return weight_graded_monomials(A.dim(1), n)
-
-
-def _d_bar_rows(A: FiniteDGA, n: int) -> list:
-    """The rows of d_Bar on the degree-0 words of weight <= n.
-
-    One sparse row, a list of (index sequence, int entry) pairs, per
-    degree-1 word [u|t|v], t a degree-2 direction and |u| + |v| = p <=
-    n - 1, that some degree-0 word reaches; entries are not yet in the
-    ring, and _orbit_kernel drops the rows that vanish there.  Every
-    slot of a degree-0 word has shifted degree 0, so both sign families
-    of bar_differential (internal differentials and neighbour products)
-    are -1: the row has -e at u·g·v for each letter g whose differential
-    has entry e at t, and, when p + 2 <= n, -e at u·g·h·v for each pair
-    of letters whose product has entry e at t.  Those two lists are read
-    once per call.
-    """
-    k = A.dim(1)
-    lin = [[] for _ in range(A.dim(2))]
-    quad = [[] for _ in range(A.dim(2))]
-    for g in range(k):
-        for t, e in A.diff_column(1, g):
-            lin[t].append(((g,), -e))
-        for h in range(k):
-            for t, e in A.product(1, g, 1, h):
-                quad[t].append(((g, h), -e))
-    short = [x for x in lin if x]
-    full = [x + y for x, y in zip(lin, quad) if x or y]
-    rows = []
-    for p in range(n):
-        tables = full if p + 2 <= n else short
-        for s in iproduct(range(k), repeat=p):
-            for cut in range(p + 1):
-                u, v = s[:cut], s[cut:]
-                for table in tables:
-                    rows.append([(u + m + v, c) for m, c in table])
-    # Longest words first.  The output does not depend on the row order
-    # (the kernel's echelon basis is unique), but the elimination's cost
-    # does: on h0_cyc of the torus over Z at n = 8, this order takes
-    # 11,140 row updates where shortest-first takes 15,023, and less
-    # than half the time.
-    rows.reverse()
-    return rows
-
-
-def _h0(A: FiniteDGA, n: int, *, cyclic: bool) -> H0Basis:
-    """Kernel of d_Bar on the degree-0 words, or with cyclic on their
-    necklace sums.
-
-    The rows of d_Bar are built by concatenation from per-letter tables
-    (_d_bar_rows), sparse over words, with no BarElement per word.
-    """
-    words = _degree_zero_words(A, n)
-    terms, added_at, anns = _orbit_kernel(A.ring, _d_bar_rows(A, n), words, n, cyclic)
+    terms, added_at, anns = _orbit_kernel(A.ring, A.dim(1), _d_bar_series(A), n, cyclic)
     elements = tuple(
         BarElement(A, {tuple((1, i) for i in s): c for s, c in t.items()}) for t in terms
     )

@@ -7,11 +7,8 @@ kills every m_pre (r_i - 1) m_suf with m_pre, m_suf monomials in the
 positive-generator differences (s - 1), of total degree <= n - 1.  That
 is a finite linear system on tensor coefficients; its kernel is the
 finite-type function space.  The class functions are the cycle-invariant
-part, HH_0 = A/[A, A]: tensors constant on rotation orbits, so the same
-kernel is taken on the orbit sums, where the one-sided rows (r_i - 1) m
-already imply the two-sided ones.  Both bases hand the same sparse rows
-over monomials to one kernel routine, tensors._orbit_kernel, which takes
-the kernel on single monomials or on necklace sums.
+part, HH_0 = A/[A, A]: the same kernel on necklace sums.  Both are
+tensors._orbit_kernel of the relator series (_relator_series).
 
 An independent oracle goes the other way round: enumerate group
 elements as reduced words identified by relator insertions, present
@@ -34,6 +31,7 @@ from .rings import (
     _combine,
     _echelon,
     _integral,
+    _json_list,
     _kernel_rows,
     _rank,
     _vector_annihilator,
@@ -43,6 +41,7 @@ from .rings import (
 from .tensors import (
     BraidingTensor,
     FilteredBasis,
+    _ideal_rows,
     _orbit_kernel,
     pair_with_expansion,
     tensor_from_obj,
@@ -155,9 +154,10 @@ class DescendSystem:
     """Linear conditions for weight <= n tensors to descend to the group.
 
     Rows are labelled (prefix monomial, relator index, suffix monomial)
-    and ordered by relator, then total prefix+suffix degree, then prefix
-    degree, then lexicographically; columns follow the weight-graded
-    monomial order of the tensor coordinates.  A tensor T descends iff
+    and ordered as tensors._ideal_rows yields them: by total prefix+suffix
+    degree, then prefix degree, then prefix and suffix lexicographically,
+    then relator; columns follow the weight-graded monomial order of the
+    tensor coordinates.  A tensor T descends iff
     matrix . coefficients(T) = 0.
     """
 
@@ -178,42 +178,31 @@ class DescendSystem:
         return all(x == z for x in self.matrix.apply(self.tensor_coordinates(T)))
 
 
-def _relator_products(P: Presentation, n: int, *, one_sided: bool = False):
-    """The rows pre (r_i - 1) suf of the descend system, truncated at
-    weight n, as ((pre, i, suf), terms) in DescendSystem's row order;
-    with one_sided, only the rows with pre empty.
-
-    The Magnus series is multiplicative, so a row is E(r_i) - 1 with pre
-    put in front and suf behind: each relator is expanded once by the
-    integer Magnus sweep, and terms maps pre + m + suf to the int
-    coefficient of m in E(r_i) - 1, for |m| <= n - |pre| - |suf|.  The
-    caller puts the entries in the ring.
-    """
-    k = len(P.gens)
-    plan = MagnusPlan(weight_graded_monomials(k, n))
-    for ri, r in enumerate(P.relators):
+def _relator_series(P: Presentation, n: int) -> list:
+    """E(r) - 1 per relator, truncated at weight n, as (monomial, int)
+    terms: the Magnus series is multiplicative, so the descend row
+    pre (r - 1) suf is pre·(E(r) - 1)·suf (tensors._ideal_rows).  Each
+    relator is expanded once, by one integer Magnus sweep."""
+    plan = MagnusPlan(weight_graded_monomials(len(P.gens), n))
+    series = []
+    for r in P.relators:
         values = plan.expand(r.letters)
-        expansion = [(m, values[i]) for m, i in plan.index.items() if m and values[i]]
-        for total in range(n):
-            for dpre in range(1 if one_sided else total + 1):
-                for pre in itertools.product(range(k), repeat=dpre):
-                    for suf in itertools.product(range(k), repeat=total - dpre):
-                        yield (pre, ri, suf), {
-                            pre + m + suf: c for m, c in expansion if len(m) <= n - total
-                        }
+        series.append([(m, values[i]) for m, i in plan.index.items() if m and values[i]])
+    return series
 
 
 def descend_conditions(P: Presentation, ring: Ring, n: int) -> DescendSystem:
     """The full descend system at weight bound n (n = 0 gives no rows),
-    its rows read from the integer Magnus sweep of _relator_products."""
+    its rows the two-sided _ideal_rows of _relator_series."""
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
-    columns = tuple(weight_graded_monomials(len(P.gens), n))
+    k = len(P.gens)
+    columns = tuple(weight_graded_monomials(k, n))
     zero = ring.zero()
     labels = []
     flat = []
-    for label, terms in _relator_products(P, n):
-        terms = canon_terms(ring, terms)
+    for label, row in _ideal_rows(k, n, _relator_series(P, n), False):
+        terms = canon_terms(ring, dict(row))
         labels.append(label)
         flat.extend(terms.get(m, zero) for m in columns)
     matrix = IntMatrix(ring, len(labels), len(columns), tuple(flat))
@@ -234,14 +223,12 @@ class TensorBasis(FilteredBasis):
 
 
 def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> TensorBasis:
-    """The weight-filtered kernel of the descend rows on the weight <= n
-    monomials, or with cyclic on their necklace sums and with one-sided
-    rows, as tensors."""
+    """The weight-filtered kernel of the descend rows (_relator_series) on
+    the weight <= n monomials, or with cyclic on their necklace sums
+    (tensors._orbit_kernel), as tensors."""
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
-    rows = (terms.items() for _, terms in _relator_products(P, n, one_sided=cyclic))
-    monomials = weight_graded_monomials(len(P.gens), n)
-    terms, added_at, anns = _orbit_kernel(ring, rows, monomials, n, cyclic)
+    terms, added_at, anns = _orbit_kernel(ring, len(P.gens), _relator_series(P, n), n, cyclic)
     elements = tuple(BraidingTensor(ring, P.gens, t) for t in terms)
     return TensorBasis(n, elements, added_at, anns, ring, P.gens)
 
@@ -252,13 +239,8 @@ def finite_type_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
 
 
 def class_function_basis(P: Presentation, ring: Ring, n: int) -> TensorBasis:
-    """Basis of the descending *and* cycle-invariant weight <= n tensors.
-
-    The cycle-invariant tensors are free on the necklace sums
-    (rotation_orbits), so this is a kernel on those.  On them the
-    one-sided rows (r_i - 1) w, deg w < n, suffice: T(pre X suf) =
-    T(X suf pre) term by term for a cycle-invariant T, since rotation
-    keeps a monomial's length and hence the truncation.
+    """Basis of the descending *and* cycle-invariant weight <= n tensors:
+    the kernel of the descend rows on necklace sums (tensors._orbit_kernel).
 
     Every element is then certified on the group side, in one sweep, by
     the complete finite check of _complete_verdicts, which shares no rows
@@ -321,7 +303,7 @@ def _complete_checks(P: Presentation, n: int, *, cyclic: bool = True):
     1 <= p <= n against g w g^-1 = w_2 ... w_p w_1, g = w_1^-1, then the
     front insertions, r w for each relator r and positive w with |w| < n.
     Without, the two-sided insertions u r v against u v for positive u, v
-    with |u| + |v| < n, in the descend rows' order.
+    with |u| + |v| < n, by relator, then |u| + |v|, then |u|, then lex.
     """
     positive = _positive_words(len(P.gens), n)
     of_length = [[w for w in positive if len(w) == p] for p in range(n + 1)]
@@ -760,9 +742,10 @@ def basis_from_obj(obj: dict) -> TensorBasis:
     try:
         n = Z.from_json(obj["n"], "n")
         ring = Ring.from_spec(obj["ring"])
-        gens = GenSet(tuple(obj["gens"]))
-        ranks = [Z.from_json(x, "ranks_per_weight") for x in obj["ranks_per_weight"]]
-        tensors = [tensor_from_obj(t) for t in obj["tensors"]]
+        gens = GenSet(tuple(_json_list(obj["gens"], "gens")))
+        raw_ranks = _json_list(obj["ranks_per_weight"], "ranks_per_weight")
+        ranks = [Z.from_json(x, "ranks_per_weight") for x in raw_ranks]
+        tensors = [tensor_from_obj(t) for t in _json_list(obj["tensors"], "tensors")]
     except KeyError as exc:
         raise ValueError(f"basis object missing key {exc}") from None
     if n < 0:
@@ -781,7 +764,14 @@ def basis_from_obj(obj: dict) -> TensorBasis:
             raise ValueError("tensor ring/generators disagree with basis metadata")
         if T.max_weight() > p:
             raise ValueError("tensor exceeds its recorded entry weight")
-    anns = tuple(Z.from_json(a, "annihilators") for a in obj.get("annihilators", [0] * len(tensors)))
+    raw_anns = _json_list(obj.get("annihilators", [0] * len(tensors)), "annihilators")
+    anns = tuple(Z.from_json(a, "annihilators") for a in raw_anns)
     if len(anns) != len(tensors):
         raise ValueError("annihilators must match the tensor count")
+    for i, (T, a) in enumerate(zip(tensors, anns)):
+        order = _vector_annihilator(ring, T.terms.values())
+        if a != order:
+            raise ValueError(
+                f"annihilators[{i}] is {a}, but tensor {i} has additive order {order}"
+            )
     return TensorBasis(n, tuple(tensors), tuple(added), anns, ring, gens)

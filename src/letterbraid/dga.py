@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .rings import IntMatrix, Ring, canon_terms
+from .rings import IntMatrix, Ring, _json_list, canon_terms
 
 
 class BadSimplicialSetError(ValueError):
@@ -162,14 +162,15 @@ def model_to_obj(X: SimplicialSetModel) -> dict:
 
 
 def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
-    if not isinstance(obj, dict) or "simplices" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), dict):
         raise BadSimplicialSetError("simplicial set file needs a 'simplices' object")
     raw = obj["simplices"]
     top = max((int(k) for k in raw), default=-1)
     declared = obj.get("dims")
     if declared is not None and declared != top:
         raise BadSimplicialSetError(f"'dims' is {declared} but top simplices have dimension {top}")
-    cells = tuple(tuple(raw.get(str(d), ())) for d in range(top + 1))
+    lists = (_json_list(raw.get(str(d), []), f"simplices['{d}']") for d in range(top + 1))
+    cells = tuple(map(tuple, lists))
     where = {}
     for d, names in enumerate(cells):
         for i, n in enumerate(names):
@@ -187,7 +188,7 @@ def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
                     raise BadSimplicialSetError(
                         f"face of {n!r} references unknown simplex {target!r}"
                     )
-                degens = tuple(item.get("degeneracies", ()))
+                degens = tuple(_json_list(item.get("degeneracies", []), "degeneracies"))
                 entries.append(canonical_ref(degens, where[target]))
             faces[(d, i)] = tuple(entries)
     return SimplicialSetModel(cells, faces, name=name)

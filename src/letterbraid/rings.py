@@ -176,6 +176,14 @@ class Ring:
             raise _text_cap_error() from None
 
 
+def _json_list(value, field: str) -> list:
+    """value, if it is a JSON array.  Anything else is refused, since a
+    string would otherwise be read as a list of its characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON list, got {value!r}")
+    return value
+
+
 def _text_cap_error() -> ValueError:
     """The error for a number past Python's cap on integer text, which
     int() and str() refuse with a message about sys.set_int_max_str_digits."""

@@ -23,10 +23,8 @@ trie nodes per generator, so long words are cheap.
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
 chance of being conjugation-invariant functions.  rotation_orbits
-enumerates the necklaces.  The H^0 and tensor-basis pipelines hand their
-rows over words to one kernel, _orbit_kernel, which alone picks the
-coordinates (single words, or necklace sums for the cycle-invariant
-case) and projects the rows onto them.  Both pipelines return a
+enumerates the necklaces.  H^0 and the tensor bases are kernels of
+ideal rows, all built and projected by _orbit_kernel, and both return a
 FilteredBasis, the one weight-filtered basis type.
 """
 
@@ -35,7 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rings import Combination, Ring, ShapeError, _filtered_kernel, _vector_annihilator, canon_terms
+from .rings import (
+    Combination,
+    Ring,
+    ShapeError,
+    _filtered_kernel,
+    _json_list,
+    _vector_annihilator,
+    canon_terms,
+)
 from .words import (
     GenSet,
     GeneratorMismatchError,
@@ -250,18 +256,47 @@ class FilteredBasis:
         return len(self.elements)
 
 
-def _orbit_kernel(ring: Ring, rows, words, up_to: int, cyclic: bool):
-    """Weight-filtered kernel of a matrix on word coordinates, or with
-    cyclic on necklace sums, expanded onto the words.
+def _ideal_rows(k: int, n: int, series, one_sided: bool):
+    """The rows pre·x_i·suf, |pre| + |suf| < n, of the two-sided ideal
+    that the series generate in the free algebra on k letters truncated
+    at weight n; with one_sided, only those with pre empty.
 
-    ``rows`` are sparse rows over ``words``, each an iterable of (index
-    sequence, int entry) pairs, and ``words`` is closed under rotation
-    when cyclic and in (length, lex) order.  The coordinates are the
-    orbits of ``words``: single words, or with cyclic the necklaces
-    (rotation_orbits), whose sums span the cycle-invariant vectors.  Each
-    row is projected onto them, its entries summed per orbit and put in
-    the ring once; rows that vanish are dropped.  An orbit's weight is
-    the length of its members.
+    series[i] lists the terms (word, int) of x_i, each word nonempty.
+    Yields ((pre, i, suf), row) with row = [(pre + m + suf, c) for (m, c)
+    in series[i] if |m| <= n - |pre| - |suf|], ordered by |pre| + |suf|,
+    then |pre|, then pre and suf lexicographically, then i.
+    """
+    for total in range(n):
+        for dpre in range(1 if one_sided else total + 1):
+            for pre in product(range(k), repeat=dpre):
+                for suf in product(range(k), repeat=total - dpre):
+                    for i, terms in enumerate(series):
+                        row = [(pre + m + suf, c) for m, c in terms if len(m) <= n - total]
+                        yield (pre, i, suf), row
+
+
+def _orbit_kernel(ring: Ring, k: int, series, n: int, cyclic: bool):
+    """Weight-filtered kernel of the rows of _ideal_rows on the words of
+    length <= n in k letters, or with cyclic on their necklace sums
+    (rotation_orbits), which span the cycle-invariant vectors.
+
+    H^0 passes d_Bar, whose row at [u|t|v] is u·x_t·v, and the bases the
+    descend rows pre·(E(r) - 1)·suf.  Each row is projected onto the
+    coordinates (single words, or necklaces), its entries summed per
+    orbit and put in the ring once; rows that vanish are dropped.  An
+    orbit's weight is the length of its members.
+
+    With cyclic the rows are one-sided: pre·m·suf and m·suf·pre lie in
+    one necklace and are truncated alike, so the row pre·x·suf projects
+    to the row x·(suf·pre).  On necklace sums the ideal is spanned by its
+    one-sided rows, as HH_0 = A/[A, A] (Loday, Cyclic Homology, 1992, §1.1).
+
+    The rows go to _filtered_kernel longest words first, the reverse of
+    _ideal_rows' order.  The echelon basis does not depend on the row
+    order, but the elimination's cost does: in one process each on a
+    2-vCPU machine, finite_type_basis of the torus over Z at n = 9 took
+    0.05 s in this order and 5.5 s in the forward one, h0_bar of the
+    torus over Q at n = 7 1.0 s and 2.7 s.
 
     Returns (terms, added_at_weight, annihilators) as rings.filtered_kernel
     does, each member a dict of index sequence -> coefficient in (length,
@@ -270,10 +305,11 @@ def _orbit_kernel(ring: Ring, rows, words, up_to: int, cyclic: bool):
     basis (Hermite, reduced echelon or Howell) expands to the echelon
     basis of the orbit-constant kernel vectors in word coordinates.
     """
+    words = weight_graded_monomials(k, n)
     orbits = rotation_orbits(words) if cyclic else [[s] for s in words]
     orbit_of = {s: j for j, orbit in enumerate(orbits) for s in orbit}
     projected = []
-    for row in rows:
+    for _, row in _ideal_rows(k, n, series, cyclic):
         acc = {}
         for s, c in row:
             j = orbit_of[s]
@@ -281,7 +317,8 @@ def _orbit_kernel(ring: Ring, rows, words, up_to: int, cyclic: bool):
         acc = canon_terms(ring, acc)
         if acc:
             projected.append(acc)
-    found = _filtered_kernel(ring, projected, [len(orbit[0]) for orbit in orbits], up_to)
+    projected.reverse()
+    found = _filtered_kernel(ring, projected, [len(orbit[0]) for orbit in orbits], n)
     terms = []
     for _, v in found:
         members = ((s, c) for j, c in v.items() for s in orbits[j])
@@ -324,15 +361,13 @@ def tensor_from_obj(obj: dict) -> BraidingTensor:
         raise ValueError("tensor file must contain a JSON object")
     try:
         ring = Ring.from_spec(obj["ring"])
-        gens = GenSet(tuple(obj["gens"]))
-        raw_terms = obj["terms"]
+        gens = GenSet(tuple(_json_list(obj["gens"], "gens")))
+        raw_terms = _json_list(obj["terms"], "terms")
     except KeyError as exc:
         raise ValueError(f"tensor object missing key {exc}") from None
     terms: dict = {}
-    if not isinstance(raw_terms, list):
-        raise ValueError("tensor terms must be a list")
     for item in raw_terms:
-        seq = tuple(gens.index(name) for name in item["seq"])
+        seq = tuple(gens.index(name) for name in _json_list(item["seq"], "seq"))
         coeff = ring.from_json(item["coeff"], "coeff")
         terms[seq] = terms.get(seq, 0) + coeff
     return BraidingTensor(ring, gens, terms)

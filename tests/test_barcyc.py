@@ -1,4 +1,3 @@
-import collections
 import itertools
 import random
 import warnings
@@ -23,8 +22,7 @@ from letterbraid.barcyc import (
     iota,
     sigma,
     tau,
-    _d_bar_rows,
-    _degree_zero_words,
+    _d_bar_series,
 )
 from letterbraid.classfun import (
     Presentation,
@@ -52,7 +50,7 @@ from letterbraid.rings import (
     smith_normal_form,
     solve,
 )
-from letterbraid.tensors import cycle, eval_word
+from letterbraid.tensors import _ideal_rows, cycle, eval_word, weight_graded_monomials
 from letterbraid.words import GenSet, Word, parse_word, words_up_to
 
 Z = Ring.integers()
@@ -439,24 +437,30 @@ def _rows_through_bar_differential(A, words):
         x = BarElement.word(A, tuple((1, i) for i in s))
         for key, c in bar_differential(x).terms.items():
             rows.setdefault(key, {})[s] = c
-    return list(rows.values())
-
-
-def _row_multiset(rows):
-    return collections.Counter(tuple(sorted(r.items())) for r in rows)
+    return rows
 
 
 @pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
 def test_d_bar_rows_match_the_bar_differential(spec):
+    """The two-sided ideal rows of the d_Bar series are d_Bar on the
+    degree-0 words, row for row: the row labelled (u, t, v) is the one at
+    the degree-1 word [u|t|v], and the labels with no row are the
+    degree-1 words that no degree-0 word reaches."""
     ring = Ring.from_spec(spec)
     for X in _row_spaces():
         A = cochain_algebra(X, ring)
+        series = _d_bar_series(A)
+        assert len(series) == A.dim(2)
         for n in range(5):
-            got = [dict(r) for r in _d_bar_rows(A, n)]
-            assert all(got), (X.name, n)  # no row without a word
-            got = [r for r in (canon_terms(ring, r) for r in got) if r]
-            want = _rows_through_bar_differential(A, _degree_zero_words(A, n))
-            assert _row_multiset(got) == _row_multiset(want), (X.name, spec, n)
+            by_key = {}
+            for (u, t, v), row in _ideal_rows(A.dim(1), n, series, False):
+                key = tuple((1, i) for i in u) + ((2, t),) + tuple((1, i) for i in v)
+                assert key not in by_key
+                row = canon_terms(ring, {s: c for s, c in row})
+                if row:
+                    by_key[key] = row
+            want = _rows_through_bar_differential(A, weight_graded_monomials(A.dim(1), n))
+            assert by_key == want, (X.name, spec, n)
 
 
 def test_h0_builds_no_bar_element_before_its_kernel(monkeypatch):

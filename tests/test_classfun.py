@@ -148,8 +148,11 @@ def test_descend_row_count_matches_label_enumeration():
     per_relator = sum((t + 1) * k**t for t in range(n))
     assert sys.matrix.rows == 2 * per_relator
     assert len(sys.row_labels) == sys.matrix.rows
-    # labels are (prefix, relator index, suffix) and group by relator
-    assert [lab[1] for lab in sys.row_labels] == [0] * per_relator + [1] * per_relator
+    # labels are (prefix, relator index, suffix), the relator innermost
+    assert [lab[1] for lab in sys.row_labels] == [0, 1] * per_relator
+    pairs = [(pre, suf) for pre, _, suf in sys.row_labels[::2]]
+    assert pairs == sorted(pairs, key=lambda ps: (len(ps[0]) + len(ps[1]), len(ps[0]), ps))
+    assert len(set(pairs)) == per_relator
 
 
 def test_klein_relator_expansion_frozen():
@@ -184,10 +187,11 @@ def _three_generator_relator():
     ids=["torus", "klein-a-b-a^-1-b", "klein-a-b-a-b^-1", "a2-b3", "three-generators"],
 )
 def test_relator_products_match_the_monomial_product_route(text, ring):
-    """Each descend row, read from the integer Magnus sweep, equals the
-    public product route: monomial(pre) . fox(r - 1) . monomial(suf),
-    truncated at n; the rows come in the documented label order, and the
-    one-sided rows are those with no prefix."""
+    """Each descend row, the ideal row of the relator series read from
+    the integer Magnus sweep, equals the public product route:
+    monomial(pre) . fox(r - 1) . monomial(suf), truncated at n; the rows
+    come in the documented label order, and the one-sided rows are those
+    with no prefix."""
     P = parse_presentation(text) if text is not None else _three_generator_relator()
     k = len(P.gens)
     for n in range(5):
@@ -195,13 +199,16 @@ def test_relator_products_match_the_monomial_product_route(text, ring):
         labels = sorted(
             ((pre, ri, suf) for ri in range(len(P.relators))
              for pre in monomials for suf in monomials if len(pre) + len(suf) < n),
-            key=lambda lab: (lab[1], len(lab[0]) + len(lab[2]), len(lab[0]), lab[0], lab[2]),
+            key=lambda lab: (len(lab[0]) + len(lab[2]), len(lab[0]), lab[0], lab[2], lab[1]),
         )
+        series = classfun._relator_series(P, n)
         for one_sided in (False, True):
             want = [lab for lab in labels if not (one_sided and lab[0])]
-            rows = list(classfun._relator_products(P, n, one_sided=one_sided))
+            rows = list(tensors._ideal_rows(k, n, series, one_sided))
             assert [label for label, _ in rows] == want
-            for (pre, ri, suf), terms in rows:
+            for (pre, ri, suf), row in rows:
+                terms = dict(row)
+                assert len(terms) == len(row)
                 expansion = fox_expand(word_minus_one(ring, P.relators[ri]), n)
                 product = (
                     MonomialCombination.monomial(ring, P.gens, pre, n)
@@ -541,13 +548,13 @@ def test_class_function_basis_certification_catches_missing_relator_rows(monkeyp
     rows, so it finds a relator insertion that changes a value."""
     P = parse_presentation(KLEIN)
     class_function_basis(P, ring, 2)  # certified
-    relator_products = classfun._relator_products
+    ideal_rows = tensors._ideal_rows
 
-    def two_sided_only(P, n, *, one_sided=False):
+    def two_sided_only(k, n, series, one_sided):
         if not one_sided:
-            yield from relator_products(P, n)
+            yield from ideal_rows(k, n, series, one_sided)
 
-    monkeypatch.setattr(classfun, "_relator_products", two_sided_only)
+    monkeypatch.setattr(tensors, "_ideal_rows", two_sided_only)
     with pytest.raises(
         AssertionError, match="class-function certification failed: relator insertion"
     ):

@@ -485,6 +485,78 @@ def test_verify_refuses_non_integer_basis_fields(work, capsys, field, value):
     assert "bad.json" in err and field in err
 
 
+# A JSON string where a list belongs, each once read as the list of its
+# characters: (verb, path to the field in the input file, value, the name
+# the error gives it)
+STRING_FOR_LIST_FIELDS = [
+    ("eval", ("gens",), "ab", "gens"),
+    ("eval", ("terms", 0, "seq"), "ab", "seq"),
+    ("verify", ("gens",), "ab", "gens"),
+    ("verify", ("ranks_per_weight",), "12", "ranks_per_weight"),
+    ("verify", ("annihilators",), "000", "annihilators"),
+    ("verify", ("tensors",), "abc", "tensors"),
+    ("cyc-h0", ("simplices", "1"), "e", "simplices['1']"),
+    ("cyc-h0", ("faces", "e", 0, "degeneracies"), "", "degeneracies"),
+]
+
+
+@pytest.mark.parametrize("verb, path, value, name", STRING_FOR_LIST_FIELDS)
+def test_string_for_a_list_field_exits_one_naming_it(work, capsys, verb, path, value, name):
+    bad = work / "bad.json"
+    if verb == "eval":
+        obj = json.loads(json.dumps(LK))
+        argv = ["eval", "--tensor", bad, "--word", "a b a^-1 b^-1"]
+    elif verb == "verify":
+        good = work / "good.json"
+        assert run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
+                   "-n", 1, "-o", good)[0] == 0
+        obj = json.loads(good.read_text())
+        argv = ["verify", "--basis", bad, "--presentation", work / "torus.grp"]
+    else:
+        obj = model_to_obj(circle_model())
+        argv = ["cyc-h0", "--ring", "Z", "--space", bad, "-n", 2]
+    bad.write_text(json.dumps(obj))
+    assert run(capsys, *argv)[0] == 0
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert "bad.json" in err and f"{name} must be a JSON list" in err
+
+
+def test_verify_refuses_annihilators_that_are_not_the_additive_orders(work, capsys):
+    """Each annihilator must be its tensor's additive order, as basis files
+    are written; a file without the list says every order is 0."""
+
+    def verify(obj, grp):
+        (work / "bad.json").write_text(json.dumps(obj))
+        return run(capsys, "verify", "--basis", work / "bad.json", "--presentation", work / grp)
+
+    def emitted(ring, grp, n):
+        out = work / "good.json"
+        assert run(capsys, "basis", "--ring", ring, "--presentation", work / grp,
+                   "-n", n, "-o", out)[0] == 0
+        return json.loads(out.read_text())
+
+    torus = emitted("Z", "torus.grp", 1)
+    assert "annihilators" not in torus and verify(torus, "torus.grp")[:2] == (0, "ok\n")
+    klein = emitted("Z/4", "klein.grp", 2)
+    assert klein["annihilators"][:2] == [0, 2] and verify(klein, "klein.grp")[:2] == (0, "ok\n")
+    wrong = [
+        (dict(torus, annihilators=[3, 3, 3]), "torus.grp"),
+        (dict(klein, annihilators=[0, 0] + klein["annihilators"][2:]), "klein.grp"),
+        (dict(klein, annihilators=[2, 2] + klein["annihilators"][2:]), "klein.grp"),
+        ({key: x for key, x in klein.items() if key != "annihilators"}, "klein.grp"),
+    ]
+    for obj, grp in wrong:
+        rc, out, err = verify(obj, grp)
+        assert (rc, out) == (1, "")
+        assert "bad.json" in err and "has additive order" in err
+
+
 def test_usage_errors_exit_one(work, capsys):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys)[0] == 1

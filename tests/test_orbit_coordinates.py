@@ -1,10 +1,11 @@
 """Second route for the H^0 and class-function pipelines.
 
 The pipelines solve in rotation-orbit coordinates: cycle-invariant
-vectors are free on the necklace sums, and class functions need only the
-one-sided descend rows.  Here the kernel is computed the long way, on
-word coordinates, from the stacked dense system [M; sigma - 1] with the
-two-sided descend matrix, and the results must agree exactly: the same
+vectors are free on the necklace sums, and on them the one-sided rows
+(of d_Bar, or of the descend system) suffice.  Here the kernel is
+computed the long way, on word coordinates, from the stacked dense
+system [M; sigma - 1] with all of d_Bar or the two-sided descend
+matrix, and the results must agree exactly: the same
 elements with their terms in the same order, entry weights and
 annihilators.
 """
@@ -13,10 +14,21 @@ import random
 
 import pytest
 
-from letterbraid import classfun
-from letterbraid.barcyc import BarElement, bar_differential, h0_cyc
-from letterbraid.classfun import descend_conditions, parse_presentation
-from letterbraid.dga import cochain_algebra, torus_model, wedge_model
+from letterbraid import classfun, tensors
+from letterbraid.barcyc import BarElement, bar_differential, h0_bar, h0_cyc
+from letterbraid.classfun import (
+    class_function_basis,
+    descend_conditions,
+    finite_type_basis,
+    parse_presentation,
+)
+from letterbraid.dga import (
+    cochain_algebra,
+    random_two_complex,
+    torus_model,
+    wedge_model,
+    wedge_with_trivial_2cells,
+)
 from letterbraid.rings import (
     IntMatrix,
     Ring,
@@ -61,12 +73,23 @@ def stacked_kernel(ring, rows, seqs, n):
     return terms, added, anns
 
 
+def _h0_spaces():
+    spaces = [torus_model(), wedge_model(1), wedge_model(2), wedge_model(3)]
+    spaces.append(wedge_with_trivial_2cells(2))
+    for seed in range(3):
+        rng = random.Random(f"stacked-sigma-{seed}")
+        spaces.append(random_two_complex(rng, rng.randint(2, 3), rng.randint(1, 3)))
+    return spaces
+
+
 @pytest.mark.parametrize("spec", RINGS)
 def test_h0_cyc_matches_the_stacked_sigma_system(spec):
+    """h0_cyc takes the one-sided d_Bar rows on necklace sums; the stack
+    holds d_Bar of every degree-0 word, all of its rows two-sided."""
     ring = Ring.from_spec(spec)
-    for model in (torus_model(), wedge_model(1), wedge_model(2), wedge_model(3)):
+    for model in _h0_spaces():
         A = cochain_algebra(model, ring)
-        for n in range(4):
+        for n in range(5):
             seqs = weight_graded_monomials(A.dim(1), n)
             images = [
                 bar_differential(BarElement.word(A, tuple((1, i) for i in s))).terms
@@ -98,41 +121,51 @@ def test_class_function_basis_matches_the_stacked_two_sided_system(spec):
             assert B.annihilators == anns
 
 
-def _random_word_rows(rng, words, modulus):
-    """Random rows of (word, int entry) pairs, a word possibly twice, with
-    rows that vanish once projected: a word against its rotation or
-    itself with the opposite entry, and multiples of the modulus."""
-    rows = []
-    for _ in range(rng.randint(0, 8)):
-        kind = rng.randrange(4)
-        if kind == 0:
+def _random_series(rng, k, n, modulus):
+    """Random series on k letters, words of length 1..n: repeated words,
+    a word against its rotation, and entries that are multiples of the
+    modulus, so that projected rows merge entries and vanish."""
+    words = [s for s in weight_graded_monomials(k, n) if s]
+    series = []
+    for _ in range(rng.randint(0, 3) if words else 0):
+        terms = []
+        for _ in range(rng.randint(0, 3)):
             s = rng.choice(words)
             c = rng.choice([-3, -1, 1, 2])
-            rows.append([(s, c), (s[1:] + s[:1], -c)])
-        elif kind == 1 and modulus:
-            picked = rng.sample(words, min(3, len(words)))
-            rows.append([(s, modulus * rng.randint(-2, 2)) for s in picked])
-        else:
-            rows.append([(rng.choice(words), rng.randint(-5, 5)) for _ in range(rng.randint(0, 5))])
-    return rows
+            kind = rng.randrange(4)
+            if kind == 0:
+                terms += [(s, c), (s[1:] + s[:1], -c)]
+            elif kind == 1:
+                terms += [(s, c), (s, rng.choice([c, -c]))]
+            elif kind == 2 and modulus:
+                terms.append((s, modulus * rng.randint(-2, 2)))
+            else:
+                terms.append((s, rng.randint(-5, 5)))
+        series.append(terms)
+    return series
 
 
-def _kernel_projected_by_hand(ring, rows, words, n, cyclic):
-    """_filtered_kernel on the rows summed onto each word's least rotation
-    (or the word itself), every row kept, the kernel vectors spread back
-    onto the words."""
+def _kernel_projected_by_hand(ring, k, series, n, cyclic):
+    """_filtered_kernel on every two-sided row pre·x·suf, summed onto each
+    word's least rotation (or the word itself), every row kept, the
+    kernel vectors spread back onto the words."""
 
     def key(s):
         return min((s[i:] + s[:i] for i in range(len(s))), default=s) if cyclic else s
 
+    words = weight_graded_monomials(k, n)
     columns = sorted({key(s) for s in words}, key=lambda s: (len(s), s))
     col = {s: j for j, s in enumerate(columns)}
     projected = []
-    for row in rows:
-        acc = {}
-        for s, c in row:
-            acc[col[key(s)]] = acc.get(col[key(s)], 0) + c
-        projected.append({j: ring.canon(c) for j, c in acc.items() if ring.canon(c)})
+    for pre in words:
+        for suf in words:
+            for terms in series if len(pre) + len(suf) < n else ():
+                acc = {}
+                for m, c in terms:
+                    if len(pre) + len(m) + len(suf) <= n:
+                        j = col[key(pre + m + suf)]
+                        acc[j] = acc.get(j, 0) + c
+                projected.append({j: ring.canon(c) for j, c in acc.items() if ring.canon(c)})
     found = _filtered_kernel(ring, projected, [len(s) for s in columns], n)
     terms = [{s: v[col[key(s)]] for s in words if col[key(s)] in v} for _, v in found]
     anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
@@ -145,10 +178,40 @@ def test_orbit_kernel_is_the_filtered_kernel_of_the_projected_rows(spec):
     rng = random.Random(f"orbit-kernel-{spec}")
     for trial in range(60):
         k, n = rng.randint(1, 3), rng.randint(0, 3)
-        words = weight_graded_monomials(k, n)
-        rows = _random_word_rows(rng, words, ring.modulus or 0)
+        series = _random_series(rng, k, n, ring.modulus or 0)
         for cyclic in (False, True):
-            got = _orbit_kernel(ring, rows, words, n, cyclic)
-            want = _kernel_projected_by_hand(ring, rows, words, n, cyclic)
+            got = _orbit_kernel(ring, k, series, n, cyclic)
+            want = _kernel_projected_by_hand(ring, k, series, n, cyclic)
             assert [list(t.items()) for t in got[0]] == [list(t.items()) for t in want[0]]
             assert got[1:] == want[1:], (spec, trial, cyclic)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
+def test_row_order_changes_no_output(monkeypatch, spec):
+    """The builder's rows, shuffled, give the same H^0 and the same bases:
+    the order of the rows sets the elimination's cost, not its output."""
+    ring = Ring.from_spec(spec)
+    A = cochain_algebra(torus_model(), ring)
+    presentations = [parse_presentation(PRESENTATIONS[name]) for name in ("torus", "klein", "a2b3")]
+
+    def outputs():
+        results = [h0(A, 4) for h0 in (h0_bar, h0_cyc)]
+        results += [
+            basis(P, ring, 4)
+            for P in presentations
+            for basis in (finite_type_basis, class_function_basis)
+        ]
+        return [([list(x.terms.items()) for x in B], B.added_at_weight, B.annihilators)
+                for B in results]
+
+    want = outputs()
+    ideal_rows = tensors._ideal_rows
+    rng = random.Random(f"shuffled-rows-{spec}")
+
+    def shuffled(*args):
+        rows = list(ideal_rows(*args))
+        rng.shuffle(rows)
+        return iter(rows)
+
+    monkeypatch.setattr(tensors, "_ideal_rows", shuffled)
+    assert outputs() == want
