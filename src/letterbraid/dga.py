@@ -3,9 +3,13 @@
 Two constructors matter in practice:
 
 * :func:`cochain_algebra` — normalized cochains of a finite simplicial set
-  with the Alexander-Whitney cup product (front face times back face);
-* :func:`wedge_algebra` — the square-zero algebra on a set of degree-1
-  letters, the cochain model of a wedge of circles.
+  with the Alexander-Whitney cup product (front face times back face),
+  built in one pass over the nondegenerate simplices;
+* :func:`wedge_algebra` — the cochains of the one-vertex wedge of circles
+  on a set of degree-1 letters, a square-zero algebra.
+
+A :class:`FiniteDGA` stores its differential and its product in one
+format: sparse tables from basis elements to (index, coeff) pairs.
 
 Simplicial sets are given by their nondegenerate simplices; faces may hit
 degenerate simplices, which we store in Eilenberg-Zilber canonical form
@@ -16,10 +20,11 @@ nondegenerate base).  The simplicial identity d_i d_j = d_{j-1} d_i
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
-from .rings import IntMatrix, Ring, _json_list, canon_terms
+from .rings import Ring, _json_list, canon_terms
 
 
 class BadSimplicialSetError(ValueError):
@@ -63,6 +68,8 @@ class SimplicialSetModel:
     name: str = "space"
 
     def __post_init__(self):
+        if not self.cells or not self.cells[0]:
+            raise BadSimplicialSetError("a simplicial set needs a vertex")
         seen = {}
         for d, names in enumerate(self.cells):
             for name in names:
@@ -161,26 +168,43 @@ def model_to_obj(X: SimplicialSetModel) -> dict:
     return {"dims": X.dim, "simplices": simplices, "faces": faces}
 
 
+_DIM_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
 def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
+    """The model of a space file.  Each key of 'simplices' must be a
+    dimension in canonical decimal, and each listed simplex of dimension
+    d >= 1 must have d + 1 faces; both are checked before any
+    per-dimension list is built, so the dimensions are bounded by the
+    file's size.  Empty dimensions above the highest one that lists a
+    simplex are not built."""
     if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), dict):
         raise BadSimplicialSetError("simplicial set file needs a 'simplices' object")
-    raw = obj["simplices"]
-    top = max((int(k) for k in raw), default=-1)
+    raw = {}
+    for key, names in obj["simplices"].items():
+        if not _DIM_KEY.fullmatch(key):
+            raise BadSimplicialSetError(f"simplex dimension {key!r} is not a decimal number")
+        raw[int(key)] = names
+    top = max(raw, default=-1)
     declared = obj.get("dims")
-    if declared is not None and declared != top:
+    if declared is not None and Ring.integers().from_json(declared, "dims") != top:
         raise BadSimplicialSetError(f"'dims' is {declared} but top simplices have dimension {top}")
-    lists = (_json_list(raw.get(str(d), []), f"simplices['{d}']") for d in range(top + 1))
-    cells = tuple(map(tuple, lists))
-    where = {}
-    for d, names in enumerate(cells):
-        for i, n in enumerate(names):
-            where[n] = (d, i)
-    faces = {}
+    lists = {d: _json_list(raw[d], f"simplices['{d}']") for d in sorted(raw)}
     raw_faces = obj.get("faces", {})
-    for d in range(1, top + 1):
-        for i, n in enumerate(cells[d]):
+    for d, names in lists.items():
+        if d == 0:
+            continue
+        for n in names:
             if n not in raw_faces:
                 raise BadSimplicialSetError(f"no faces given for simplex {n!r}")
+            if len(raw_faces[n]) != d + 1:
+                raise BadSimplicialSetError(f"simplex {n!r} needs {d + 1} faces")
+    dim = max((d for d, names in lists.items() if names), default=-1)
+    cells = tuple(tuple(lists.get(d, ())) for d in range(dim + 1))
+    where = {n: (d, i) for d, names in enumerate(cells) for i, n in enumerate(names)}
+    faces = {}
+    for d in range(1, dim + 1):
+        for i, n in enumerate(cells[d]):
             entries = []
             for item in raw_faces[n]:
                 target = item["target"]
@@ -270,26 +294,22 @@ def random_two_complex(rng, n_edges: int, n_triangles: int) -> SimplicialSetMode
 
 @dataclass
 class FiniteDGA:
-    """Explicit finite dg-algebra: basis labels per degree, differential
-    matrices, sparse multiplication table, unit and augmentation in
-    degree 0.  Products and differentials landing above the stored top
-    degree are zero; ``truncated`` records whether that cut anything."""
+    """Explicit finite dg-algebra: basis labels per degree, unit and
+    augmentation in degree 0, and the differential and the product as
+    sparse tables of one format.  Each maps a basis element, or a pair of
+    them, to its image as (index, coeff) pairs over the target degree's
+    basis; an absent key means zero."""
 
     ring: Ring
     basis: tuple  # basis[d] = tuple of labels
-    diff: dict  # d -> IntMatrix (dim(d+1) x dim(d)); absent means zero
-    mult: dict  # (d1, i1, d2, i2) -> tuple of (j, coeff); absent means zero
+    diff: dict  # (d, i) -> tuple of (j, coeff) over basis[d + 1]
+    mult: dict  # (d1, i1, d2, i2) -> tuple of (j, coeff) over basis[d1 + d2]
     unit: tuple  # coefficients over basis[0]
     aug: tuple  # row vector over basis[0]
-    truncated: bool = False
     name: str = "algebra"
 
     def dim(self, d: int) -> int:
         return len(self.basis[d]) if 0 <= d < len(self.basis) else 0
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.basis) - 1
 
     @property
     def is_connected(self) -> bool:
@@ -298,22 +318,9 @@ class FiniteDGA:
     def label(self, d: int, i: int) -> str:
         return self.basis[d][i]
 
-    def diff_matrix(self, d: int) -> IntMatrix:
-        if d in self.diff:
-            return self.diff[d]
-        return IntMatrix.zeros(self.ring, self.dim(d + 1), self.dim(d))
-
     def diff_column(self, d: int, i: int):
-        """Differential of a basis element as a list of (index, coeff)."""
-        if d not in self.diff:
-            return ()
-        M = self.diff[d]
-        out = []
-        for j in range(M.rows):
-            c = M.get(j, i)
-            if c != self.ring.zero():
-                out.append((j, c))
-        return tuple(out)
+        """Differential of a basis element as (index, coeff) pairs in degree d+1."""
+        return self.diff.get((d, i), ())
 
     def product(self, d1: int, i1: int, d2: int, i2: int):
         """Product of two basis elements as (index, coeff) pairs in degree d1+d2."""
@@ -326,82 +333,51 @@ class FiniteDGA:
         )
 
 
-def wedge_algebra(names, ring: Ring) -> FiniteDGA:
-    """Square-zero algebra on degree-1 letters: the wedge-of-circles model."""
-    names = tuple(names)
-    mult = {(0, 0, 0, 0): ((0, ring.one()),)}
-    for i in range(len(names)):
-        mult[(0, 0, 1, i)] = ((i, ring.one()),)
-        mult[(1, i, 0, 0)] = ((i, ring.one()),)
-        # degree-1 products are zero: no table entries
-    return FiniteDGA(
-        ring=ring,
-        basis=(("1",), names),
-        diff={},
-        mult=mult,
-        unit=(ring.one(),),
-        aug=(ring.one(),),
-        name=f"wedge_algebra({len(names)})",
-    )
-
-
-def cochain_algebra(X: SimplicialSetModel, ring: Ring, maxdeg: int | None = None) -> FiniteDGA:
+def cochain_algebra(X: SimplicialSetModel, ring: Ring) -> FiniteDGA:
     """Normalized cochains of X with the front-face/back-face cup product.
 
-    Degrees above maxdeg (when given) are dropped and the result is
-    flagged as truncated; degree-0 computations only ever consume
-    degrees <= 2, so maxdeg must be at least 2.
+    One pass over the nondegenerate simplices builds both tables: for an
+    n-simplex r, each nondegenerate face d_i adds (-1)^i times r to the
+    coboundary of that face, and each split p + q = n whose front p-face
+    and back q-face are both nondegenerate adds r to their product.
     """
-    if maxdeg is None:
-        top = X.dim
-        truncated = False
-    else:
-        if maxdeg < 2:
-            raise ValueError(f"maxdeg must be >= 2, got {maxdeg}")
-        top = min(maxdeg, X.dim)
-        truncated = X.dim > maxdeg
-    top = max(top, 0)
-
-    basis = tuple(tuple(X.cells[d]) for d in range(top + 1))
-    diff = {}
-    for d in range(top):
-        rows, cols = X.n_cells(d + 1), X.n_cells(d)
-        entries = [[0] * cols for _ in range(rows)]
-        for r in range(rows):
-            ref = ((), (d + 1, r))
-            for i in range(d + 2):
-                degens, (bd, bi) = X.face(ref, i)
+    coboundary, mult = {}, {}
+    for n, names in enumerate(X.cells):
+        for r in range(len(names)):
+            ref = ((), (n, r))
+            for i in range(n + 1 if n else 0):
+                degens, (_, f) = X.face(ref, i)
                 if not degens:  # normalized cochains ignore degenerate faces
-                    entries[r][bi] += -1 if i % 2 else 1
-        if any(any(row) for row in entries):
-            diff[d] = IntMatrix.from_rows(
-                ring, [[ring.from_int(e) for e in row] for row in entries]
-            )
-
-    mult = {}
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            for r in range(X.n_cells(p + q)):
-                ref = ((), (p + q, r))
-                fdeg, fbase = X.front_face(ref, p)
-                bdeg, bbase = X.back_face(ref, q)
-                if fdeg or bdeg:
-                    continue
-                key = (p, fbase[1], q, bbase[1])
-                mult.setdefault(key, []).append((r, ring.one()))
-    mult = {k: tuple(v) for k, v in mult.items()}
-
+                    col = coboundary.setdefault((n - 1, f), {})
+                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+            for p in range(n + 1):
+                fdeg, (_, f) = X.front_face(ref, p)
+                bdeg, (_, b) = X.back_face(ref, n - p)
+                if not fdeg and not bdeg:
+                    mult.setdefault((p, f, n - p, b), []).append((r, ring.one()))
+    diff = {}
+    for key, col in coboundary.items():
+        if col := canon_terms(ring, col):
+            diff[key] = tuple(col.items())
     n0 = X.n_cells(0)
     return FiniteDGA(
         ring=ring,
-        basis=basis,
+        basis=X.cells,
         diff=diff,
-        mult=mult,
+        mult={key: tuple(v) for key, v in mult.items()},
         unit=(ring.one(),) * n0,
         aug=(ring.one(),) + (ring.zero(),) * (n0 - 1),
-        truncated=truncated,
         name=f"cochains({X.name})",
     )
+
+
+def wedge_algebra(names, ring: Ring) -> FiniteDGA:
+    """Square-zero algebra on degree-1 letters: the cochains of the
+    one-vertex wedge of circles, its vertex labelled "1"."""
+    names = tuple(names)
+    v = ((), (0, 0))
+    X = SimplicialSetModel((("1",), names), {(1, i): (v, v) for i in range(len(names))})
+    return replace(cochain_algebra(X, ring), name=f"wedge_algebra({len(names)})")
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +413,7 @@ def verify_dga(A: FiniteDGA) -> dict:
     all_basis = [(d, i) for d in range(len(A.basis)) for i in range(A.dim(d))]
 
     for d in range(len(A.basis) - 1):
-        M2 = A.diff_matrix(d + 1).mul(A.diff_matrix(d))
-        if not M2.is_zero():
+        if any(_lin_diff(A, _lin_diff(A, {(d, i): ring.one()})) for i in range(A.dim(d))):
             bad.append(f"d^2 != 0 out of degree {d}")
 
     unit_el = {(0, i): c for i, c in enumerate(A.unit) if c != ring.zero()}

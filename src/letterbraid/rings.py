@@ -395,10 +395,6 @@ class IntMatrix:
             self.ring, self.rows + other.rows, self.cols, self.entries + other.entries
         )
 
-    def is_zero(self) -> bool:
-        z = self.ring.zero()
-        return all(x == z for x in self.entries)
-
 
 @dataclass(frozen=True)
 class KernelBasis:

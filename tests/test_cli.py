@@ -227,6 +227,36 @@ def test_verify_space_ok(work, capsys):
     assert out == "ok\n"
 
 
+# a dimension key that is not a canonical decimal, each once read as 1
+# with the edge dropped, or ignored
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "-1", "\u0661"])
+def test_space_dimension_key_that_is_no_canonical_decimal_exits_one(work, capsys, key):
+    obj = model_to_obj(circle_model())
+    del obj["dims"]
+    obj["simplices"][key] = obj["simplices"].pop("1")
+    (work / "bad.json").write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "cyc-h0", "--ring", "Z", "--space", work / "bad.json", "-n", 2)
+    assert (rc, out) == (1, "")
+    assert "bad.json" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [["cyc-h0", "-n", 2], ["bar-h0", "-n", 2], ["verify"]])
+def test_space_with_no_vertex_exits_one(work, capsys, argv):
+    (work / "empty.json").write_text(json.dumps({"simplices": {}}))
+    rc, out, err = run(capsys, *argv, "--ring", "Z", "--space", work / "empty.json")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {work / 'empty.json'}: a simplicial set needs a vertex\n"
+
+
+def test_space_with_a_high_empty_dimension_loads_at_once(work, capsys):
+    # the key names 6,000 empty dimensions, which take seconds to build
+    (work / "tall.json").write_text('{"simplices": {"0": ["v"], "6000": []}}')
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "cyc-h0", "--ring", "Z", "--space", work / "tall.json", "-n", 2)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (0, "ranks_per_weight [1,0,0]\nrank 1\n")
+
+
 def test_verify_space_requires_ring(work, capsys):
     rc, _, err = run(capsys, "verify", "--space", work / "circle.json")
     assert rc == 1
@@ -416,6 +446,8 @@ WRONG_TYPED_FIELDS = [
     ("verify", "ring", 4),
     ("verify", "n", [1]),
     ("cyc-h0", "simplices", 5),
+    ("cyc-h0", "dims", 1.0),
+    ("cyc-h0", "dims", True),
 ]
 
 
@@ -606,9 +638,15 @@ def _modulus_past_the_text_cap(work):
     return ["basis", "--ring", "Z/" + "9" * 5000, "--presentation", work / "torus.grp", "-n", 1]
 
 
+def _simplex_of_huge_dimension(work):
+    obj = {"simplices": {"0": ["v"], "1000000": ["x"]}, "faces": {"x": []}}
+    (work / "huge.json").write_text(json.dumps(obj))
+    return ["cyc-h0", "--ring", "Z", "--space", work / "huge.json", "-n", 1]
+
+
 @pytest.mark.parametrize("make_argv", [_q_tensor_with_exponent, _value_past_the_text_cap,
                                        _basis_past_the_weight_cap, _modulus_one,
-                                       _modulus_past_the_text_cap])
+                                       _modulus_past_the_text_cap, _simplex_of_huge_dimension])
 def test_hostile_inputs_exit_one_with_an_error_line(work, capsys, monkeypatch, make_argv):
     """Each input is refused with exit 1 and an "error:" message, never a
     traceback."""

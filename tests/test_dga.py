@@ -21,12 +21,22 @@ from letterbraid.dga import (
     wedge_model,
     wedge_with_trivial_2cells,
 )
-from letterbraid.rings import Ring, matrix_rank
+from letterbraid.rings import IntMatrix, Ring, matrix_rank
 
 Z = Ring.integers()
 Q = Ring.rationals()
 
 V = ((), (0, 0))
+
+
+def _diff_rows(A, d):
+    """The matrix of d out of degree d (rows over basis[d + 1]), read
+    column by column off diff_column."""
+    rows = [[A.ring.zero()] * A.dim(d) for _ in range(A.dim(d + 1))]
+    for i in range(A.dim(d)):
+        for j, c in A.diff_column(d, i):
+            rows[j][i] = c
+    return rows
 
 
 def test_stock_models_validate():
@@ -119,6 +129,18 @@ def test_model_from_obj_errors():
         model_from_obj({"dims": 3, "simplices": {"0": ["v"]}, "faces": {}})
 
 
+def test_a_model_needs_a_vertex():
+    for cells, faces in (((), {}), (((),), {}), (((), ("e",)), {(1, 0): (V, V)})):
+        with pytest.raises(BadSimplicialSetError, match="needs a vertex"):
+            SimplicialSetModel(cells, faces)
+
+
+def test_empty_dimensions_above_the_last_simplex_are_not_built():
+    assert model_from_obj({"simplices": {"0": ["v"], "1000000": []}}).cells == (("v",),)
+    # dims is read as n is, so the string of an integer is accepted
+    assert model_from_obj(dict(model_to_obj(circle_model()), dims="1")).cells == (("v",), ("e",))
+
+
 # ---------------------------------------------------------------------------
 # cochain algebras
 # ---------------------------------------------------------------------------
@@ -142,8 +164,7 @@ def test_circle_cochains_square_zero():
 def test_torus_cochains_structure():
     A = cochain_algebra(torus_model(), Z)
     assert A.dim(1) == 3 and A.dim(2) == 2
-    d1 = A.diff_matrix(1)
-    assert d1.to_rows() == [[1, 1, -1], [1, 1, -1]]
+    assert _diff_rows(A, 1) == [[1, 1, -1], [1, 1, -1]]
     # cup products of edge duals: a.b = P, b.a = Q, everything else 0
     assert A.product(1, 0, 1, 1) == ((0, Z.one()),)
     assert A.product(1, 1, 1, 0) == ((1, Z.one()),)
@@ -152,7 +173,7 @@ def test_torus_cochains_structure():
     assert verify_dga(A)["ok"]
     # H^1 has rank 2: the 3 edges minus rank 1 of d
     QA = cochain_algebra(torus_model(), Q)
-    assert QA.dim(1) - matrix_rank(QA.diff_matrix(1)) == 2
+    assert QA.dim(1) - matrix_rank(IntMatrix.from_rows(Q, _diff_rows(QA, 1))) == 2
 
 
 def test_torus_cochains_verify_over_modular_ring():
@@ -170,27 +191,12 @@ def test_trivially_glued_2_cells_do_nothing():
     assert verify_dga(A)["ok"]
 
 
-def test_truncation_flag():
-    # one nondegenerate 3-simplex whose faces are all the degenerate
-    # 2-simplex s1 s0 v; everything checks out and truncating at 2 cuts it
-    s1s0v = ((1, 0), (0, 0))
-    X = SimplicialSetModel((("v",), (), (), ("T3",)), {(3, 0): (s1s0v,) * 4})
-    A = cochain_algebra(X, Z, maxdeg=2)
-    assert A.truncated
-    assert A.top_degree == 2
-    full = cochain_algebra(X, Z)
-    assert not full.truncated
-    assert full.dim(3) == 1
-    with pytest.raises(ValueError):
-        cochain_algebra(X, Z, maxdeg=1)
-
-
 def test_interval_cochains_not_connected():
     A = cochain_algebra(interval_model(), Z)
     assert not A.is_connected
     assert verify_dga(A)["ok"]
     # d(u*) = u*(d0 e) - u*(d1 e) = -1 since e runs u -> w
-    assert A.diff_matrix(0).to_rows() == [[-1, 1]]
+    assert _diff_rows(A, 0) == [[-1, 1]]
 
 
 def test_random_complexes_satisfy_axioms():
@@ -200,6 +206,63 @@ def test_random_complexes_satisfy_axioms():
         for ring in (Z, Ring.integers_mod(6)):
             report = verify_dga(cochain_algebra(X, ring))
             assert report["ok"], report["violations"]
+
+
+def _front(X, ref, p):
+    n = len(ref[0]) + ref[1][0]
+    for i in range(n, p, -1):
+        ref = X.face(ref, i)
+    return ref
+
+
+def _back(X, ref, q):
+    n = len(ref[0]) + ref[1][0]
+    for _ in range(n - q):
+        ref = X.face(ref, 0)
+    return ref
+
+
+def _pinned_models():
+    rng = random.Random(23)
+    complexes = [random_two_complex(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(12)]
+    s1s0v = ((1, 0), (0, 0))
+    return complexes + [SimplicialSetModel((("v",), (), (), ("T3",)), {(3, 0): (s1s0v,) * 4})]
+
+
+@pytest.mark.parametrize("ring", [Z, Ring.integers_mod(2)])
+def test_cochain_tables_are_faces_and_front_back_splits(ring):
+    """diff_column is the alternating sum of the nondegenerate faces, and
+    product is read off the nondegenerate front and back faces, both
+    computed here from SimplicialSetModel.face."""
+    for X in _pinned_models():
+        A = cochain_algebra(X, ring)
+        assert A.basis == X.cells
+        coboundary, products = {}, {}
+        for n in range(X.dim + 1):
+            for r in range(X.n_cells(n)):
+                ref = ((), (n, r))
+                for i in range(n + 1 if n else 0):
+                    degens, (_, f) = X.face(ref, i)
+                    if not degens:
+                        col = coboundary.setdefault((n - 1, f), {})
+                        col[r] = col.get(r, 0) + (-1) ** i
+                for p in range(n + 1):
+                    (fd, (_, f)), (bd, (_, b)) = _front(X, ref, p), _back(X, ref, n - p)
+                    if not fd and not bd:
+                        products.setdefault((p, f, n - p, b), []).append((r, 1))
+        for d in range(X.dim + 1):
+            for i in range(X.n_cells(d)):
+                want = {j: ring.from_int(c) for j, c in coboundary.get((d, i), {}).items()}
+                assert dict(A.diff_column(d, i)) == {j: c for j, c in want.items() if c}
+                for d2 in range(X.dim + 1 - d):
+                    for i2 in range(X.n_cells(d2)):
+                        got = A.product(d, i, d2, i2)
+                        assert got == tuple(products.get((d, i, d2, i2), ()))
+        assert verify_dga(A)["ok"]
+    # empty dimensions above the top simplex change no table
+    tall = SimplicialSetModel((("v",), ("e",)) + ((),) * 6000, {(1, 0): (V, V)})
+    A, B = cochain_algebra(tall, ring), cochain_algebra(circle_model(), ring)
+    assert (A.diff, A.mult, A.unit, A.aug) == (B.diff, B.mult, B.unit, B.aug)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +283,10 @@ def test_wedge_algebra_structure():
 
 
 def test_wedge_algebra_matches_wedge_cochains():
-    # same structure as the cochains of the wedge model, up to the
-    # degree-0 label ("1" vs the vertex name)
+    # the cochains of the wedge model, up to the degree-0 label ("1" vs
+    # the vertex name) and the name
     A = wedge_algebra(("e1", "e2"), Z)
+    assert A.name == "wedge_algebra(2)"
     B = cochain_algebra(wedge_model(2), Z)
     assert A.basis[1] == B.basis[1]
     assert [A.dim(d) for d in range(2)] == [B.dim(d) for d in range(2)]
@@ -242,8 +306,6 @@ def test_verify_reports_corrupted_unit():
 
 def test_verify_reports_broken_differential():
     # d(1) = x, d(x) = y: then d^2(1) = y != 0 (and Leibniz breaks too)
-    from letterbraid.rings import IntMatrix
-
     basis = (("1",), ("x",), ("y",))
     mult = {
         (0, 0, 0, 0): ((0, 1),),
@@ -252,11 +314,9 @@ def test_verify_reports_broken_differential():
         (0, 0, 2, 0): ((0, 1),),
         (2, 0, 0, 0): ((0, 1),),
     }
-    diff = {
-        0: IntMatrix.from_rows(Z, [[1]]),
-        1: IntMatrix.from_rows(Z, [[1]]),
-    }
+    diff = {(0, 0): ((0, 1),), (1, 0): ((0, 1),)}
     A = FiniteDGA(Z, basis, diff, mult, (1,), (1,))
     report = verify_dga(A)
     assert not report["ok"]
-    assert any("d^2" in v for v in report["violations"])
+    assert report["violations"].count("d^2 != 0 out of degree 0") == 1
+    assert not any("out of degree 1" in v for v in report["violations"])
