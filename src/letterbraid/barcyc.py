@@ -5,7 +5,10 @@ directions (the shift makes slot a_i contribute |a_i| - 1 to the total
 degree); cyclic elements carry an extra module slot m_0 in front.  The
 differential has five groups of terms (module differential, internal
 differentials, left action, internal products, wrap-around action); the
-signs use the exponents eps_i = |m_0| + sum_{j<=i} (|a_j| - 1).
+signs use the exponents eps_i = |m_0| + sum_{j<=i} (|a_j| - 1).  The
+bar complex is the case of scalar coefficients R, m_0 empty (Loday,
+Cyclic Homology, 1992, 1.1): bar_differential and tau are
+cyc_differential and include_in_A on that copy.
 
 H^0 at tensor weight <= n is computed from the degree-0 part: for a
 connected algebra that part is spanned by words in the degree-1 basis,
@@ -22,7 +25,7 @@ counts its members, which can exceed the minimal number of generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .dga import FiniteDGA
 from .rings import Combination, Ring
@@ -74,29 +77,8 @@ class BarElement(Combination):
         return _check_word(self.algebra, seq)
 
     @staticmethod
-    def zero(A: FiniteDGA) -> "BarElement":
-        return BarElement(A, {})
-
-    @staticmethod
     def word(A: FiniteDGA, seq, coeff=1) -> "BarElement":
         return BarElement(A, {tuple(seq): coeff})
-
-    def degrees(self):
-        return sorted({sum(_shift(s) for s in seq) for seq in self.terms})
-
-    def weights(self):
-        return sorted({len(seq) for seq in self.terms})
-
-    def show(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.algebra.ring
-        bits = []
-        for seq, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            word = "[" + "|".join(self.algebra.label(*s) for s in seq) + "]"
-            coeff = ring.show(c)
-            bits.append(word if coeff == "1" else f"{coeff}*{word}")
-        return " + ".join(bits)
 
 
 @dataclass(eq=False)
@@ -136,44 +118,22 @@ class CycElement(Combination):
                 raise ValueError("m0 must have positive degree in the Abar module")
         return (m0, seq)
 
-    @staticmethod
-    def zero(A: FiniteDGA, module: str) -> "CycElement":
-        return CycElement(A, module, {})
-
 
 # ---------------------------------------------------------------------------
 # Differentials and the cycle operator
 # ---------------------------------------------------------------------------
 
 
-def _eps_prefix(m0_degree: int, seq):
-    """eps[i] = |m0| + (|a_1| - 1) + ... + (|a_i| - 1), index 0..p."""
-    eps = [m0_degree]
-    for slot in seq:
-        eps.append(eps[-1] + _shift(slot))
-    return eps
+def _scalar(x: BarElement) -> CycElement:
+    """x in the cyclic bar complex with scalar coefficients, Cyc(A; R),
+    which is the bar complex: each word gets the empty module slot."""
+    return CycElement(x.algebra, "R", {(None, seq): c for seq, c in x.terms.items()})
 
 
 def bar_differential(x: BarElement) -> BarElement:
-    """Internal-differential and neighbor-product terms, with signs
-    -(-1)^{eps_{i-1}} and -(-1)^{eps_i} respectively."""
-    A = x.algebra
-    acc = {}
-    for seq, c in x.terms.items():
-        eps = _eps_prefix(0, seq)
-        for i, (d, idx) in enumerate(seq):
-            sign = -1 if eps[i] % 2 == 0 else 1
-            for j, e in A.diff_column(d, idx):
-                key = seq[:i] + ((d + 1, j),) + seq[i + 1 :]
-                acc[key] = acc.get(key, 0) + sign * c * e
-        for i in range(len(seq) - 1):
-            d1, i1 = seq[i]
-            d2, i2 = seq[i + 1]
-            sign = -1 if eps[i + 1] % 2 == 0 else 1
-            for j, e in A.product(d1, i1, d2, i2):
-                key = seq[:i] + ((d1 + d2, j),) + seq[i + 2 :]
-                acc[key] = acc.get(key, 0) + sign * c * e
-    return BarElement(A, acc)
+    """cyc_differential in the scalar module, where only the internal
+    differentials and neighbour products survive."""
+    return x._like({seq: c for (_, seq), c in cyc_differential(_scalar(x)).terms.items()})
 
 
 def cyc_differential(x: CycElement) -> CycElement:
@@ -184,7 +144,7 @@ def cyc_differential(x: CycElement) -> CycElement:
     acc = {}
     for (m0, seq), c in x.terms.items():
         m0_deg = 0 if m0 is None else m0[0]
-        eps = _eps_prefix(m0_deg, seq)
+        eps = list(accumulate(map(_shift, seq), initial=m0_deg))  # eps_0..eps_p
         p = len(seq)
 
         if m0 is not None:  # module differential d_M(m0)
@@ -240,9 +200,7 @@ def sigma(x: BarElement) -> BarElement:
 
 def tau(x: BarElement) -> CycElement:
     """Place the algebra unit in the module slot: x goes to 1*x in Cyc(A; A)."""
-    A = x.algebra
-    acc = {((0, i), seq): c * u for seq, c in x.terms.items() for i, u in enumerate(A.unit)}
-    return CycElement(A, "A", acc)
+    return include_in_A(_scalar(x))
 
 
 def iota(x: BarElement) -> CycElement:

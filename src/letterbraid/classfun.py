@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -520,9 +521,9 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
     So in R[G]/I^(d+1) a class v is E_d[v], a combination of the classes
     S_d of positive words of length <= d.  Returns fox(row, d) =
     sum_v row_v E_d[v] for an integer row, canonical over the ring, and
-    dual(g) = (v -> <E_n[v], g>).  Each E_d[v] is built once, when a row
-    first holds v, as a dense list over S_d in the order of the classes'
-    first positive spellings.
+    dual(g, b) = (v -> <E_n[v], g>) on the first b classes.  Each E_d[v]
+    is built once, when a row first holds v, as a dense list over S_d in
+    the order of the classes' first positive spellings.
     """
     plan = MagnusPlan(itertools.product(range(k), repeat=n))
     positive = _positive_words(k, n)
@@ -536,7 +537,7 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
                 t = at[index[tuple((g, 1) for g in chosen)]]
                 acc[t] = acc.get(t, 0) + (-1) ** (len(mono) - size)
         subsets.append(tuple(acc.items()))
-    expansions = [plan.expand(letters) for letters in reps]
+    expansion = cache(lambda v: plan.expand(reps[v]))  # built when first read
     # the monomials of degree <= d come first in the plan, as do the
     # positive words of length <= d in `positive`
     widths = list(itertools.accumulate(k**p for p in range(n + 1)))
@@ -545,7 +546,7 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
 
     def image(v: int, d: int) -> list:
         acc = [0] * sizes[d]
-        for x, sub in zip(expansions[v][: widths[d]], subsets):
+        for x, sub in zip(expansion(v)[: widths[d]], subsets):
             for t, sign in sub if x else ():
                 acc[t] += sign * x
         return acc
@@ -559,10 +560,10 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
         values = (sum(map(mul, xs, col)) for col in zip(*map(cache.__getitem__, row)))
         return canon_terms(ring, {cls: x for cls, x in zip(order, values) if x})
 
-    def dual(g: dict) -> dict:
+    def dual(g: dict, b: int) -> dict:
         g = {at[cls]: x for cls, x in g.items()}
         psi = [sum(sign * g.get(t, 0) for t, sign in sub) for sub in subsets]
-        return canon_terms(ring, {v: sum(map(mul, ex, psi)) for v, ex in enumerate(expansions)})
+        return canon_terms(ring, {v: sum(map(mul, expansion(v), psi)) for v in range(b)})
 
     return fox, dual
 
@@ -589,9 +590,11 @@ def oracle_group_ring_quotient(
     [v] -> E_d[v] identifies R^c / <[v] - E_d[v]> with R^(S_d) / <E_d[t] - [t]>,
     so kernels, ranks and saturation run on the |S_d| <= sum_(p<=d) k^p
     columns of S_d, with E_d[v] for [v]; the dual of E_n carries the top
-    kernel to all c classes.  Hence when length_bound > n, S_n lies among
-    the classes of shorter words, the rewriting rows alone saturate, and
-    NotSaturatedError needs length_bound <= n.
+    kernel to the reported base classes, of words of length <= length_bound.
+    When length_bound >= n, S_n lies among them and E_n[t] = [t], so that
+    restriction is injective on the Hom span (tests/test_oracle_reference.py
+    checks L < n against all c classes).  When length_bound > n the rewriting
+    rows alone saturate, so NotSaturatedError needs length_bound <= n.
 
     A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
     ValueError, counted (_ball_size) before any word is built.  The stage
@@ -619,7 +622,8 @@ def oracle_group_ring_quotient(
     # s [v] for each generator s; stage d acts on reps of length <= length_bound + d
     act = [[index.get(_join(((g, 1),), w)) for g in range(k)] for w in reps]
     fox, dual = _fox_map(ring, k, reps, index, n)
-    base_classes = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound)})
+    # classes are numbered by their first words, which are sorted by length
+    base_classes = range(sum(len(w) <= length_bound for w in reps))
     current = [{cls: 1} for cls in base_classes]
     stages = []  # stage d: S_d, and the I^(d+1) relations on it
     for d in range(n + 1):
@@ -646,7 +650,7 @@ def oracle_group_ring_quotient(
     def with_units(rows, classes):
         return _echelon(ring, rows + [fox({cls: 1}, n) for cls in classes])
 
-    shorter = sorted({index[w] for w in _reduced_spellings(P.gens, length_bound - 1)})
+    shorter = range(sum(len(w) < length_bound for w in reps))
     spanned = with_units(stages[n][1], shorter)
     if with_units(spanned, base_classes) != spanned:
         cls = next(cls for cls in base_classes if with_units(spanned, [cls]) != spanned)
@@ -661,7 +665,8 @@ def oracle_group_ring_quotient(
         ranks.append(_rank(ring, kernel, len(short)))
     if ring.kind == "Q":  # the echelon below reads only the Q-span
         kernel = [_integral(g) for g in kernel]
-    kernel = _echelon(ring, [dual({short[t]: x for t, x in g.items()}) for g in kernel])
+    kernel = [dual({short[t]: x for t, x in g.items()}, len(base_classes)) for g in kernel]
+    kernel = _echelon(ring, kernel)
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
     hom = tuple(v.get(cls, z) for v in kernel for cls in base_classes)

@@ -287,10 +287,6 @@ class GroupRingElement(Combination):
         return w
 
     @staticmethod
-    def zero(ring: Ring, gens: GenSet) -> "GroupRingElement":
-        return GroupRingElement(ring, gens, {})
-
-    @staticmethod
     def from_word(ring: Ring, w: Word, coeff=1) -> "GroupRingElement":
         return GroupRingElement(ring, w.gens, {w: coeff})
 
@@ -343,9 +339,6 @@ class MonomialCombination(Combination):
     def __post_init__(self):
         self.terms = {m: c for m, c in self.terms.items() if len(m) <= self.max_degree}
         super().__post_init__()
-
-    def degrees(self):
-        return sorted({len(m) for m in self.terms})
 
     def _truncated(self, n: int) -> "MonomialCombination":
         """The image modulo monomials of degree > n, for n <= max_degree."""

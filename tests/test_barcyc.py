@@ -181,6 +181,55 @@ def test_differentials_square_to_zero():
                 assert cyc_differential(cyc_differential(y)).is_zero()
 
 
+def _reference_bar_differential(x):
+    """The bar differential written out: internal-differential terms with
+    sign -(-1)^{eps_{i-1}} and neighbour-product terms with -(-1)^{eps_i},
+    eps_i = sum_{j<=i} (|a_j| - 1)."""
+    A = x.algebra
+    acc = {}
+    for seq, c in x.terms.items():
+        eps = list(itertools.accumulate((d - 1 for d, _ in seq), initial=0))
+        for i, (d, idx) in enumerate(seq):
+            sign = -1 if eps[i] % 2 == 0 else 1
+            for j, e in A.diff_column(d, idx):
+                key = seq[:i] + ((d + 1, j),) + seq[i + 1 :]
+                acc[key] = acc.get(key, 0) + sign * c * e
+        for i in range(len(seq) - 1):
+            d1, i1 = seq[i]
+            d2, i2 = seq[i + 1]
+            sign = -1 if eps[i + 1] % 2 == 0 else 1
+            for j, e in A.product(d1, i1, d2, i2):
+                key = seq[:i] + ((d1 + d2, j),) + seq[i + 2 :]
+                acc[key] = acc.get(key, 0) + sign * c * e
+    return BarElement(A, acc)
+
+
+def _scalar_module_algebras():
+    rng = random.Random(41)
+    spaces = [torus_model(), wedge_model(2), random_two_complex(rng, 2, 3),
+              random_two_complex(rng, 3, 2)]
+    return [cochain_algebra(X, Ring.from_spec(spec))
+            for X in spaces for spec in ("Z", "Q", "Z/4", "Z/6")]
+
+
+@pytest.mark.parametrize("A", _scalar_module_algebras(), ids=lambda A: f"{A.name}-{A.ring.spec}")
+def test_bar_maps_are_the_scalar_module_case(A):
+    """bar_differential is cyc_differential on the scalar module, term for
+    term and in the same order as the written-out loop, and tau is
+    include_in_A of that copy."""
+    rng = random.Random(A.name + A.ring.spec)
+    for _ in range(20):
+        x = random_bar_element(rng, A, max_weight=4, n_terms=4)
+        dx = bar_differential(x)
+        want = _reference_bar_differential(x)
+        assert list(dx.terms.items()) == list(want.terms.items())
+        scalar = CycElement(A, "R", {(None, s): c for s, c in x.terms.items()})
+        assert dx == BarElement(A, {s: c for (_, s), c in cyc_differential(scalar).terms.items()})
+        units = {((0, i), s): c * u for s, c in x.terms.items() for i, u in enumerate(A.unit)}
+        assert list(tau(x).terms.items()) == list(CycElement(A, "A", units).terms.items())
+        assert tau(x) == include_in_A(scalar)
+
+
 # ---------------------------------------------------------------------------
 # cycle operator and the connecting chain identity
 # ---------------------------------------------------------------------------

@@ -697,6 +697,25 @@ def test_oracle_echelons_only_saturation_and_final_kernel(monkeypatch, text):
         assert len(calls) == 3, (n, calls)
 
 
+def test_oracle_expands_only_the_classes_it_reads(monkeypatch):
+    """The Hom span is read on the base classes, a prefix of the class
+    order, and each class's Magnus expansion is built when first read:
+    on the free group at n = 3 most of the ball is never expanded."""
+    P = parse_presentation(FREE_2)
+    expand = classfun.MagnusPlan.expand
+    expanded = []
+
+    def counting(plan, letters, start=None):
+        expanded.append(tuple(letters))
+        return expand(plan, letters, start)
+
+    monkeypatch.setattr(classfun.MagnusPlan, "expand", counting)
+    rep = oracle_group_ring_quotient(P, Z, 3, 4)
+    assert len(set(expanded)) == len(expanded)
+    assert len(rep.table.words) <= len(expanded) < rep.class_count
+    assert set(expanded) >= {w.letters for w in rep.table.words}
+
+
 @pytest.mark.parametrize("spec", ["Z", "Q", "Z/4", "Z/6"])
 @pytest.mark.parametrize("gens, n", [("a b", n) for n in range(4)] + [("a b c", n) for n in range(2)])
 def test_oracle_free_group_closed_forms(gens, n, spec):

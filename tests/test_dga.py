@@ -1,12 +1,17 @@
+import itertools
 import json
 import random
+import time
 
 import pytest
 
+from letterbraid import dga
 from letterbraid.dga import (
     BadSimplicialSetError,
     FiniteDGA,
     SimplicialSetModel,
+    _insert_degeneracy,
+    _lin_mul,
     canonical_ref,
     circle_model,
     cochain_algebra,
@@ -103,6 +108,63 @@ def test_torus_front_back_faces():
     assert X.back_face(P, 1) == b  # d0 P
     assert X.front_face(Q2, 1) == b
     assert X.back_face(Q2, 1) == a
+
+
+def _recursive_face(X, ref, i):
+    """The face rule applied one degeneracy at a time, re-inserting the
+    moved degeneracy into the canonical word at every level."""
+    degens, base = ref
+    if not degens:
+        return X.faces[base][i]
+    j, rest = degens[0], (degens[1:], base)
+    if i in (j, j + 1):
+        return rest
+    inner = _recursive_face(X, rest, i if i < j else i - 1)
+    return (_insert_degeneracy(inner[0], j - 1 if i < j else j), inner[1])
+
+
+def _degenerate_refs(X, max_word):
+    """Every simplex of X as a canonical word of up to max_word degeneracies
+    on a nondegenerate base."""
+    refs = {((), (d, i)) for d in range(X.dim + 1) for i in range(X.n_cells(d))}
+    layer = set(refs)
+    for _ in range(max_word):
+        layer = {
+            (_insert_degeneracy(word, k), base)
+            for word, base in layer
+            for k in range(len(word) + base[0] + 1)
+        }
+        refs |= layer
+    return sorted(refs)
+
+
+def test_face_walk_matches_the_recursive_rule():
+    rng = random.Random(31)
+    models = [random_two_complex(rng, 3, 3) for _ in range(30)] + [torus_model()]
+    checked = 0
+    for X in models:
+        for ref in _degenerate_refs(X, 3):
+            n = len(ref[0]) + ref[1][0]
+            for i in range(n + 1 if n else 0):
+                assert X.face(ref, i) == _recursive_face(X, ref, i)
+                assert X.front_face(ref, i) == _front(X, ref, i, _recursive_face)
+                assert X.back_face(ref, i) == _back(X, ref, i, _recursive_face)
+                checked += 1
+    assert checked == 13659
+
+
+def test_one_high_dimensional_simplex_loads_and_builds_quickly():
+    """A 200-simplex whose faces are all the vertex degenerated 199 times:
+    each face is one walk down its word, and the front and back faces of
+    each split are one walk each."""
+    d = 200
+    vertex = {"target": "v", "degeneracies": list(range(d - 2, -1, -1))}
+    obj = {"simplices": {"0": ["v"], str(d): ["s"]}, "faces": {"s": [vertex] * (d + 1)}}
+    start = time.perf_counter()
+    A = cochain_algebra(model_from_obj(obj), Z)
+    assert time.perf_counter() - start < 2.0
+    assert A.diff == {}
+    assert A.mult == {(0, 0, 0, 0): ((0, 1),), (0, 0, d, 0): ((0, 1),), (d, 0, 0, 0): ((0, 1),)}
 
 
 def test_model_json_round_trip():
@@ -208,17 +270,17 @@ def test_random_complexes_satisfy_axioms():
             assert report["ok"], report["violations"]
 
 
-def _front(X, ref, p):
+def _front(X, ref, p, face=SimplicialSetModel.face):
     n = len(ref[0]) + ref[1][0]
     for i in range(n, p, -1):
-        ref = X.face(ref, i)
+        ref = face(X, ref, i)
     return ref
 
 
-def _back(X, ref, q):
+def _back(X, ref, q, face=SimplicialSetModel.face):
     n = len(ref[0]) + ref[1][0]
     for _ in range(n - q):
-        ref = X.face(ref, 0)
+        ref = face(X, ref, 0)
     return ref
 
 
@@ -320,3 +382,54 @@ def test_verify_reports_broken_differential():
     assert not report["ok"]
     assert report["violations"].count("d^2 != 0 out of degree 0") == 1
     assert not any("out of degree 1" in v for v in report["violations"])
+
+
+def _with_unit(basis, mult):
+    """mult plus the products with the unit, the one degree-0 element."""
+    table = dict(mult)
+    for d, labels in enumerate(basis):
+        for i in range(len(labels)):
+            table[(0, 0, d, i)] = table[(d, i, 0, 0)] = ((i, 1),)
+    return table
+
+
+def _associativity_violations(A):
+    """verify_dga's associativity lines from every basis triple."""
+    basis = [(d, i) for d in range(len(A.basis)) for i in range(A.dim(d))]
+    bad = []
+    for b1, b2, b3 in itertools.product(basis, repeat=3):
+        x, y, z = ({b: 1} for b in (b1, b2, b3))
+        if _lin_mul(A, _lin_mul(A, x, y), z) != _lin_mul(A, x, _lin_mul(A, y, z)):
+            labels = ", ".join(A.label(*b) for b in (b1, b2, b3))
+            bad.append(f"associativity fails on ({labels})")
+    return bad
+
+
+def test_verify_reports_non_associative_product():
+    # y.x = p and x.p = q but x.y = 0: (x.y).x = 0 while x.(y.x) = q, a
+    # triple whose first product vanishes and whose second does not
+    basis = (("1",), ("x", "y"), ("p",), ("q",))
+    mult = _with_unit(basis, {(1, 1, 1, 0): ((0, 1),), (1, 0, 2, 0): ((0, 1),)})
+    A = FiniteDGA(Z, basis, {}, mult, (1,), (1,))
+    assert verify_dga(A) == {"ok": False, "violations": ["associativity fails on (x, y, x)"]}
+    assert _associativity_violations(A) == verify_dga(A)["violations"]
+    # with x.y = p and p.x = 2q, both kinds of triple fail, in basis order
+    mult[(1, 0, 1, 1)] = ((0, 1),)
+    mult[(2, 0, 1, 0)] = ((0, 2),)
+    A = FiniteDGA(Z, basis, {}, mult, (1,), (1,))
+    want = [f"associativity fails on ({t})" for t in ("x, x, y", "x, y, x", "y, x, x")]
+    assert verify_dga(A)["violations"] == want == _associativity_violations(A)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_verify_skips_triples_whose_both_sides_vanish(monkeypatch, k):
+    """On the wedge of k circles (B = k + 1 basis elements) the products
+    e_i e_j vanish, so associativity runs b3 over the whole basis only for
+    b1 = 1 or b2 = 1, and otherwise over b3 = 1 alone: 2 products per
+    triple after 2 B unit checks, B^2 basis products and 2 per Leibniz pair."""
+    calls = []
+    monkeypatch.setattr(dga, "_lin_mul", lambda *args: calls.append(1) or _lin_mul(*args))
+    assert verify_dga(wedge_algebra([f"x{i}" for i in range(k)], Z))["ok"]
+    B = k + 1
+    triples = B * B + k * B + k * k
+    assert len(calls) == 2 * B + 3 * B * B + 2 * triples

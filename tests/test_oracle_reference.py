@@ -169,6 +169,17 @@ def test_not_saturated_only_when_length_bound_at_most_n():
     assert raised[False] > 0
 
 
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_base_and_shorter_classes_are_prefixes_of_the_class_order(name):
+    """Classes are numbered by their first words, sorted by length, so the
+    classes of words of length <= L, and of length < L, are prefixes."""
+    P = parse_presentation(PRESENTATIONS[name])
+    reps, index = _enumerate_classes(P, 6)
+    for L in range(6):
+        classes = {index[w] for w in _reduced_spellings(P.gens, L)}
+        assert classes == set(range(sum(len(w) <= L for w in reps)))
+
+
 # Fixed cases next to the sample, so the stage rows, the Q-only clearing of
 # denominators and the saturation failure run whatever the sample draws,
 # with one NotSaturatedError case per ring in RINGS.  The free group at
