@@ -33,10 +33,10 @@ from .rings import (
     _echelon,
     _integral,
     _json_list,
-    _kernel_rows,
     _rank,
     _vector_annihilator,
     canon_terms,
+    filtered_kernel,
     row_canonical_form,
 )
 from .tensors import (
@@ -407,8 +407,9 @@ class PairingTable:
 
     Row i gives the i-th Hom generator evaluated on each word of
     `words`: class representatives sorted by length, then as letter
-    tuples, so a^-1 < a < b^-1 < b (not the order of words_up_to).  Tensor
-    bases are compared against it through row_canonical_form.
+    tuples, so a^-1 < a < b^-1 < b (not the order of words_up_to).  The
+    oracle builds the rows with _echelon, so the matrix is its own
+    row_canonical_form, and tensor bases are compared against it as it is.
     """
 
     words: tuple
@@ -661,11 +662,11 @@ def oracle_group_ring_quotient(
 
     ranks = []
     for short, rows in stages:
-        kernel = _kernel_rows(ring, rows, short)
-        ranks.append(_rank(ring, kernel, len(short)))
+        kernel = [v for _, v in filtered_kernel(ring, rows, dict.fromkeys(short, 0))]
+        ranks.append(_rank(ring, kernel, short[-1] + 1))
     if ring.kind == "Q":  # the echelon below reads only the Q-span
         kernel = [_integral(g) for g in kernel]
-    kernel = [dual({short[t]: x for t, x in g.items()}, len(base_classes)) for g in kernel]
+    kernel = [dual(g, len(base_classes)) for g in kernel]
     kernel = _echelon(ring, kernel)
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
@@ -697,14 +698,13 @@ def evaluation_table(tensors, words, ring: Ring) -> IntMatrix:
 def pairing_tables_agree(tensors, report: OracleReport) -> bool:
     """Entrywise equality of canonicalized pairing tables.
 
-    Both the tensor basis (evaluated on the oracle's enumerated words)
-    and the oracle's Hom generators are reduced to row canonical form;
+    The tensor basis, evaluated on the oracle's enumerated words, is
+    reduced to row canonical form, which the oracle's table already is;
     agreement of those matrices says the two computations produce the
     same submodule of functions, entry by entry.
     """
     ours = row_canonical_form(evaluation_table(tensors, report.table.words, report.ring))
-    theirs = row_canonical_form(report.table.matrix)
-    return ours.rows == theirs.rows and ours.entries == theirs.entries
+    return ours == report.table.matrix
 
 
 def pairing_tables_contained(tensors, report: OracleReport) -> bool:
@@ -717,9 +717,7 @@ def pairing_tables_contained(tensors, report: OracleReport) -> bool:
     finite-type function.
     """
     ours = evaluation_table(tensors, report.table.words, report.ring)
-    theirs = row_canonical_form(report.table.matrix)
-    both = row_canonical_form(report.table.matrix.stack_below(ours))
-    return both.rows == theirs.rows and both.entries == theirs.entries
+    return row_canonical_form(report.table.matrix.stack_below(ours)) == report.table.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,10 @@ _DIM_KEY = re.compile(r"0|[1-9][0-9]*")
 def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
     """The model of a space file.  Each key of 'simplices' must be a
     dimension in canonical decimal, and each listed simplex of dimension
-    d >= 1 must have d + 1 faces; both are checked before any
-    per-dimension list is built, so the dimensions are bounded by the
-    file's size.  Empty dimensions above the highest one that lists a
-    simplex are not built."""
+    d >= 1 must have a list of d + 1 faces, objects with a 'target'; both
+    are checked before any per-dimension list is built, so the dimensions
+    are bounded by the file's size.  Empty dimensions above the highest
+    one that lists a simplex are not built."""
     if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), dict):
         raise BadSimplicialSetError("simplicial set file needs a 'simplices' object")
     raw = {}
@@ -195,14 +195,22 @@ def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
         raise BadSimplicialSetError(f"'dims' is {declared} but top simplices have dimension {top}")
     lists = {d: _json_list(raw[d], f"simplices['{d}']") for d in sorted(raw)}
     raw_faces = obj.get("faces", {})
+    if not isinstance(raw_faces, dict):
+        raise BadSimplicialSetError(f"faces must be a JSON object, got {raw_faces!r}")
     for d, names in lists.items():
         if d == 0:
             continue
         for n in names:
             if n not in raw_faces:
                 raise BadSimplicialSetError(f"no faces given for simplex {n!r}")
-            if len(raw_faces[n]) != d + 1:
+            field = f"faces[{n!r}]"
+            if len(_json_list(raw_faces[n], field)) != d + 1:
                 raise BadSimplicialSetError(f"simplex {n!r} needs {d + 1} faces")
+            for t, item in enumerate(raw_faces[n]):
+                if not isinstance(item, dict) or "target" not in item:
+                    raise BadSimplicialSetError(
+                        f"{field}[{t}] must be a JSON object with a 'target', got {item!r}"
+                    )
     dim = max((d for d, names in lists.items() if names), default=-1)
     cells = tuple(tuple(lists.get(d, ())) for d in range(dim + 1))
     where = {n: (d, i) for d, names in enumerate(cells) for i, n in enumerate(names)}

@@ -34,12 +34,13 @@ modified.  Conventions that keep runs byte-for-byte reproducible:
   the Howell form, whose pivots are divisors of m.  Its rows generate
   the span but need not be a minimal generating set, so counting them
   can exceed the minimal generator count.
-* Kernels (_filtered_kernel on sparse rows, its dense wrappers
-  filtered_kernel and kernel_basis, and the group-ring oracle's stage
-  kernels) are read off one echelon form of the sparse rows [M^T | I]
-  (_kernel_rows): the rows whose pivot lies in the identity block.  Only
-  those rows are back-reduced; the others are dropped.  Over Z/m each
-  generator carries its additive order as annihilator (0 = free).
+* Every kernel is one filtered_kernel call on sparse rows: H^0 of the
+  bar and cyclic-bar complexes and both tensor bases (through
+  tensors._orbit_kernel), the group-ring oracle's stages, and solve.  It
+  is read off one echelon form of [M^T | I]: the rows whose pivot lies
+  in the identity block.  Only those rows are back-reduced; the others
+  are dropped.  Over Z/m each generator's additive order is its
+  annihilator (0 = free).
 * Over Q the same elimination is fraction-free, on primitive integer
   rows; Fractions appear only in the output, each row over its pivot.
 """
@@ -353,9 +354,6 @@ class IntMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def columns(self) -> list:
-        return [list(self.column(j)) for j in range(self.cols)]
-
     # -- algebra --------------------------------------------------------
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
@@ -394,30 +392,6 @@ class IntMatrix:
         return IntMatrix(
             self.ring, self.rows + other.rows, self.cols, self.entries + other.entries
         )
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Kernel of a matrix: generators as columns plus their annihilators.
-
-    Over Z the columns are a saturated lattice basis (every integer
-    kernel vector is an integer combination of them) and over Q a basis;
-    every annihilator is 0.  Over Z/m the columns are a Howell generating
-    set of the kernel and annihilators[i] is the additive order of
-    column i (0 when the order is m, i.e. the generator is free).  That
-    set need not be minimal: matrix_rank(matrix) is the minimal number
-    of generators.
-    """
-
-    matrix: IntMatrix
-    annihilators: tuple
-
-    @property
-    def generator_count(self) -> int:
-        return self.matrix.cols
-
-    def generators(self) -> list:
-        return self.matrix.columns()
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +527,10 @@ def solve(M: IntMatrix, b) -> list | None:
         canon_terms(ring, {0: -x, **{j + 1: y for j, y in r.items()}})
         for x, r in zip(b, _sparse_rows(M))
     ]
-    kernel = _kernel_rows(ring, rows, range(M.cols + 1))
-    if not kernel or kernel[0].get(0) != 1:
+    kernel = filtered_kernel(ring, rows, dict.fromkeys(range(M.cols + 1), 0))
+    if not kernel or kernel[0][1].get(0) != 1:
         return None
-    return [kernel[0].get(j + 1, ring.zero()) for j in range(M.cols)]
+    return [kernel[0][1].get(j + 1, ring.zero()) for j in range(M.cols)]
 
 
 def in_column_span(M: IntMatrix, x) -> bool:
@@ -815,76 +789,38 @@ def _vector_annihilator(ring: Ring, v) -> int:
     return 0 if d == ring.modulus else d
 
 
-def _kernel_rows(ring: Ring, rows, keep) -> list:
-    """Echelon basis of the kernel of the matrix with sparse `rows`,
-    restricted to the columns `keep` and taken in that order, as sparse
-    rows over positions in `keep`.
+def filtered_kernel(ring: Ring, rows, weights: dict) -> list:
+    """Kernel generators of the matrix with sparse `rows` (column ->
+    entry), filtered by column weight: (weight, sparse vector) pairs in
+    the order of the weight at which each vector enters, and in pivot
+    order within a weight.
 
-    One echelon form of [M^T | I], built sparse, with the identity block
-    starting at column len(rows): the rows pivoting in that block have
-    zero M-part, so they are kernel vectors, and they form its echelon
-    basis.  Only they are back-reduced.
+    Only the columns in `weights` (column -> weight) are kept, so passing
+    those of weight <= p gives the kernel on them, a prefix of the result
+    for any larger set.  Over Z and Q the vectors form a basis; over Z/m
+    a generating sequence, which can be longer than the minimal number of
+    generators, each of additive order _vector_annihilator.
+
+    One echelon form of the sparse rows [M^T | I] gives all of it: the
+    left-to-right reduction of persistent homology, with clearing
+    (Zomorodian and Carlsson 2005; Chen and Kerber 2011).  The identity
+    columns are ordered by weight, highest first, so the rows pivoting in
+    the identity block, which have zero M-part, are a canonical echelon
+    basis of the kernel, and those pivoting at weight <= p span its part
+    of weight <= p.  They depend only on the row span of M, and only they
+    are back-reduced; the rows pivoting in the M block are dropped.
     """
+    keep = sorted(weights, key=lambda j: (-weights[j], j))
     height = len(rows)
     columns = {j: {} for j in keep}
     for i, row in enumerate(rows):
         for j, x in row.items():
             if j in columns:
                 columns[j][i] = x
-    o = ring.one()
-    stacked = [{**columns[j], height + t: o} for t, j in enumerate(keep)]
-    return [{j - height: x for j, x in r.items()} for r in _echelon(ring, stacked, height)]
-
-
-def _filtered_kernel(ring: Ring, rows, col_weights, up_to: int) -> list:
-    """filtered_kernel on sparse rows (column -> entry): (weight, sparse
-    vector) pairs, ordered by the weight at which each vector enters."""
-    keep = sorted(
-        (j for j, w in enumerate(col_weights) if w <= up_to),
-        key=lambda j: (-col_weights[j], j),
-    )
+    stacked = [{**columns[j], height + t: ring.one()} for t, j in enumerate(keep)]
     found = [
-        (col_weights[keep[min(r)]], {keep[t]: x for t, x in r.items()})
-        for r in _kernel_rows(ring, rows, keep)
+        (weights[keep[min(r) - height]], {keep[t - height]: x for t, x in r.items()})
+        for r in _echelon(ring, stacked, height)
     ]
     found.sort(key=lambda wv: wv[0])  # stable: pivot order within a weight
     return found
-
-
-def filtered_kernel(M: IntMatrix, col_weights, up_to: int):
-    """Kernel generators of M, filtered by column weight.
-
-    Returns (vectors, added_at_weight, annihilators), ordered by the
-    weight at which each vector enters.  Columns of weight > up_to are
-    left out.  The vectors entering at weight <= p span ker M restricted
-    to the columns of weight <= p, so the result for up_to = p is a
-    prefix of the result for any larger bound.  Over Z and Q they form a
-    basis; over Z/m a generating sequence with per-vector annihilators,
-    which can be longer than the minimal number of generators.
-
-    One echelon form of [M^T | I] gives all of it (the left-to-right
-    reduction of persistent homology): the identity columns are ordered
-    by weight, highest first, so the echelon rows whose pivot lies in the
-    identity block are a canonical echelon basis of the kernel, and the
-    rows pivoting at weight <= p span its part of weight <= p.  Those
-    rows depend only on the kernel, hence only on the row span of M.
-
-    This is a dense wrapper: the work is done on sparse rows by
-    _filtered_kernel, which the H^0 and tensor-basis pipelines reach
-    through tensors._orbit_kernel, so they build no IntMatrix, and the
-    rows pivoting in the M block are never back-reduced (_kernel_rows).
-    """
-    z = M.ring.zero()
-    found = _filtered_kernel(M.ring, _sparse_rows(M), col_weights, up_to)
-    vectors = [[v.get(j, z) for j in range(M.cols)] for _, v in found]
-    anns = tuple(_vector_annihilator(M.ring, v) for v in vectors)
-    return vectors, tuple(w for w, _ in found), anns
-
-
-def kernel_basis(M: IntMatrix) -> KernelBasis:
-    """Solutions of M x = 0 as a :class:`KernelBasis`: filtered_kernel
-    with every column at weight 0, so the generators are the echelon
-    basis of the kernel (Hermite over Z, reduced echelon over Q, Howell
-    over Z/m) and depend only on the row span of M."""
-    vectors, _, anns = filtered_kernel(M, [0] * M.cols, 0)
-    return KernelBasis(IntMatrix.from_columns(M.ring, vectors, M.cols), anns)

@@ -37,10 +37,10 @@ from .rings import (
     Combination,
     Ring,
     ShapeError,
-    _filtered_kernel,
     _json_list,
     _vector_annihilator,
     canon_terms,
+    filtered_kernel,
 )
 from .words import (
     GenSet,
@@ -291,19 +291,20 @@ def _orbit_kernel(ring: Ring, k: int, series, n: int, cyclic: bool):
     to the row x·(suf·pre).  On necklace sums the ideal is spanned by its
     one-sided rows, as HH_0 = A/[A, A] (Loday, Cyclic Homology, 1992, §1.1).
 
-    The rows go to _filtered_kernel longest words first, the reverse of
+    The rows go to filtered_kernel longest words first, the reverse of
     _ideal_rows' order.  The echelon basis does not depend on the row
     order, but the elimination's cost does: in one process each on a
     2-vCPU machine, finite_type_basis of the torus over Z at n = 9 took
     0.05 s in this order and 5.5 s in the forward one, h0_bar of the
     torus over Q at n = 7 1.0 s and 2.7 s.
 
-    Returns (terms, added_at_weight, annihilators) as rings.filtered_kernel
-    does, each member a dict of index sequence -> coefficient in (length,
-    lex) order.  Each orbit stands in the column order at its least
-    rotation, where its members' leading column would be, so the echelon
-    basis (Hermite, reduced echelon or Howell) expands to the echelon
-    basis of the orbit-constant kernel vectors in word coordinates.
+    Returns (terms, added_at_weight, annihilators) in the order of
+    rings.filtered_kernel, each member a dict of index sequence ->
+    coefficient in (length, lex) order.  Each orbit stands in the column
+    order at its least rotation, where its members' leading column would
+    be, so the echelon basis (Hermite, reduced echelon or Howell) expands
+    to the echelon basis of the orbit-constant kernel vectors in word
+    coordinates.
     """
     words = weight_graded_monomials(k, n)
     orbits = rotation_orbits(words) if cyclic else [[s] for s in words]
@@ -318,7 +319,7 @@ def _orbit_kernel(ring: Ring, k: int, series, n: int, cyclic: bool):
         if acc:
             projected.append(acc)
     projected.reverse()
-    found = _filtered_kernel(ring, projected, [len(orbit[0]) for orbit in orbits], n)
+    found = filtered_kernel(ring, projected, {j: len(o[0]) for j, o in enumerate(orbits)})
     terms = []
     for _, v in found:
         members = ((s, c) for j, c in v.items() for s in orbits[j])

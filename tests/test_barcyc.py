@@ -43,6 +43,8 @@ from letterbraid.dga import (
 from letterbraid.rings import (
     IntMatrix,
     Ring,
+    _sparse_rows,
+    _vector_annihilator,
     canon_terms,
     filtered_kernel,
     matrix_rank,
@@ -301,17 +303,30 @@ def test_connecting_map_rejects_non_cocycles():
 # ---------------------------------------------------------------------------
 
 
+def dense_kernel(M, weights, up_to):
+    """filtered_kernel of M on its columns of weight <= up_to: (column
+    lists, entry weights, annihilators)."""
+    kept = {j: w for j, w in enumerate(weights) if w <= up_to}
+    found = filtered_kernel(M.ring, _sparse_rows(M), kept)
+    vectors = [[v.get(j, M.ring.zero()) for j in range(M.cols)] for _, v in found]
+    anns = tuple(_vector_annihilator(M.ring, v) for v in vectors)
+    return vectors, tuple(w for w, _ in found), anns
+
+
 def test_filtered_kernel_simple():
     M = IntMatrix.from_rows(Z, [[2, -3]])
-    vectors, added, anns = filtered_kernel(M, [1, 2], 2)
+    vectors, added, anns = dense_kernel(M, [1, 2], 2)
     assert vectors == [[3, 2]]
     assert added == (2,)
     assert anns == (0,)
+    # the sparse form: (weight, vector) pairs, columns outside the weights left out
+    assert filtered_kernel(Z, [{0: 2, 1: -3}], {0: 1, 1: 2}) == [(2, {0: 3, 1: 2})]
+    assert filtered_kernel(Z, [{0: 2, 1: -3}], {0: 1}) == []
 
 
 def test_filtered_kernel_extends_previous_basis():
     M = IntMatrix.from_rows(Z, [[1, -2, 0]])
-    vectors, added, _ = filtered_kernel(M, [1, 1, 2], 2)
+    vectors, added, _ = dense_kernel(M, [1, 1, 2], 2)
     assert vectors[0] == [2, 1, 0]  # the weight-1 kernel, kept verbatim
     assert added == (1, 2)
 
@@ -336,7 +351,7 @@ def test_filtered_kernel_random_matrices_give_bases():
         )
         weights = [rng.randint(0, 3) for _ in range(cols)]
         up_to = 3
-        vectors, added, anns = filtered_kernel(M, weights, up_to)
+        vectors, added, anns = dense_kernel(M, weights, up_to)
         # every vector is in the kernel and respects its weight step
         for v, a in zip(vectors, added):
             assert all(c == ring.zero() for c in M.apply(v))
@@ -361,7 +376,7 @@ def test_filtered_kernel_random_matrices_give_bases():
             assert len(vectors) == cols - rankM
         # re-running with a smaller bound gives a prefix of the same list
         cut = rng.randint(0, up_to - 1)
-        v2, a2, _ = filtered_kernel(M, weights, cut)
+        v2, a2, _ = dense_kernel(M, weights, cut)
         keep = [v for v, a in zip(vectors, added) if a <= cut]
         assert v2 == keep
         # the output depends only on the row span: shuffle the rows and add
@@ -371,7 +386,7 @@ def test_filtered_kernel_random_matrices_give_bases():
         if len(shuffled) >= 2:
             c = ring.from_int(rng.randrange(-2, 3))
             shuffled[0] = [ring.add(x, ring.mul(c, y)) for x, y in zip(*shuffled[:2])]
-        assert filtered_kernel(IntMatrix.from_rows(ring, shuffled), weights, up_to) == (
+        assert dense_kernel(IntMatrix.from_rows(ring, shuffled), weights, up_to) == (
             vectors, added, anns
         )
         # over Z/m the members entering at weight <= p span exactly the

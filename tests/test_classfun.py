@@ -274,6 +274,23 @@ def test_finite_type_torus_cumulative_ranks():
     assert finite_type_basis(P, Z, 3).ranks_per_weight == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_surface_group_ranks_are_labutes_series(genus):
+    """The graded group ring of the genus-g surface group is torsion-free
+    with Hilbert series 1/(1 - 2g t + t^2) (Labute, 1970), so the ranks
+    per weight are its coefficients c_p = 2g c_(p-1) - c_(p-2) on every
+    ring."""
+    gens = [f"{x}{i}" for i in range(1, genus + 1) for x in "ab"]
+    relator = " ".join(f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, genus + 1))
+    P = parse_presentation(f"gens: {' '.join(gens)}\nrel: {relator}\n")
+    series = [1, 2 * genus]
+    while len(series) < 5:
+        series.append(2 * genus * series[-1] - series[-2])
+    for ring in (Z, Ring.rationals(), Z2, Ring.integers_mod(4)):
+        for n in range(5):
+            assert finite_type_basis(P, ring, n).ranks_per_weight == series[: n + 1], ring.spec
+
+
 def test_finite_type_cyclic_three_mod_three():
     P = parse_presentation(CYCLIC_3)
     assert [len(finite_type_basis(P, Z3, n)) for n in range(4)] == [1, 2, 3, 3]

@@ -559,6 +559,26 @@ def test_string_for_a_list_field_exits_one_naming_it(work, capsys, verb, path, v
     assert "bad.json" in err and f"{name} must be a JSON list" in err
 
 
+# A malformed 'faces' field of a space file, once refused with Python's own
+# message: (the field's value, the error it gives)
+MALFORMED_FACES = [
+    ({"e": 5}, "faces['e'] must be a JSON list, got 5"),
+    ({"e": "vv"}, "faces['e'] must be a JSON list, got 'vv'"),
+    ({"e": ["v", "v"]}, "faces['e'][0] must be a JSON object with a 'target', got 'v'"),
+    ("e!", "faces must be a JSON object, got 'e!'"),
+]
+
+
+@pytest.mark.parametrize("faces, message", MALFORMED_FACES)
+def test_malformed_faces_exit_one_naming_the_field(work, capsys, faces, message):
+    obj = model_to_obj(circle_model())
+    obj["faces"] = faces
+    (work / "bad.json").write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "cyc-h0", "--ring", "Z", "--space", work / "bad.json", "-n", 2)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {work / 'bad.json'}: {message}\n"
+
+
 def test_verify_refuses_annihilators_that_are_not_the_additive_orders(work, capsys):
     """Each annihilator must be its tensor's additive order, as basis files
     are written; a file without the list says every order is 0."""

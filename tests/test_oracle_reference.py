@@ -25,10 +25,11 @@ from letterbraid.rings import (
     IntMatrix,
     Ring,
     _echelon,
-    _kernel_rows,
     _rank,
     _vector_annihilator,
     canon_terms,
+    filtered_kernel,
+    row_canonical_form,
 )
 from letterbraid.words import MagnusPlan, Word, _join, _reduced_spellings
 
@@ -116,7 +117,7 @@ def reference_oracle(P, ring, n, length_bound):
         )
     ranks = []
     for stage in stages:
-        kernel = _kernel_rows(ring, stage, range(c))
+        kernel = [v for _, v in filtered_kernel(ring, stage, dict.fromkeys(range(c), 0))]
         ranks.append(_rank(ring, kernel, c))
     z = ring.zero()
     words = tuple(Word(P.gens, reps[cls]) for cls in base_classes)
@@ -207,3 +208,21 @@ def test_fixed_cases_match_all_class_reference(name, spec, n, L):
     assert outcome == _outcome(reference_oracle, name, spec, n, L)
     if (name, spec, n, L) in NOT_SATURATED:
         assert outcome.startswith("NotSaturatedError")
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS)[:6])
+def test_pairing_table_is_its_own_row_canonical_form(name):
+    """The oracle builds the table's rows with _echelon, so the pairing
+    comparisons read the table as it is, without echelonning it again."""
+    P = parse_presentation(PRESENTATIONS[name])
+    saturated = 0
+    for spec in RINGS:
+        for n in range(4):
+            for L in range(1, min(4, 6 - n) + 1):
+                try:
+                    table = oracle_group_ring_quotient(P, Ring.from_spec(spec), n, L).table
+                except NotSaturatedError:
+                    continue
+                saturated += 1
+                assert row_canonical_form(table.matrix) == table.matrix, (spec, n, L)
+    assert saturated

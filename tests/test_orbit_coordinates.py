@@ -32,7 +32,7 @@ from letterbraid.dga import (
 from letterbraid.rings import (
     IntMatrix,
     Ring,
-    _filtered_kernel,
+    _sparse_rows,
     _vector_annihilator,
     filtered_kernel,
 )
@@ -68,9 +68,11 @@ def stacked_kernel(ring, rows, seqs, n):
     """filtered_kernel of the dense stack [rows; sigma - 1], each vector
     as its (sequence, coefficient) terms in the order of seqs."""
     M = IntMatrix.from_rows(ring, rows + sigma_minus_one_rows(ring, seqs))
-    vectors, added, anns = filtered_kernel(M, [len(s) for s in seqs], n)
-    terms = [[(s, c) for s, c in zip(seqs, v) if c] for v in vectors]
-    return terms, added, anns
+    weights = {j: len(s) for j, s in enumerate(seqs) if len(s) <= n}
+    found = filtered_kernel(ring, _sparse_rows(M), weights)
+    terms = [[(seqs[j], c) for j, c in sorted(v.items())] for _, v in found]
+    anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
+    return terms, tuple(w for w, _ in found), anns
 
 
 def _h0_spaces():
@@ -146,7 +148,7 @@ def _random_series(rng, k, n, modulus):
 
 
 def _kernel_projected_by_hand(ring, k, series, n, cyclic):
-    """_filtered_kernel on every two-sided row pre·x·suf, summed onto each
+    """filtered_kernel on every two-sided row pre·x·suf, summed onto each
     word's least rotation (or the word itself), every row kept, the
     kernel vectors spread back onto the words."""
 
@@ -166,7 +168,7 @@ def _kernel_projected_by_hand(ring, k, series, n, cyclic):
                         j = col[key(pre + m + suf)]
                         acc[j] = acc.get(j, 0) + c
                 projected.append({j: ring.canon(c) for j, c in acc.items() if ring.canon(c)})
-    found = _filtered_kernel(ring, projected, [len(s) for s in columns], n)
+    found = filtered_kernel(ring, projected, {j: len(s) for j, s in enumerate(columns)})
     terms = [{s: v[col[key(s)]] for s in words if col[key(s)] in v} for _, v in found]
     anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
     return terms, tuple(w for w, _ in found), anns

@@ -13,14 +13,13 @@ from letterbraid.rings import (
     ShapeError,
     _axpy,
     _echelon,
-    _filtered_kernel,
-    _kernel_rows,
     _pivot_rows,
     _rank,
+    _sparse_rows,
+    _vector_annihilator,
     canon_terms,
     filtered_kernel,
     in_column_span,
-    kernel_basis,
     matrix_rank,
     row_canonical_form,
     smith_normal_form,
@@ -33,6 +32,17 @@ Q = Ring.rationals()
 
 def mat(rows, ring=Z):
     return IntMatrix.from_rows(ring, rows)
+
+
+def dense_kernel(M, weights=None, up_to=0):
+    """filtered_kernel of M on its columns of weight <= up_to (every column
+    at weight 0 by default): (column lists, entry weights, annihilators)."""
+    weights = weights or [0] * M.cols
+    kept = {j: w for j, w in enumerate(weights) if w <= up_to}
+    found = filtered_kernel(M.ring, _sparse_rows(M), kept)
+    vectors = [[v.get(j, M.ring.zero()) for j in range(M.cols)] for _, v in found]
+    anns = tuple(_vector_annihilator(M.ring, v) for v in vectors)
+    return vectors, tuple(w for w, _ in found), anns
 
 
 def diag_of(D):
@@ -93,16 +103,16 @@ def test_snf_identity_and_zero():
 
 
 def test_kernel_of_sum_functional():
-    K = kernel_basis(mat([[1, 1]]))
-    assert K.generators() == [[1, -1]]
-    assert K.annihilators == (0,)
+    gens, _, anns = dense_kernel(mat([[1, 1]]))
+    assert gens == [[1, -1]]
+    assert anns == (0,)
 
 
 def test_kernel_mod4_example():
     ring = Ring.integers_mod(4)
-    K = kernel_basis(mat([[2]], ring))
-    assert K.generators() == [[2]]
-    assert K.annihilators == (2,)
+    gens, _, anns = dense_kernel(mat([[2]], ring))
+    assert gens == [[2]]
+    assert anns == (2,)
     # exhaustively: solutions of 2x = 0 mod 4 are exactly multiples of 2
     sols = {x for x in range(4) if (2 * x) % 4 == 0}
     spanned = {(2 * c) % 4 for c in range(4)}
@@ -111,12 +121,12 @@ def test_kernel_mod4_example():
 
 def test_empty_shapes():
     M = IntMatrix.zeros(Z, 0, 3)
-    K = kernel_basis(M)
-    assert K.matrix.cols == 3  # no constraints at all
-    for col in K.generators():
+    gens, _, _ = dense_kernel(M)
+    assert len(gens) == 3  # no constraints at all
+    for col in gens:
         assert len(col) == 3
     M2 = IntMatrix.zeros(Z, 3, 0)
-    assert kernel_basis(M2).matrix.cols == 0
+    assert len(dense_kernel(M2)[0]) == 0
 
 
 def test_shape_errors():
@@ -216,12 +226,12 @@ def test_kernel_random_integer_matrices():
     rng = random.Random(7)
     for _ in range(50):
         M = random_matrix(rng, Z)
-        K = kernel_basis(M)
-        for col in K.generators():
+        gens, _, _ = dense_kernel(M)
+        for col in gens:
             assert all(x == 0 for x in M.apply(col))
-        assert matrix_rank(M) + K.matrix.cols == M.cols
-        if K.matrix.cols:
-            assert matrix_rank(K.matrix) == K.matrix.cols  # independent columns
+        assert matrix_rank(M) + len(gens) == M.cols
+        if gens:  # independent columns
+            assert matrix_rank(IntMatrix.from_columns(Z, gens, M.cols)) == len(gens)
 
 
 def test_kernel_saturation_against_bruteforce():
@@ -235,7 +245,7 @@ def test_kernel_saturation_against_bruteforce():
         M = IntMatrix.from_rows(
             Z, [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
         )
-        K = kernel_basis(M)
+        K = IntMatrix.from_columns(Z, dense_kernel(M)[0], cols)
 
         def vectors(k):
             if k == 0:
@@ -247,7 +257,7 @@ def test_kernel_saturation_against_bruteforce():
 
         for v in vectors(cols):
             if all(x == 0 for x in M.apply(v)):
-                assert solve(K.matrix, v) is not None, (M.to_rows(), v)
+                assert solve(K, v) is not None, (M.to_rows(), v)
 
 
 def test_kernel_zmod_exhaustive():
@@ -260,8 +270,9 @@ def test_kernel_zmod_exhaustive():
             M = IntMatrix.from_rows(
                 ring, [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
             )
-            K = kernel_basis(M)
-            for col in K.generators():
+            gens, _, _ = dense_kernel(M)
+            K = IntMatrix.from_columns(ring, gens, cols)
+            for col in gens:
                 assert all(x == 0 for x in M.apply(col))
 
             def all_vectors(k):
@@ -275,7 +286,7 @@ def test_kernel_zmod_exhaustive():
             # soundness + completeness of the generating set
             for v in all_vectors(cols):
                 in_kernel = all(x == 0 for x in M.apply(v))
-                assert in_kernel == in_column_span(K.matrix, v), (m, M.to_rows(), v)
+                assert in_kernel == in_column_span(K, v), (m, M.to_rows(), v)
 
 
 def test_kernel_zmod_annihilators():
@@ -284,8 +295,8 @@ def test_kernel_zmod_annihilators():
     # cyclic order of each generator individually matches.
     ring = Ring.integers_mod(12)
     M = IntMatrix.from_rows(ring, [[6, 0], [0, 4]])
-    K = kernel_basis(M)
-    for col, ann in zip(K.generators(), K.annihilators):
+    gens, _, anns = dense_kernel(M)
+    for col, ann in zip(gens, anns):
         order = min(
             k for k in range(1, 13) if all((k * x) % 12 == 0 for x in col)
         )
@@ -341,8 +352,8 @@ def test_determinism():
     first = smith_normal_form(M)
     second = smith_normal_form(M)
     assert [x.entries for x in first] == [x.entries for x in second]
-    assert kernel_basis(M).matrix.entries == kernel_basis(M).matrix.entries
-    # kernel_basis depends only on the row span: shuffling the rows and
+    assert dense_kernel(M)[0] == dense_kernel(M)[0]
+    # the kernel depends only on the row span: shuffling the rows and
     # adding a multiple of one row to another leave its output unchanged
     for ring in (Z, Q, Ring.integers_mod(4), Ring.integers_mod(6)):
         for _ in range(20):
@@ -352,7 +363,7 @@ def test_determinism():
             if len(rows) >= 2:
                 c = ring.from_int(rng.randrange(-3, 4))
                 rows[0] = [ring.add(x, ring.mul(c, y)) for x, y in zip(rows[0], rows[1])]
-            assert kernel_basis(IntMatrix.from_rows(ring, rows)) == kernel_basis(M)
+            assert dense_kernel(IntMatrix.from_rows(ring, rows)) == dense_kernel(M)
 
 
 def test_row_canonical_form_frozen():
@@ -456,7 +467,7 @@ def test_filtered_kernel_is_identity_block_of_full_echelon(spec):
             lead = next(t for t, x in enumerate(row[M.rows:]) if x != z)
             expected.append((weights[keep[lead]], v))
         expected.sort(key=lambda wv: wv[0])
-        vectors, added, _ = filtered_kernel(M, weights, up_to)
+        vectors, added, _ = dense_kernel(M, weights, up_to)
         assert vectors == [v for _, v in expected]
         assert list(added) == [w for w, _ in expected]
 
@@ -540,19 +551,19 @@ def test_q_elimination_matches_gauss_jordan():
         M = _random_q_matrix(rng, r, c)
         assert row_canonical_form(M).to_rows() == _gauss_jordan(M.to_rows(), c)
         rank = matrix_rank(M)
-        K = kernel_basis(M)
-        assert rank + K.generator_count == c
+        gens, _, _ = dense_kernel(M)
+        assert rank + len(gens) == c
         weights = [rng.randint(0, 3) for _ in range(c)]
         previous = []
         for up_to in range(4):
-            vectors, added, anns = filtered_kernel(M, weights, up_to)
+            vectors, added, anns = dense_kernel(M, weights, up_to)
             assert vectors[: len(previous)] == previous  # prefix property
             previous = vectors
             low = [j for j in range(c) if weights[j] <= up_to]
             columns = IntMatrix.from_columns(M.ring, [M.column(j) for j in low], r)
             assert len(vectors) == len(low) - matrix_rank(columns)
             assert set(anns) <= {0} and all(w <= up_to for w in added)
-        for v in K.generators() + previous:
+        for v in gens + previous:
             assert all(x == 0 for x in M.apply(v))
 
 
@@ -775,13 +786,13 @@ def test_elimination_leaves_its_inputs_alone(spec):
         before = copy.deepcopy(rows)
         inputs = {id(r) for r in rows}
         keep = rng.sample(range(cols), rng.randint(0, cols))
-        weights = [rng.randint(0, 2) for _ in range(cols)]
+        weights = {j: w for j in range(cols) if (w := rng.randint(0, 2)) <= 1}
         outputs = [
             *_echelon(ring, rows),
             *_echelon(ring, rows, rng.randint(0, cols)),
             *_pivot_rows(ring, rows).values(),
-            *_kernel_rows(ring, rows, keep),
-            *(v for _, v in _filtered_kernel(ring, rows, weights, 1)),
+            *(v for _, v in filtered_kernel(ring, rows, dict.fromkeys(keep, 0))),
+            *(v for _, v in filtered_kernel(ring, rows, weights)),
         ]
         _rank(ring, rows, cols)
         assert rows == before

@@ -42,3 +42,16 @@ def test_every_exported_name_is_bound():
 
     assert len(set(letterbraid.__all__)) == len(letterbraid.__all__)
     assert [name for name in letterbraid.__all__ if not hasattr(letterbraid, name)] == []
+
+
+def test_every_public_name_is_exported():
+    import types
+
+    import letterbraid
+
+    public = {
+        name
+        for name, value in vars(letterbraid).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(letterbraid.__all__)) == []
