@@ -177,11 +177,13 @@ _DIM_KEY = re.compile(r"0|[1-9][0-9]*")
 
 def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
     """The model of a space file.  Each key of 'simplices' must be a
-    dimension in canonical decimal, and each listed simplex of dimension
-    d >= 1 must have a list of d + 1 faces, objects with a 'target'; both
-    are checked before any per-dimension list is built, so the dimensions
-    are bounded by the file's size.  Empty dimensions above the highest
-    one that lists a simplex are not built."""
+    dimension in canonical decimal, each simplex name a string, and each
+    listed simplex of dimension d >= 1 must have a list of d + 1 faces,
+    objects with a string 'target'; these are checked before any
+    per-dimension list is built, so the dimensions are bounded by the
+    file's size.  Empty dimensions above the highest one that lists a
+    simplex are not built.  A face's degeneracies are JSON integers that
+    take its target to dimension d - 1, each valid where it applies."""
     if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), dict):
         raise BadSimplicialSetError("simplicial set file needs a 'simplices' object")
     raw = {}
@@ -198,6 +200,11 @@ def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
     if not isinstance(raw_faces, dict):
         raise BadSimplicialSetError(f"faces must be a JSON object, got {raw_faces!r}")
     for d, names in lists.items():
+        for i, n in enumerate(names):
+            if not isinstance(n, str):
+                raise BadSimplicialSetError(
+                    f"simplices['{d}'][{i}] must be a JSON string, got {n!r}"
+                )
         if d == 0:
             continue
         for n in names:
@@ -211,6 +218,10 @@ def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
                     raise BadSimplicialSetError(
                         f"{field}[{t}] must be a JSON object with a 'target', got {item!r}"
                     )
+                if not isinstance(item["target"], str):
+                    raise BadSimplicialSetError(
+                        f"{field}[{t}].target must be a JSON string, got {item['target']!r}"
+                    )
     dim = max((d for d, names in lists.items() if names), default=-1)
     cells = tuple(tuple(lists.get(d, ())) for d in range(dim + 1))
     where = {n: (d, i) for d, names in enumerate(cells) for i, n in enumerate(names)}
@@ -218,13 +229,25 @@ def model_from_obj(obj: dict, name: str = "space") -> SimplicialSetModel:
     for d in range(1, dim + 1):
         for i, n in enumerate(cells[d]):
             entries = []
-            for item in raw_faces[n]:
+            for t, item in enumerate(raw_faces[n]):
                 target = item["target"]
                 if target not in where:
                     raise BadSimplicialSetError(
                         f"face of {n!r} references unknown simplex {target!r}"
                     )
-                degens = tuple(_json_list(item.get("degeneracies", []), "degeneracies"))
+                field = f"faces[{n!r}][{t}].degeneracies"
+                degens = tuple(_json_list(item.get("degeneracies", []), field))
+                q = where[target][0]
+                if q + len(degens) != d - 1:
+                    raise BadSimplicialSetError(f"face of {n!r} has wrong dimension")
+                # read right to left, s_j applies to a q-simplex for 0 <= j <= q
+                for j in reversed(degens):
+                    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j <= q:
+                        raise BadSimplicialSetError(
+                            f"{field} entry {j!r} must be an integer j with 0 <= j <= {q}, "
+                            f"for s_j of a {q}-simplex"
+                        )
+                    q += 1
                 entries.append(canonical_ref(degens, where[target]))
             faces[(d, i)] = tuple(entries)
     return SimplicialSetModel(cells, faces, name=name)

@@ -98,7 +98,7 @@ class Ring:
             return Ring.integers()
         if spec == "Q":
             return Ring.rationals()
-        m = _ZMOD_RE.match(spec)
+        m = _ZMOD_RE.match(spec) if isinstance(spec, str) else None
         if m:
             try:
                 modulus = int(m.group(1))
@@ -219,12 +219,11 @@ class Combination:
     """Finite formal sum: one nonzero ring element per key.
 
     The base of every formal sum in the package: bar and cyclic-bar
-    elements, braiding tensors, group-ring elements and Magnus monomial
-    combinations.  A subclass is a dataclass with ``eq=False``, a
-    ``terms`` field and a ``ring``.  It checks and normalises each key in
-    ``_key``, and lists in ``_SPACE`` the other fields that fix the space
-    it lives in, each with the error raised when two operands differ in
-    it.  The constructor cleans the terms (canon_terms), so operations
+    elements and braiding tensors.  A subclass is a dataclass with
+    ``eq=False``, a ``terms`` field and a ``ring``.  It checks and
+    normalises each key in ``_key``, and lists in ``_SPACE`` the other
+    fields that fix the space it lives in, each with the error raised
+    when two operands differ in it.  The constructor cleans the terms (canon_terms), so operations
     accumulate plain sums and the ring is applied once, to the result.
     """
 

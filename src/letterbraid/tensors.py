@@ -18,7 +18,10 @@ with the word's truncated Magnus series.  Evaluation computes it that
 way: one integer sweep over the letters (:class:`~letterbraid.words.MagnusPlan`)
 on the prefix trie of the tensor's index sequences, then one sum in the
 coefficient ring.  The cost is linear in word length times the number of
-trie nodes per generator, so long words are cheap.
+trie nodes per generator, so long words are cheap.  Extended linearly to
+the group ring, a tensor takes the product (s_{i_1} - 1)...(s_{i_k} - 1)
+to its coefficient at (i_1, ..., i_k): the coordinates are dual to the
+monomials.
 
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
@@ -36,7 +39,6 @@ from itertools import product
 from .rings import (
     Combination,
     Ring,
-    ShapeError,
     _json_list,
     _vector_annihilator,
     canon_terms,
@@ -45,7 +47,6 @@ from .rings import (
 from .words import (
     GenSet,
     GeneratorMismatchError,
-    GroupRingElement,
     MagnusPlan,
     UnknownGeneratorError,
     Word,
@@ -135,30 +136,6 @@ def eval_word(T: BraidingTensor, w: Word):
     """Value of the tensor's invariant on a reduced word."""
     _require_same_gens(T.gens, w.gens)
     return eval_letters(T, w.letters)
-
-
-def eval_group_ring(T: BraidingTensor, x: GroupRingElement):
-    """Linear extension of eval_word to group-ring elements."""
-    if T.ring != x.ring:
-        raise ShapeError(f"coefficient rings differ: {T.ring.spec} vs {x.ring.spec}")
-    _require_same_gens(T.gens, x.gens)
-    plan = MagnusPlan(T.terms)
-    total = sum(c * pair_with_expansion(T, plan, plan.expand(w.letters)) for w, c in x.terms.items())
-    return T.ring.canon(total)
-
-
-def eval_monomial(T: BraidingTensor, mono):
-    """Value on the product (s_{i_1} - 1)...(s_{i_k} - 1) of positive generators.
-
-    For these products the invariant simply reads off the tensor
-    coefficient at the index sequence (and 0 in every other weight),
-    which is what makes the coordinate basis dual to the monomials.
-    """
-    mono = tuple(mono)
-    for g in mono:
-        if not 0 <= g < len(T.gens):
-            raise UnknownGeneratorError(f"generator index {g} out of range")
-    return T.terms.get(mono, T.ring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +344,9 @@ def tensor_from_obj(obj: dict) -> BraidingTensor:
     except KeyError as exc:
         raise ValueError(f"tensor object missing key {exc}") from None
     terms: dict = {}
-    for item in raw_terms:
+    for i, item in enumerate(raw_terms):
+        if not isinstance(item, dict):
+            raise ValueError(f"terms[{i}] must be a JSON object, got {item!r}")
         seq = tuple(gens.index(name) for name in _json_list(item["seq"], "seq"))
         coeff = ring.from_json(item["coeff"], "coeff")
         terms[seq] = terms.get(seq, 0) + coeff

@@ -1,33 +1,26 @@
-"""Free-group words and the truncated group-ring calculus on them.
+"""Free-group words and their truncated Magnus expansion.
 
 A :class:`Word` is a freely reduced sequence of (generator index, sign)
 letters over a fixed ordered :class:`GenSet`.  Reduction happens on
 construction, so every Word in circulation is canonical and equality is
 literal tuple equality.
 
-:func:`fox_expand` rewrites a group-ring element, modulo the (n+1)-st
-power of the augmentation ideal, as a combination of products
-``(s_1 - 1)(s_2 - 1) ... (s_k - 1)`` over *positive* generators with
-k <= n.  A monomial is stored as the tuple of its generator indices; the
-empty tuple is the unit and carries the augmentation of the element.
-
-That expansion, tensor evaluation and the descend rows of classfun,
-which read E(r) - 1 of each relator directly, all run on one integer
-Magnus core, :class:`MagnusPlan`: the truncated Magnus series E(w) of a word,
-with s -> 1 + x_s and s^-1 -> 1 - x_s + x_s^2 - ..., restricted to a
-prefix-closed set of monomials and computed in one iterative sweep over
-the letters with plain Python ints.  A prefix-closed set is closed under
-right multiplication by a letter, so the restriction is exact; the
-series is multiplicative, so unreduced spellings give the same values.
+:class:`MagnusPlan` is the package's one Magnus expansion: the truncated
+series E(w) of a word, with s -> 1 + x_s and s^-1 -> 1 - x_s + x_s^2 - ...
+(Chen, Fox and Lyndon, *Free differential calculus IV*, 1958), restricted
+to a prefix-closed set of monomials and computed in one iterative sweep
+over the letters with plain Python ints.  A monomial is the tuple of its
+generator indices; the empty tuple is the unit.  Tensor evaluation, the
+descend rows and certification of classfun, and the oracle all run on
+it.  A prefix-closed set is closed under right multiplication by a
+letter, so the restriction is exact; the series is multiplicative, so
+unreduced spellings give the same values.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field, replace
-
-from .rings import Combination, Ring
+from dataclasses import dataclass, field
 
 
 class WordSyntaxError(ValueError):
@@ -267,105 +260,6 @@ def random_reduced_word(rng, gens: GenSet, max_len: int, exact_len: int | None =
     return Word(gens, tuple(letters))
 
 
-# ---------------------------------------------------------------------------
-# Group-ring elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class GroupRingElement(Combination):
-    """Finite formal combination of words with coefficients in the ring."""
-
-    ring: Ring
-    gens: GenSet
-    terms: dict  # Word -> coefficient, no zero values
-
-    _SPACE = (("gens", GeneratorMismatchError),)
-
-    def _key(self, w: Word) -> Word:
-        _require_same_gens(self.gens, w.gens)
-        return w
-
-    @staticmethod
-    def from_word(ring: Ring, w: Word, coeff=1) -> "GroupRingElement":
-        return GroupRingElement(ring, w.gens, {w: coeff})
-
-    @staticmethod
-    def one(ring: Ring, gens: GenSet) -> "GroupRingElement":
-        return GroupRingElement.from_word(ring, Word.identity(gens))
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._require_compatible(other)
-        acc = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                acc[w] = acc.get(w, 0) + c1 * c2
-        return GroupRingElement(self.ring, self.gens, acc)
-
-
-def augmentation(x: GroupRingElement):
-    """Sum of coefficients: the image of x under words -> 1."""
-    return x.ring.canon(sum(x.terms.values()))
-
-
-def word_minus_one(ring: Ring, w: Word) -> GroupRingElement:
-    # built by subtraction so that w = identity correctly gives zero
-    return GroupRingElement.from_word(ring, w) - GroupRingElement.one(ring, w.gens)
-
-
-# ---------------------------------------------------------------------------
-# Truncated expansion in the augmentation filtration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class MonomialCombination(Combination):
-    """Combination of positive-generator monomials, truncated in degree.
-
-    A key ``(i_1, ..., i_k)`` stands for the product
-    ``(s_{i_1} - 1) ... (s_{i_k} - 1)`` with k <= max_degree; the empty
-    key is the unit.  Terms above max_degree are dropped, and sums and
-    products live at the smaller degree bound of their operands.
-    """
-
-    ring: Ring
-    gens: GenSet
-    max_degree: int
-    terms: dict  # tuple of generator indices -> coefficient, no zeros
-
-    _SPACE = (("gens", GeneratorMismatchError), ("max_degree", ValueError))
-
-    def __post_init__(self):
-        self.terms = {m: c for m, c in self.terms.items() if len(m) <= self.max_degree}
-        super().__post_init__()
-
-    def _truncated(self, n: int) -> "MonomialCombination":
-        """The image modulo monomials of degree > n, for n <= max_degree."""
-        return self if n == self.max_degree else replace(self, max_degree=n)
-
-    def __add__(self, other: "MonomialCombination") -> "MonomialCombination":
-        n = min(self.max_degree, other.max_degree)
-        return Combination.__add__(self._truncated(n), other._truncated(n))
-
-    def multiply(self, other: "MonomialCombination") -> "MonomialCombination":
-        """Concatenation product, truncated at the common degree bound."""
-        n = min(self.max_degree, other.max_degree)
-        left, right = self._truncated(n), other._truncated(n)
-        left._require_compatible(right)
-        acc = {}
-        for m1, c1 in left.terms.items():
-            for m2, c2 in right.terms.items():
-                if len(m1) + len(m2) <= n:
-                    key = m1 + m2
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        return MonomialCombination(self.ring, self.gens, n, acc)
-
-    @staticmethod
-    def monomial(ring: Ring, gens: GenSet, mono, max_degree: int, coeff=1) -> "MonomialCombination":
-        return MonomialCombination(ring, gens, max_degree, {tuple(mono): coeff})
-
-
 class MagnusPlan:
     """Integer Magnus expansion of words, restricted to a set of monomials.
 
@@ -419,28 +313,3 @@ class MagnusPlan:
                     values[node] -= values[parent]
         return values
 
-
-def fox_expand(x: GroupRingElement, n: int) -> MonomialCombination:
-    """Expansion of x in positive monomials up to degree n.
-
-    The result represents x exactly modulo the (n+1)-st power of the
-    augmentation ideal; its empty-monomial coefficient is aug(x).  Each
-    word is expanded against the plan of all monomials of degree <= n
-    over the generators it uses.
-    """
-    if n < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {n}")
-    plans: dict = {}
-    acc: dict = {}
-    for w, c in x.terms.items():
-        used = tuple(sorted({g for g, _ in w.letters}))
-        plan = plans.get(used)
-        if plan is None:
-            plan = plans[used] = MagnusPlan(
-                m for p in range(n + 1) for m in itertools.product(used, repeat=p)
-            )
-        values = plan.expand(w.letters)
-        for mono, node in plan.index.items():
-            if values[node]:
-                acc[mono] = acc.get(mono, 0) + c * values[node]
-    return MonomialCombination(x.ring, x.gens, n, acc)

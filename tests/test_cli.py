@@ -579,6 +579,108 @@ def test_malformed_faces_exit_one_naming_the_field(work, capsys, faces, message)
     assert err == f"error: {work / 'bad.json'}: {message}\n"
 
 
+def _triangle_space():
+    """A loop e and a 2-simplex t whose first face is the degenerate edge
+    s_0 v."""
+    return {
+        "simplices": {"0": ["v"], "1": ["e"], "2": ["t"]},
+        "faces": {
+            "e": [{"target": "v"}, {"target": "v"}],
+            "t": [{"target": "v", "degeneracies": [0]}, {"target": "e"}, {"target": "e"}],
+        },
+    }
+
+
+_DEGENERACIES = ("faces", "t", 0, "degeneracies")
+_TARGET = ("faces", "t", 0, "target")
+
+
+def _not_s0_of_a_vertex(j):
+    return (f"faces['t'][0].degeneracies entry {j} must be an integer j with 0 <= j <= 0, "
+            "for s_j of a 0-simplex")
+
+
+# A name, target or degeneracy of a space file that was once loaded, read
+# as another simplex, or refused with Python's own message: (path to the
+# field, its value, the error it gives)
+MALFORMED_SPACE_FIELDS = [
+    (_DEGENERACIES, [0.0], _not_s0_of_a_vertex("0.0")),
+    (_DEGENERACIES, [7], _not_s0_of_a_vertex("7")),
+    (_DEGENERACIES, [-1], _not_s0_of_a_vertex("-1")),
+    (_DEGENERACIES, [True], _not_s0_of_a_vertex("True")),
+    (_DEGENERACIES, ["x"], _not_s0_of_a_vertex("'x'")),
+    (("simplices", "2"), [["t"]], "simplices['2'][0] must be a JSON string, got ['t']"),
+    (_TARGET, ["v"], "faces['t'][0].target must be a JSON string, got ['v']"),
+    (_TARGET, True, "faces['t'][0].target must be a JSON string, got True"),
+    (_TARGET, 1.0, "faces['t'][0].target must be a JSON string, got 1.0"),
+    (("simplices", "0"), [1, True], "simplices['0'][0] must be a JSON string, got 1"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_SPACE_FIELDS)
+def test_malformed_space_names_targets_and_degeneracies_exit_one(
+    work, capsys, path, value, message
+):
+    obj = _triangle_space()
+    argv = ["cyc-h0", "--ring", "Z", "--space", work / "bad.json", "-n", 2]
+    (work / "bad.json").write_text(json.dumps(obj))
+    assert run(capsys, *argv)[:2] == (0, "ranks_per_weight [1,1,1]\nrank 3\n")
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    (work / "bad.json").write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {work / 'bad.json'}: {message}\n"
+
+
+def test_a_long_degeneracy_word_of_the_wrong_length_is_refused_at_once(work, capsys):
+    # putting 20,001 degeneracies in canonical form took over a second
+    obj = _triangle_space()
+    obj["faces"]["t"][0]["degeneracies"] = list(range(20000, -1, -1))
+    (work / "bad.json").write_text(json.dumps(obj))
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "cyc-h0", "--ring", "Z", "--space", work / "bad.json", "-n", 2)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1 and err.endswith("face of 't' has wrong dimension\n")
+
+
+# A tensor or basis file with a malformed 'terms' item or 'ring', once
+# refused with Python's own message: (verb, where the value goes, the
+# value, the error it gives)
+MALFORMED_TENSOR_FIELDS = [
+    ("eval", "terms", ["x"], "terms[0] must be a JSON object, got 'x'"),
+    ("eval", "terms", [5], "terms[0] must be a JSON object, got 5"),
+    ("verify", "terms", [5], "terms[0] must be a JSON object, got 5"),
+    ("eval", "ring", 5, "unrecognised ring spec 5 (expected Z, Q, or Z/m)"),
+    ("verify", "ring", 5, "unrecognised ring spec 5 (expected Z, Q, or Z/m)"),
+]
+
+
+@pytest.mark.parametrize("verb, field, value, message", MALFORMED_TENSOR_FIELDS)
+def test_malformed_tensor_terms_and_rings_exit_one_naming_them(
+    work, capsys, verb, field, value, message
+):
+    if verb == "eval":
+        obj = json.loads(json.dumps(LK))
+        obj[field] = value
+        argv = ["eval", "--tensor", work / "bad.json", "--word", "a"]
+    else:
+        assert run(capsys, "basis", "--ring", "Z", "--presentation", work / "torus.grp",
+                   "-n", 1, "-o", work / "good.json")[0] == 0
+        obj = json.loads((work / "good.json").read_text())
+        if field == "terms":  # a member tensor's terms
+            obj["tensors"][0]["terms"] = value
+        else:
+            obj[field] = value
+        argv = ["verify", "--basis", work / "bad.json", "--presentation", work / "torus.grp"]
+    (work / "bad.json").write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {work / 'bad.json'}: {message}\n"
+
+
 def test_verify_refuses_annihilators_that_are_not_the_additive_orders(work, capsys):
     """Each annihilator must be its tensor's additive order, as basis files
     are written; a file without the list says every order is 0."""

@@ -10,15 +10,7 @@ from letterbraid.barcyc import BarElement, CycElement
 from letterbraid.dga import cochain_algebra, torus_model, wedge_model
 from letterbraid.rings import Combination, Ring, ShapeError
 from letterbraid.tensors import BraidingTensor
-from letterbraid.words import (
-    GenSet,
-    GeneratorMismatchError,
-    GroupRingElement,
-    MonomialCombination,
-    UnknownGeneratorError,
-    Word,
-    random_reduced_word,
-)
+from letterbraid.words import GenSet, GeneratorMismatchError, UnknownGeneratorError
 
 Z = Ring.integers()
 Z4 = Ring.integers_mod(4)
@@ -55,23 +47,7 @@ def _tensor(rng, R):
     return BraidingTensor(R, AB, {_seq(rng, (0, 1)): _coeff(rng, R) for _ in range(4)})
 
 
-def _group_ring(rng, R):
-    terms = {random_reduced_word(rng, AB, 3): _coeff(rng, R) for _ in range(4)}
-    return GroupRingElement(R, AB, terms)
-
-
-def _monomials(rng, R):
-    terms = {_seq(rng, (0, 1), 4): _coeff(rng, R) for _ in range(4)}
-    return MonomialCombination(R, AB, 3, terms)
-
-
-MAKERS = {
-    "bar": _bar,
-    "cyc": _cyc,
-    "tensor": _tensor,
-    "group_ring": _group_ring,
-    "monomials": _monomials,
-}
+MAKERS = {"bar": _bar, "cyc": _cyc, "tensor": _tensor}
 RINGS = {"Z": Z, "Z/4": Z4, "Q": Q}
 
 
@@ -102,7 +78,6 @@ def test_combination_laws(make, ring):
 def test_constructors_refuse_float_coefficients(ring):
     A = TORUS[ring.spec]
     a = (1, 0)
-    w = random_reduced_word(random.Random(1), AB, 3, exact_len=2)
     builders = [
         lambda: BarElement(A, {(a,): 0.5}),
         lambda: BarElement.word(A, (a,), 0.5),
@@ -110,10 +85,6 @@ def test_constructors_refuse_float_coefficients(ring):
         lambda: BraidingTensor(ring, AB, {(0,): 0.5}),
         lambda: BraidingTensor.pure(ring, AB, ("a",), 0.5),
         lambda: BraidingTensor.scalar(ring, AB, 0.5),
-        lambda: GroupRingElement(ring, AB, {w: 0.5}),
-        lambda: GroupRingElement.from_word(ring, w, 0.5),
-        lambda: MonomialCombination(ring, AB, 2, {(0,): 0.5}),
-        lambda: MonomialCombination.monomial(ring, AB, (0,), 2, 0.5),
     ]
     for build in builders:
         with pytest.raises(TypeError):
@@ -134,8 +105,6 @@ def test_constructors_refuse_bad_keys():
         CycElement(A, "A", {((0, 1), ()): 1})  # bad m0
     with pytest.raises(ValueError):
         CycElement(A, "M", {})  # bad module tag
-    with pytest.raises(GeneratorMismatchError):
-        GroupRingElement(Z, AB, {Word.generator(GenSet.of("x", "y", "z"), "z"): 1})
 
 
 def _raises_exactly(error, fn):
@@ -147,18 +116,12 @@ def _raises_exactly(error, fn):
 def test_mixed_rings_are_refused():
     for make in (
         lambda R: BraidingTensor.pure(R, AB, ("a",), 3),
-        lambda R: GroupRingElement.from_word(R, random_reduced_word(random.Random(2), AB, 2), 3),
-        lambda R: MonomialCombination.monomial(R, AB, (0,), 2, 3),
         lambda R: BarElement.word(TORUS[R.spec], ((1, 0),), 3),
     ):
         x, y = make(Z), make(Z4)
         _raises_exactly(ShapeError, lambda: x + y)
         _raises_exactly(ShapeError, lambda: y + x)
         _raises_exactly(ShapeError, lambda: x - y)
-    x, y = GroupRingElement.one(Z, AB), GroupRingElement.one(Q, AB)
-    _raises_exactly(ShapeError, lambda: x * y)
-    x, y = MonomialCombination.monomial(Z, AB, (0,), 2), MonomialCombination.monomial(Q, AB, (1,), 3)
-    _raises_exactly(ShapeError, lambda: x.multiply(y))
 
 
 def test_mixed_algebras_modules_and_generators_are_refused():
@@ -180,20 +143,4 @@ def test_mixed_algebras_modules_and_generators_are_refused():
     _raises_exactly(
         GeneratorMismatchError, lambda: BraidingTensor.pure(Z, AB, ("a",)) + BraidingTensor.pure(Z, S, ("s",))
     )
-    _raises_exactly(
-        GeneratorMismatchError, lambda: GroupRingElement.one(Z, AB) * GroupRingElement.one(Z, S)
-    )
-    _raises_exactly(
-        GeneratorMismatchError,
-        lambda: MonomialCombination.monomial(Z, AB, (0,), 2) + MonomialCombination.monomial(Z, S, (0,), 2),
-    )
 
-
-def test_monomial_sums_live_at_the_smaller_degree_bound():
-    x = MonomialCombination(Z, AB, 3, {(): 1, (0,): 2, (0, 1, 1): 5})
-    y = MonomialCombination(Z, AB, 2, {(1, 0): 1})
-    for total in (x + y, y + x):
-        assert total.max_degree == 2
-        assert total.terms == {(): 1, (0,): 2, (1, 0): 1}
-    assert (x - y).terms == {(): 1, (0,): 2, (1, 0): -1}
-    assert x != MonomialCombination(Z, AB, 4, x.terms)

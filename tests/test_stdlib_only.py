@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only: every import in the package is relative
-or a standard-library module, and the project declares no dependencies."""
+or a standard-library module, and the project declares no dependencies.
+The package's syntax stays within its declared Python floor."""
 
 import ast
 import re
@@ -35,6 +36,18 @@ def test_package_imports_only_the_standard_library():
 def test_project_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_package_parses_at_the_declared_python_floor():
+    """ast.parse with feature_version refuses syntax newer than the floor,
+    such as except* below 3.11, so a newer interpreter checks the floor
+    too.  It checks syntax only, not the standard library's API."""
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert floor
+    version = (int(floor.group(1)), int(floor.group(2)))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_every_exported_name_is_bound():

@@ -3,24 +3,21 @@ from math import comb
 
 import pytest
 
-from letterbraid.rings import Ring
+from letterbraid.rings import Ring, canon_terms
+from letterbraid.tensors import weight_graded_monomials
 from letterbraid.words import (
     GenSet,
-    GroupRingElement,
     MagnusPlan,
-    MonomialCombination,
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
-    augmentation,
     conjugate,
-    fox_expand,
     parse_word,
     random_reduced_word,
-    word_minus_one,
     words_up_to,
     _join,
 )
+from magnus_reference import magnus_oracle, minus_one_product, truncated_product
 
 Z = Ring.integers()
 AB = GenSet.of("a", "b")
@@ -115,83 +112,47 @@ def test_words_up_to_order_and_count():
 
 
 # ---------------------------------------------------------------------------
-# Group ring
+# Truncated expansion: MagnusPlan on every monomial against frozen values and
+# the independent series of magnus_reference
 # ---------------------------------------------------------------------------
 
 
-def test_group_ring_product_expands_binomially():
-    a = word_minus_one(Z, parse_word("a", AB))
-    b = word_minus_one(Z, parse_word("b", AB))
-    prod = a * b
-    expected = {
-        parse_word("a b", AB): 1,
-        parse_word("a", AB): -1,
-        parse_word("b", AB): -1,
-        Word.identity(AB): 1,
-    }
-    assert prod.terms == expected
-    assert augmentation(prod) == 0
-    assert augmentation(GroupRingElement.from_word(Z, parse_word("a", AB), 5)) == 5
+def plan_series(ring, k: int, n: int, combination) -> dict:
+    """sum c E(w) over the (word, c) pairs, truncated at degree n, from one
+    MagnusPlan of every monomial of degree <= n in k letters."""
+    plan = MagnusPlan(weight_graded_monomials(k, n))
+    acc = {}
+    for w, c in combination:
+        values = plan.expand(w.letters)
+        for mono, node in plan.index.items():
+            acc[mono] = acc.get(mono, 0) + c * values[node]
+    return canon_terms(ring, acc)
 
 
-def test_group_ring_zero_cleanup():
-    x = GroupRingElement.from_word(Z, parse_word("a", AB))
-    y = x - x
-    assert y.terms == {}
-
-
-# ---------------------------------------------------------------------------
-# Truncated expansion: frozen values and the independent series oracle
-# ---------------------------------------------------------------------------
-
-
-def magnus_oracle(w: Word, ring: Ring, n: int) -> dict:
-    """Independent route: substitute s -> 1 + X_s, s^-1 -> 1 - X_s + X_s^2 - ...
-
-    Plain polynomial multiplication in the truncated free algebra; no use
-    of the Magnus sweep the library implements.
-    """
-    poly = {(): ring.one()}
-    for g, s in w.letters:
-        if s == 1:
-            factor = {(): ring.one(), (g,): ring.one()}
-        else:
-            factor = {(g,) * k: ring.from_int((-1) ** k) for k in range(0, n + 1)}
-        out = {}
-        for m1, c1 in poly.items():
-            for m2, c2 in factor.items():
-                if len(m1) + len(m2) <= n:
-                    key = m1 + m2
-                    out[key] = ring.add(out.get(key, ring.zero()), ring.mul(c1, c2))
-        poly = {m: c for m, c in out.items() if c != ring.zero()}
-    return poly
-
-
-def test_fox_expand_commutator_frozen():
+def test_magnus_commutator_frozen():
     r = parse_word("a b a^-1 b^-1", AB)
-    e = fox_expand(GroupRingElement.from_word(Z, r), 2)
     # expansion of the commutator: 1 + (a-1)(b-1) - (b-1)(a-1) up to degree 2
-    assert e.terms == {(): 1, (0, 1): 1, (1, 0): -1}
+    assert plan_series(Z, 2, 2, [(r, 1)]) == {(): 1, (0, 1): 1, (1, 0): -1}
 
 
-def test_fox_expand_square_and_inverse_frozen():
-    s2 = fox_expand(GroupRingElement.from_word(Z, parse_word("s^2", S1)), 2)
-    assert s2.terms == {(): 1, (0,): 2, (0, 0): 1}
-    sinv = fox_expand(GroupRingElement.from_word(Z, parse_word("s^-1", S1)), 3)
-    assert sinv.terms == {(): 1, (0,): -1, (0, 0): 1, (0, 0, 0): -1}
+def test_magnus_square_and_inverse_frozen():
+    s2 = plan_series(Z, 1, 2, [(parse_word("s^2", S1), 1)])
+    assert s2 == {(): 1, (0,): 2, (0, 0): 1}
+    sinv = plan_series(Z, 1, 3, [(parse_word("s^-1", S1), 1)])
+    assert sinv == {(): 1, (0,): -1, (0, 0): 1, (0, 0, 0): -1}
 
 
-def test_fox_expand_matches_series_oracle():
+def test_magnus_plan_matches_series_oracle():
     rng = random.Random(31)
     for ring in (Z, Ring.rationals(), Ring.integers_mod(6)):
         for _ in range(60):
             w = random_reduced_word(rng, AB, 6)
             n = rng.randrange(0, 5)
-            got = fox_expand(GroupRingElement.from_word(ring, w), n).terms
+            got = plan_series(ring, 2, n, [(w, 1)])
             assert got == magnus_oracle(w, ring, n), (w.to_text(), n)
 
 
-def test_fox_expand_is_multiplicative():
+def test_magnus_plan_is_multiplicative():
     rng = random.Random(37)
     # Chen's identity E(uv) = E(u) E(v): short words, then long ones
     for max_len in [5] * 40 + [3000] * 6:
@@ -199,55 +160,50 @@ def test_fox_expand_is_multiplicative():
         u = random_reduced_word(rng, AB, max_len, exact_len=exact)
         v = random_reduced_word(rng, AB, max_len, exact_len=exact)
         n = rng.randrange(0, 5)
-        eu = fox_expand(GroupRingElement.from_word(Z, u), n)
-        ev = fox_expand(GroupRingElement.from_word(Z, v), n)
-        euv = fox_expand(GroupRingElement.from_word(Z, u * v), n)
-        assert eu.multiply(ev).terms == euv.terms
+        eu = plan_series(Z, 2, n, [(u, 1)])
+        ev = plan_series(Z, 2, n, [(v, 1)])
+        euv = plan_series(Z, 2, n, [(u * v, 1)])
+        assert truncated_product(Z, eu, ev, n) == euv
 
 
-def test_fox_expand_of_long_powers_is_binomial():
+def test_magnus_plan_of_long_powers_is_binomial():
     # (1 + x)^k - 1 and (1 + x)^-k - 1, far past any recursion depth
     k, n = 5000, 4
     for sign, coeff in ((1, lambda p: comb(k, p)),
                         (-1, lambda p: (-1) ** p * comb(k + p - 1, p))):
         w = Word(S1, ((0, sign),) * k)
-        e = fox_expand(word_minus_one(Z, w), n)
-        assert e.terms == {(0,) * p: coeff(p) for p in range(1, n + 1)}
+        e = plan_series(Z, 1, n, [(w, 1), (Word.identity(S1), -1)])
+        assert e == {(0,) * p: coeff(p) for p in range(1, n + 1)}
 
 
-def test_fox_expand_kills_deep_filtration():
+def test_magnus_plan_kills_deep_filtration():
     # products of n+1 augmentation-zero factors expand to zero up to degree n
     rng = random.Random(41)
     for _ in range(25):
         n = rng.randrange(1, 4)
-        prod = GroupRingElement.one(Z, AB)
-        for _ in range(n + 1):
-            w = random_reduced_word(rng, AB, 3, exact_len=rng.randrange(1, 4))
-            prod = prod * word_minus_one(Z, w)
-        e = fox_expand(prod, n)
-        assert e.terms == {}, (n, prod.terms)
+        factors = [random_reduced_word(rng, AB, 3, exact_len=rng.randrange(1, 4))
+                   for _ in range(n + 1)]
+        e = plan_series(Z, 2, n, minus_one_product(AB, factors))
+        assert e == {}, (n, [w.to_text() for w in factors])
 
 
-def test_fox_expand_linear():
-    x = GroupRingElement.from_word(Z, parse_word("a b", AB), 2)
-    y = GroupRingElement.from_word(Z, parse_word("b a", AB), -3)
+def test_magnus_plan_linear():
+    x = [(parse_word("a b", AB), 2), (parse_word("b a", AB), -3)]
     n = 3
-    lhs = fox_expand(x + y, n).terms
-    rhs = (fox_expand(x, n) + fox_expand(y, n)).terms
-    assert lhs == rhs
+    lhs = plan_series(Z, 2, n, x)
+    rhs = {}
+    for w, c in x:
+        for mono, e in magnus_oracle(w, Z, n).items():
+            rhs[mono] = rhs.get(mono, 0) + c * e
+    assert lhs == canon_terms(Z, rhs)
+    # 2 (1 + x_a + x_b + x_a x_b) - 3 (1 + x_a + x_b + x_b x_a)
+    assert lhs == {(): -1, (0,): -1, (1,): -1, (0, 1): 2, (1, 0): -3}
 
 
-def test_fox_expand_mod2_drops_even_terms():
+def test_magnus_plan_mod2_drops_even_terms():
     ring = Ring.integers_mod(2)
-    e = fox_expand(GroupRingElement.from_word(ring, parse_word("s^2", S1)), 2)
-    assert e.terms == {(): 1, (0, 0): 1}
-
-
-def test_monomial_combination_truncates():
-    m = MonomialCombination.monomial(Z, AB, (0, 1), 2)
-    m2 = m.multiply(m)
-    assert m2.terms == {}  # degree 4 > bound 2
-    assert m.multiply(MonomialCombination.monomial(Z, AB, (), 2)).terms == m.terms
+    e = plan_series(ring, 1, 2, [(parse_word("s^2", S1), 1)])
+    assert e == {(): 1, (0, 0): 1}
 
 
 def test_power_adds_exponents():
@@ -288,3 +244,32 @@ def test_magnus_expand_continues_from_start():
         kept = list(start)
         assert plan.expand(v, start) == plan.expand(u + v)
         assert start == kept
+
+
+def test_magnus_plan_on_a_tensor_trie_is_the_restricted_series():
+    """What eval_word and certification assume of a plan built from a
+    tensor's terms, a prefix-closed set smaller than all monomials: its
+    values are the series at its nodes, a sweep continues from given
+    values without changing them, and any spelling of a word gives the
+    same values."""
+    rng = random.Random(20261020)
+    # short words, then words of about a thousand letters
+    for length in [None] * 40 + [1000] * 3:
+        # one term of weight 4: at most 25 nodes, of 31 monomials
+        terms = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))) for _ in range(5)]
+        plan = MagnusPlan(terms + [tuple(rng.randrange(2) for _ in range(4))])
+        n = 4
+        assert len(plan.index) < len(weight_graded_monomials(2, n))
+        exact = None if length is None else length + rng.randrange(100)
+        u = random_reduced_word(rng, AB, 8, exact_len=exact)
+        v = random_reduced_word(rng, AB, 8, exact_len=exact)
+        if rng.random() < 0.5:  # u + v then cancels across the junction
+            v = Word(AB, u.letters[rng.randint(0, len(u)):]).inverse() * v
+        series = magnus_oracle(u * v, Z, n)
+        want = [series.get(mono, 0) for mono in sorted(plan.index, key=plan.index.get)]
+        s = plan.expand(u.letters)
+        kept = list(s)
+        assert plan.expand(u.letters + v.letters) == want
+        assert plan.expand(v.letters, start=s) == want
+        assert s == kept
+        assert plan.expand((u * v).letters) == want
