@@ -57,7 +57,6 @@ from .words import (
     WordSyntaxError,
     parse_word,
     _join,
-    _reduced_spellings,
     _require_same_gens,
 )
 
@@ -434,71 +433,88 @@ def _enumerate_classes(P: Presentation, full_len: int):
     every word's class index; words are letter tuples sorted by length,
     then as tuples, so a^-1 < a < b^-1 < b.
 
+    The work runs on letter codes, 2g for g^-1 and 2g + 1 for g: a word is
+    a tuple of codes, tuple order is then letter-tuple order, and c ^ 1 is
+    the inverse of c.  Each length of the ball is built, in that order,
+    from the one before; the letter tuples are built beside it.
+
     Inserting x into a word of length l stays in the ball only if at least
     need = max(0, ceil((l + |x| - full_len) / 2)) letters cancel.  For a
     split x = a v b with |a| + |b| = need, the words where a and b cancel
     are h (b a)^-1 t, taken to red(h v t): only those pairs are built, a
-    block of tails with one first letter at a time.
+    block of tails with one first letter at a time, and merged in a
+    union-find with path halving whose roots are the earliest words.
     """
     k = len(P.gens)
-    words = sorted(_reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
+    after = [[d for d in range(2 * k) if d != c ^ 1] for c in range(2 * k)] + [range(2 * k)]
+    letter = [(c >> 1, 1 if c & 1 else -1) for c in range(2 * k)]
+    layer, spelled_layer = [()], [()]
+    words, spelled, starts = [()], [()], [0, 1]  # length l: words[starts[l]:starts[l + 1]]
+    for _ in range(full_len):
+        nexts = [after[w[-1] if w else -1] for w in layer]
+        spelled_layer = [s + (letter[c],) for s, cs in zip(spelled_layer, nexts) for c in cs]
+        layer = [w + (c,) for w, cs in zip(layer, nexts) for c in cs]
+        words += layer
+        spelled += spelled_layer
+        starts.append(len(words))
     position = {w: i for i, w in enumerate(words)}
-    # the words of length l are words[starts[l]:starts[l + 1]]
-    starts = [0] + [_ball_size(k, l, len(words)) for l in range(full_len + 1)]
     parent = list(range(len(words)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
+    def join(x, y):  # the free reduction of x y, for reduced code tuples x and y
+        i = len(x)
+        for c in y:
+            if not i or x[i - 1] != c ^ 1:
+                break
+            i -= 1
+        return x[:i] + y[len(x) - i :]
 
-    def merge(i, j):
-        a, b = find(i), find(j)
-        # the smaller index, the earlier word, stays the root
-        if a < b:
-            parent[b] = a
-        else:
-            parent[a] = b
-
-    def cancels(u, t):
-        """Whether the spelling u t of reduced u and t is not reduced."""
-        return bool(u and t) and u[-1] == (t[0][0], -t[0][1])
-
-    for x in (y for r in P.relators for y in (r.letters, r.inverse().letters) if y):
-        m = len(x)
+    for letters in (y for r in P.relators for y in (r.letters, r.inverse().letters) if y):
+        x, m = tuple(2 * g + (e > 0) for g, e in letters), len(letters)
         for length in range(full_len + 1):
             need = max(0, (length + m - full_len + 1) // 2)
             rest = length - need
             splits = {  # (middle (b a)^-1, v); no word holds an unreduced middle
-                (tuple((g, -e) for g, e in reversed(x[m - need + left :] + x[:left])),
+                (tuple(c ^ 1 for c in reversed(x[m - need + left :] + x[:left])),
                  x[left : m - need + left])
                 for left in range(need + 1)
-                if rest >= 0 and not cancels(x[m - need + left :], x[:left])
+                if rest >= 0 and not (0 < left < need and x[-1] == x[0] ^ 1)
             }
             for (middle, v), head_len in itertools.product(splits, range(rest + 1)):
                 lo, hi = starts[rest - head_len], starts[rest - head_len + 1]
                 size = (hi - lo) // (2 * k) if rest > head_len else 1
+                stop = middle[0] ^ 1 if middle else -1
                 for h in words[starts[head_len] : starts[head_len + 1]]:
-                    if cancels(h, middle):
+                    if h and h[-1] == stop:
                         continue
-                    hm, hv = h + middle, _join(h, v)
+                    hm = h + middle
+                    hv = join(h, v) if h and v and h[-1] == v[0] ^ 1 else h + v
+                    stop_hm = hm[-1] ^ 1 if hm else -1
+                    stop_hv = hv[-1] ^ 1 if hv else -1
                     for s in range(lo, hi, size):  # the blocks of tails, by first letter
-                        if cancels(hm, words[s]):
+                        t = words[s]
+                        if t and t[0] == stop_hm:
                             continue
-                        i, target = position[hm + words[s]], position.get(hv + words[s])
-                        for j in range(size):
-                            if target is None:  # the tails cancel into h v
-                                merge(i + j, position[_join(hv, words[s + j])])
-                            else:
-                                merge(i + j, target + j)
-    reps, index, class_of_root = [], {}, {}
-    for i, w in enumerate(words):
-        root = find(i)
-        if root == i:
-            class_of_root[i] = len(reps)
-            reps.append(w)
-        index[w] = class_of_root[root]
-    return reps, index
+                        i = position[hm + t]
+                        if t and t[0] == stop_hv:  # the tails cancel into h v
+                            targets = [position[join(hv, u)] for u in words[s : s + size]]
+                        else:
+                            j = position[hv + t]
+                            targets = range(j, j + size)
+                        for a, b in zip(range(i, i + size), targets):
+                            while parent[a] != a:
+                                parent[a] = a = parent[parent[a]]
+                            while parent[b] != b:
+                                parent[b] = b = parent[parent[b]]
+                            if a < b:  # the earlier word stays the root
+                                parent[b] = a
+                            elif b < a:
+                                parent[a] = b
+    del words, layer, position  # the code tuples, before the letter-keyed index
+    for i, p in enumerate(parent):  # p <= i, so parent[p] is already p's root
+        parent[i] = parent[p]
+    roots = [i for i, p in enumerate(parent) if p == i]
+    number = dict(zip(roots, itertools.count()))
+    return [spelled[i] for i in roots], dict(zip(spelled, map(number.__getitem__, parent)))
 
 
 def _ball_size(k: int, radius: int, cap: int) -> int:
@@ -576,7 +592,7 @@ def oracle_group_ring_quotient(
 
     Group elements are reduced words of length <= length_bound + n + 1
     identified by relator insertions (_enumerate_classes, on letter
-    tuples).  For each type degree d the relation span has two parts:
+    codes).  For each type degree d the relation span has two parts:
     left products (s_1 - 1)...(s_(d+1) - 1) w over positive generators
     and words w <= length_bound, built by repeatedly applying (s - 1),
     where s acts on a class representative by prepending s or cancelling
@@ -637,7 +653,9 @@ def oracle_group_ring_quotient(
                     shifted[tgt] = shifted.get(tgt, 0) + x
                     shifted[j] = shifted.get(j, 0) - x
                 nxt.append({j: x for j, x in shifted.items() if x})
-        current = [row for row in nxt if row]
+        # a repeated row adds nothing to the span; first occurrences keep
+        # their order, so `unique` below, the ranks and the table do not change
+        current = list({frozenset(row.items()): row for row in nxt if row}.values())
         short = sorted({index[w] for w in _positive_words(k, d)})
         # only the span is read, and most fox rows are zero or repeat
         unique = {frozenset(r.items()): r for r in (fox(rho, d) for rho in current) if r}

@@ -61,7 +61,7 @@ class ShapeError(ValueError):
     code = "shape"
 
 
-_ZMOD_RE = re.compile(r"^Z/(\d+)$")
+_ZMOD_RE = re.compile(r"Z/(0|[1-9][0-9]*)")  # canonical ASCII decimal only
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Ring:
             return Ring.integers()
         if spec == "Q":
             return Ring.rationals()
-        m = _ZMOD_RE.match(spec) if isinstance(spec, str) else None
+        m = _ZMOD_RE.fullmatch(spec) if isinstance(spec, str) else None
         if m:
             try:
                 modulus = int(m.group(1))
@@ -600,7 +600,8 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
 
     Over Z/m the entry becomes g = gcd(entry, m), and (m/g) * row, which
     vanishes at j, is queued: the rows pivoting right of j must span it
-    for the Howell property to hold.
+    for the Howell property to hold.  For a unit pivot (g = 1) that
+    multiple is m * row = 0, and is not built.
     """
     x = row[j]
     if ring.kind != "Zmod":
@@ -611,7 +612,7 @@ def _install_pivot(ring: Ring, row: dict, j: int, pending: list) -> dict:
     g, unit = _unit_scaling_to_gcd(x, m)
     if unit != 1:
         _scale(ring, row, unit)
-    multiple = _combine(ring, m // g, row, 0, {})
+    multiple = _combine(ring, m // g, row, 0, {}) if g > 1 else None
     if multiple:
         pending.append(multiple)
     return row

@@ -46,6 +46,8 @@ from letterbraid.words import (
     WordSyntaxError,
     parse_word,
     words_up_to,
+    _join,
+    _reduced_spellings,
 )
 from magnus_reference import magnus_oracle
 
@@ -794,11 +796,24 @@ def _reference_partition(P, full_len):
 
 @pytest.mark.parametrize(
     "text, full_len",
-    [(TORUS, 5), (KLEIN, 5), ("gens: a b\nrel: a^2\nrel: b^3\n", 5), (CYCLIC_2, 6), (FREE_2, 4)],
+    [
+        (TORUS, 5),
+        (KLEIN, 5),
+        ("gens: a b\nrel: a^2\nrel: b^3\n", 5),
+        (CYCLIC_2, 6),
+        (FREE_2, 4),
+        ("gens: a b c\nrel: a b c a^-1 b^-1 c^-1\n", 5),
+        ("gens: a b\nrel: a b a^-1 b^-1\nrel: a^3\n", 6),
+        ("gens: a b\nrel: a b a^-1\n", 6),  # not cyclically reduced
+    ],
 )
 def test_enumerate_classes_matches_word_reference(text, full_len):
     P = parse_presentation(text)
     reps, index = _enumerate_classes(P, full_len)
+    # the whole ball, keyed by letter tuples in (length, letters) order
+    ball = [w.letters for w in words_up_to(P.gens, full_len)]
+    assert list(index) == sorted(ball, key=lambda w: (len(w), w))
+    assert all(isinstance(w, tuple) and all(isinstance(x, tuple) for x in w) for w in reps)
     ours = {}
     for letters, cls in index.items():
         ours.setdefault(cls, set()).add(letters)
@@ -820,7 +835,7 @@ def test_enumerate_classes_counts():
 
 def _unpruned_enumeration(P, full_len):
     """_enumerate_classes building every insertion, with no length prefilter."""
-    words = sorted(classfun._reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
+    words = sorted(_reduced_spellings(P.gens, full_len), key=lambda w: (len(w), w))
     position = {w: i for i, w in enumerate(words)}
     inserted = [x for r in P.relators for x in (r.letters, r.inverse().letters)]
     parent = list(range(len(words)))
@@ -833,7 +848,7 @@ def _unpruned_enumeration(P, full_len):
     for i, w in enumerate(words):
         for cut in range(len(w) + 1):
             for r in inserted:
-                w2 = classfun._join(classfun._join(w[:cut], r), w[cut:])
+                w2 = _join(_join(w[:cut], r), w[cut:])
                 if len(w2) <= full_len:
                     a, b = find(i), find(position[w2])
                     parent[max(a, b)] = min(a, b)

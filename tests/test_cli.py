@@ -148,6 +148,34 @@ def test_basis_unknown_ring(work, capsys):
     assert "modulus" in err
 
 
+@pytest.mark.parametrize("spec", ["Z/4\n", "Z/04", "Z/٤"])
+def test_non_canonical_modulus_is_refused(work, capsys, spec):
+    """Only ASCII digits without a leading zero name a modulus: a final
+    newline, a leading zero or an Arabic-Indic four would all be read as 4."""
+    rc, out, err = run(capsys, "basis", "--ring", spec,
+                       "--presentation", work / "torus.grp", "-n", 1)
+    assert (rc, out) == (1, "")
+    assert f"unrecognised ring spec {spec!r}" in err
+
+
+def test_files_with_a_non_canonical_modulus_are_refused(work, capsys):
+    basis_file = work / "z4.json"
+    assert run(capsys, "basis", "--ring", "Z/4", "--presentation", work / "torus.grp",
+               "-n", 1, "-o", basis_file)[0] == 0
+    basis = json.loads(basis_file.read_text())
+    tensor = basis["tensors"][-1]
+    assert basis["ring"] == tensor["ring"] == "Z/4"
+    basis["ring"] = tensor["ring"] = "Z/04"
+    basis_file.write_text(json.dumps(basis))
+    tensor_file = work / "z04.json"
+    tensor_file.write_text(json.dumps(tensor))
+    for argv in (["verify", "--basis", basis_file, "--presentation", work / "torus.grp"],
+                 ["eval", "--tensor", tensor_file, "--word", "a b"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert "unrecognised ring spec 'Z/04'" in err
+
+
 def test_weight_cap_default(work, capsys, monkeypatch):
     monkeypatch.delenv("LB_MAX_WEIGHT", raising=False)
     rc, _, err = run(capsys, "basis", "--ring", "Z",
