@@ -18,10 +18,11 @@ with the word's truncated Magnus series.  Evaluation computes it that
 way: one integer sweep over the letters (:class:`~letterbraid.words.MagnusPlan`)
 on the prefix trie of the tensor's index sequences, then one sum in the
 coefficient ring.  The cost is linear in word length times the number of
-trie nodes per generator, so long words are cheap.  Extended linearly to
-the group ring, a tensor takes the product (s_{i_1} - 1)...(s_{i_k} - 1)
-to its coefficient at (i_1, ..., i_k): the coordinates are dual to the
-monomials.
+trie nodes per generator, so long words are cheap, and a run of more than
+p equal letters, p the tensor's top weight, costs what p letters cost.
+Extended linearly to the group ring, a tensor takes the product
+(s_{i_1} - 1)...(s_{i_k} - 1) to its coefficient at (i_1, ..., i_k): the
+coordinates are dual to the monomials.
 
 The cycle operator rotates coordinate sequences; its invariants are
 spanned by necklace orbit sums, and those are the tensors that have a
@@ -50,6 +51,7 @@ from .words import (
     MagnusPlan,
     UnknownGeneratorError,
     Word,
+    WordSyntaxError,
     _require_same_gens,
 )
 
@@ -122,20 +124,34 @@ def pair_with_expansion(T: BraidingTensor, plan: MagnusPlan, values):
     return T.ring.canon(sum(c * values[index[seq]] for seq, c in T.terms.items()))
 
 
+def _evaluate(T: BraidingTensor, letters):
+    plan = MagnusPlan(T.terms)
+    return pair_with_expansion(T, plan, plan.expand(letters))
+
+
 def eval_letters(T: BraidingTensor, letters):
     """Evaluate on an arbitrary spelling (not necessarily reduced).
 
-    The result agrees with :func:`eval_word` on the reduction of the
-    spelling; tests exercise exactly that invariance.
+    The letters are (generator index, +1 or -1) over T's generators, as
+    in a :class:`~letterbraid.words.Word`, and are refused as Word
+    refuses them: an index out of range with UnknownGeneratorError, any
+    other sign with WordSyntaxError.  The result agrees with
+    :func:`eval_word` on the reduction of the spelling; tests exercise
+    exactly that invariance.
     """
-    plan = MagnusPlan(T.terms)
-    return pair_with_expansion(T, plan, plan.expand(letters))
+    letters = tuple(letters)
+    for g, s in set(letters):  # each distinct letter once
+        if not 0 <= g < len(T.gens):
+            raise UnknownGeneratorError(f"generator index {g} out of range")
+        if s not in (1, -1):
+            raise WordSyntaxError(f"letter sign must be +-1, got {s}")
+    return _evaluate(T, letters)
 
 
 def eval_word(T: BraidingTensor, w: Word):
     """Value of the tensor's invariant on a reduced word."""
     _require_same_gens(T.gens, w.gens)
-    return eval_letters(T, w.letters)
+    return _evaluate(T, w.letters)
 
 
 # ---------------------------------------------------------------------------

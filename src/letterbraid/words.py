@@ -14,13 +14,17 @@ generator indices; the empty tuple is the unit.  Tensor evaluation, the
 descend rows and certification of classfun, and the oracle all run on
 it.  A prefix-closed set is closed under right multiplication by a
 letter, so the restriction is exact; the series is multiplicative, so
-unreduced spellings give the same values.
+unreduced spellings give the same values.  A run g^k of more than D equal
+letters, D the length of the longest monomial, is one closed-form step by
+E(g^k) = (1 + x_g)^k, and costs what D letters cost.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from math import comb
 
 
 class WordSyntaxError(ValueError):
@@ -267,24 +271,43 @@ class MagnusPlan:
     node 0 is the empty monomial and every other node is a nonempty
     prefix.  ``index`` maps each prefix to its node.  The trie nodes are
     grouped by their last generator, so a letter touches only the nodes
-    that end in its generator.
+    that end in its generator, and a run of more than D letters, D the
+    longest monomial's length, touches each of them at most D times.
     """
 
-    __slots__ = ("index", "_up", "_down")
+    __slots__ = ("index", "_depth", "_up", "_down", "_runs")
 
     def __init__(self, monomials):
         nodes = {()}
         for mono in monomials:
-            mono = tuple(mono)
-            nodes.update(mono[:i] for i in range(1, len(mono) + 1))
-        order = sorted(nodes, key=lambda m: (len(m), m))
+            m = tuple(mono)
+            while m not in nodes:
+                nodes.add(m)
+                m = m[:-1]
+        order = sorted(sorted(nodes), key=len)
         self.index = {m: i for i, m in enumerate(order)}
+        self._depth = len(order[-1])
         shortest_first: dict = {}
         for m in order[1:]:
             shortest_first.setdefault(m[-1], []).append((self.index[m], self.index[m[:-1]]))
         # (node, parent) pairs: longest first for s, shortest first for s^-1
         self._up = {g: tuple(reversed(pairs)) for g, pairs in shortest_first.items()}
         self._down = {g: tuple(pairs) for g, pairs in shortest_first.items()}
+        self._runs: dict = {}  # built on the first long run of each generator
+
+    def _run_passes(self, g) -> list:
+        """The run step for generator g as passes (t, pairs), by ascending
+        r: pairs holds (m, a_t) for each node m ending in g whose trailing
+        run of g has length r >= t, and a_t is m with t trailing g's cut."""
+        passes = self._runs.get(g)
+        if passes is None:
+            cuts, by_run = {}, {}
+            for node, parent in self._down.get(g, ()):
+                cuts[node] = (parent,) + cuts.get(parent, ())
+                by_run.setdefault(len(cuts[node]), []).append(node)
+            passes = self._runs[g] = [(t, tuple((m, cuts[m][t - 1]) for m in by_run[r]))
+                                      for r in sorted(by_run) for t in range(1, r + 1)]
+        return passes
 
     def expand(self, letters, start=None) -> list:
         """Coefficients of E(letters) at every node, as a list of ints.
@@ -293,9 +316,13 @@ class MagnusPlan:
         multiplies by 1 + x_s: each node ending in s adds its parent's old
         value, so the longest nodes go first.  A letter s^-1 multiplies by
         sum_k (-x_s)^k: each node ending in s subtracts its parent's new
-        value, so the shortest nodes go first.  Any spelling works,
-        reduced or not.  Given ``start``, the values of E(u) from this
-        plan, the sweep continues from them and returns E(u letters);
+        value, so the shortest nodes go first.  A run of k > D equal
+        letters, found in one scan of the spelling, is one step: s^k sets
+        new[m] = old[m] + sum_t C(k, t) old[a_t], longest runs first, and
+        s^-k, as old = new (1 + x_s)^k, new[m] = old[m] - sum_t C(k, t)
+        new[a_t], shortest first (a_t as in _run_passes).  Any spelling
+        works, reduced or not.  Given ``start``, the values of E(u) from
+        this plan, the sweep continues from them and returns E(u letters);
         ``start`` itself is left unchanged.
         """
         if start is None:
@@ -303,6 +330,30 @@ class MagnusPlan:
             values[0] = 1
         else:
             values = list(start)
+        letters = tuple(letters)
+        depth, done = self._depth, 0
+        if 0 < depth < len(letters):
+            # same[i] is 1 where letters i and i + 1 agree; a run of more
+            # than depth letters starts where depth ones in a row do
+            same = bytes(map(operator.eq, letters, letters[1:]))
+            long_run = b"\x01" * depth
+            i = same.find(long_run)
+            while i >= 0:
+                self._sweep(values, letters[done:i])
+                end = same.find(b"\x00", i + depth)
+                done = len(letters) if end < 0 else end + 1
+                (g, s), k = letters[i], done - i
+                passes = self._run_passes(g)
+                for t, pairs in reversed(passes) if s > 0 else passes:
+                    c = s * comb(k, t)
+                    for node, cut in pairs:
+                        values[node] += c * values[cut]
+                i = same.find(long_run, done)
+        self._sweep(values, letters[done:])
+        return values
+
+    def _sweep(self, values, letters):
+        """Multiply the values in place by the letters, one at a time."""
         up, down = self._up, self._down
         for g, s in letters:
             if s > 0:
@@ -311,5 +362,3 @@ class MagnusPlan:
             else:
                 for node, parent in down.get(g, ()):
                     values[node] -= values[parent]
-        return values
-

@@ -183,8 +183,11 @@ def _three_generator_relator():
 )
 @pytest.mark.parametrize(
     "text",
-    [TORUS, "gens: a b\nrel: a b a^-1 b\n", KLEIN, "gens: a b\nrel: a^2\nrel: b^3\n", None],
-    ids=["torus", "klein-a-b-a^-1-b", "klein-a-b-a-b^-1", "a2-b3", "three-generators"],
+    [TORUS, "gens: a b\nrel: a b a^-1 b\n", KLEIN, "gens: a b\nrel: a^2\nrel: b^3\n", None,
+     # runs longer than every weight bound: one closed-form step each
+     "gens: a b\nrel: a^7 b^-6\n", "gens: a b\nrel: a^-5 b a^9\n"],
+    ids=["torus", "klein-a-b-a^-1-b", "klein-a-b-a-b^-1", "a2-b3", "three-generators",
+         "a7-b-6", "a-5-b-a9"],
 )
 def test_relator_products_match_the_monomial_product_route(text, ring):
     """Each descend row, the ideal row of the relator series read from

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,17 @@ def test_eval_commutator(work, capsys):
                      "--tensor", work / "lk.json", "--word", "a b a^-1 b^-1")
     assert rc == 0
     assert out == "1\n"
+
+
+def test_eval_long_power_is_binomial(work, capsys):
+    # a^k expands to (1 + x_a)^k, so aaaa pairs to C(k, 4)
+    tensor = work / "aaaa.json"
+    tensor.write_text(json.dumps(
+        {"ring": "Z", "gens": ["a", "b"],
+         "terms": [{"seq": ["a"] * 4, "coeff": "1"}, {"seq": ["a", "b"], "coeff": "3"}]}))
+    rc, out, _ = run(capsys, "eval", "--tensor", tensor, "--word", f"a^{MAX_WORD_LETTERS}")
+    assert rc == 0
+    assert out == f"{comb(MAX_WORD_LETTERS, 4)}\n"
 
 
 def test_eval_ring_mismatch(work, capsys):

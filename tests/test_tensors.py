@@ -25,6 +25,7 @@ from letterbraid.words import (
     GeneratorMismatchError,
     UnknownGeneratorError,
     Word,
+    WordSyntaxError,
     parse_word,
     random_reduced_word,
 )
@@ -169,6 +170,24 @@ def test_unreduced_spellings_give_same_value():
             i = len(letters) // 2
             letters[i:i] = list(u.letters) + list(u.inverse().letters)
             assert eval_letters(T, tuple(letters)) == eval_word(T, w)
+
+
+@pytest.mark.parametrize(
+    "letters, error",
+    [
+        ([(0, 1), (5, 1)], UnknownGeneratorError),  # no generator 5
+        ([(-1, 1)], UnknownGeneratorError),
+        ([(0, 2)], WordSyntaxError),  # not read as a
+        ([(0, 0)], WordSyntaxError),  # not read as a^-1
+    ],
+    ids=["index-5", "index--1", "sign-2", "sign-0"],
+)
+def test_eval_letters_refuses_what_word_refuses(letters, error):
+    T = BraidingTensor(Z, AB, {(0,): 1, (1, 1): 1})
+    with pytest.raises(error):
+        Word(AB, tuple(letters))
+    with pytest.raises(error):
+        eval_letters(T, letters)
 
 
 def test_value_matches_series_coefficients():

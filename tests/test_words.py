@@ -174,6 +174,73 @@ def test_magnus_plan_of_long_powers_is_binomial():
         w = Word(S1, ((0, sign),) * k)
         e = plan_series(Z, 1, n, [(w, 1), (Word.identity(S1), -1)])
         assert e == {(0,) * p: coeff(p) for p in range(1, n + 1)}
+    # a pure weight-p tensor's monomial on a^k and a^-k at the letter cap
+    k = 100_000
+    for p in range(1, 6):
+        plan = MagnusPlan([(0,) * p, (1, 0)])
+        node = plan.index[(0,) * p]
+        assert plan.expand(((0, 1),) * k)[node] == comb(k, p)
+        assert plan.expand(((0, -1),) * k)[node] == (-1) ** p * comb(k + p - 1, p)
+
+
+def sparse_plan(rng, depth: int) -> MagnusPlan:
+    """The trie of a few monomials on a, b, one of them of length depth."""
+    terms = [tuple(rng.randrange(2) for _ in range(rng.randint(0, depth))) for _ in range(2)]
+    return MagnusPlan(terms + [tuple(rng.randrange(2) for _ in range(depth))])
+
+
+def plan_values_of(plan: MagnusPlan, w: Word) -> list:
+    """The values a plan should give for w, read off the independent series."""
+    series = magnus_oracle(w, Z, max(map(len, plan.index)))
+    return [series.get(mono, 0) for mono in sorted(plan.index, key=plan.index.get)]
+
+
+def test_magnus_runs_match_the_series_oracle():
+    """A run of k equal letters is one closed-form step when k exceeds the
+    plan's depth D.  Runs of 1, D, D + 1 and 40 letters of either sign,
+    between other letters and in unreduced spellings, on tries that hold
+    few of the monomials, give the independent series."""
+    rng = random.Random(20261021)
+    sparse = 0
+    for depth in range(1, 5):
+        for k in (1, depth, depth + 1, 40):
+            for sign in (1, -1):
+                for _ in range(3):
+                    plan = sparse_plan(rng, depth)
+                    sparse += len(plan.index) < len(weight_graded_monomials(2, depth))
+                    g = rng.randrange(2)
+                    before = random_reduced_word(rng, AB, 3).letters
+                    after = random_reduced_word(rng, AB, 3).letters
+                    spelling = before + ((g, sign),) * k + after
+                    want = plan_values_of(plan, Word(AB, spelling))
+                    assert plan.expand(spelling) == want, (depth, k, sign, spelling)
+    assert sparse > 60
+    # unreduced spellings: runs that cancel in part, several runs in a row
+    for text in ["a^5 a^-3", "a^-5 a^3", "a^6 a^-6 b^7", "a^2 a^3 b^-9 b^4 a", "b a^40 a^-41"]:
+        runs = [parse_word(token, AB).letters for token in text.split()]
+        spelling = sum(runs, ())
+        for depth in range(1, 5):
+            plan = sparse_plan(rng, depth)
+            assert plan.expand(spelling) == plan_values_of(plan, Word(AB, spelling)), text
+
+
+def test_magnus_run_split_by_start_is_chens_identity():
+    """Cutting a spelling inside a long run and continuing from start= gives
+    E(u v), which is E(u) E(v) (Chen's identity)."""
+    rng = random.Random(20261022)
+    for depth in range(1, 5):
+        for sign in (1, -1):
+            u = random_reduced_word(rng, AB, 4).letters + ((0, sign),) * 9
+            v = ((0, sign),) * 8 + random_reduced_word(rng, AB, 4).letters
+            uv = Word(AB, u + v)
+            plan = sparse_plan(rng, depth)
+            for cut in range(len(u) - 9, len(u) + 9):  # every cut in the run
+                head, tail = (u + v)[:cut], (u + v)[cut:]
+                start = plan.expand(head)
+                assert plan.expand(tail, start) == plan_values_of(plan, uv)
+            eu = plan_series(Z, 2, depth, [(Word(AB, u), 1)])
+            ev = plan_series(Z, 2, depth, [(Word(AB, v), 1)])
+            assert truncated_product(Z, eu, ev, depth) == plan_series(Z, 2, depth, [(uv, 1)])
 
 
 def test_magnus_plan_kills_deep_filtration():
