@@ -529,7 +529,7 @@ def _ball_size(k: int, radius: int, cap: int) -> int:
     return size
 
 
-def _fox_map(ring: Ring, k: int, reps, index, n: int):
+def _fox_map(ring: Ring, plan: MagnusPlan, k: int, reps, index, n: int):
     """The oracle's rewriting map E and its dual, on sparse rows over classes.
 
     In the free group v = sum_mono c_mono(v) mono modulo I^(d+1), over the
@@ -540,9 +540,9 @@ def _fox_map(ring: Ring, k: int, reps, index, n: int):
     sum_v row_v E_d[v] for an integer row, canonical over the ring, and
     dual(g, b) = (v -> <E_n[v], g>) on the first b classes.  Each E_d[v]
     is built once, when a row first holds v, as a dense list over S_d in
-    the order of the classes' first positive spellings.
+    the order of the classes' first positive spellings.  plan holds
+    every monomial of degree <= n in k letters.
     """
-    plan = MagnusPlan(itertools.product(range(k), repeat=n))
     positive = _positive_words(k, n)
     order = list(dict.fromkeys(index[w] for w in positive))  # each S_d is a prefix
     at = {cls: t for t, cls in enumerate(order)}
@@ -611,7 +611,10 @@ def oracle_group_ring_quotient(
     When length_bound >= n, S_n lies among them and E_n[t] = [t], so that
     restriction is injective on the Hom span (tests/test_oracle_reference.py
     checks L < n against all c classes).  When length_bound > n the rewriting
-    rows alone saturate, so NotSaturatedError needs length_bound <= n.
+    rows alone saturate, so that check fails only when length_bound <= n.
+    A relator r of more than 2 (length_bound + n + 1) letters, which no word
+    of the ball takes, raises it at any bound when E(r) - 1 has a nonzero
+    term of degree <= n (never at n = 0).
 
     A ball of more than MAX_ORACLE_WORDS reduced words is refused with a
     ValueError, counted (_ball_size) before any word is built.  The stage
@@ -635,10 +638,18 @@ def oracle_group_ring_quotient(
             f"generators has more than {MAX_ORACLE_WORDS} words; lower the "
             "length or type bound"
         )
+    plan = MagnusPlan(itertools.product(range(k), repeat=n))
+    for r in P.relators:  # a relator that no word takes, and that matters below I^(n+1)
+        low = plan.expand(r.letters)[1:] if len(r) > 2 * full_len else ()
+        if canon_terms(ring, dict(enumerate(low))):
+            raise NotSaturatedError(
+                f"no word of length <= {full_len} takes the relator {r.to_text()} of "
+                f"{len(r)} letters; raise the length bound to at least {-(-len(r) // 2) - n - 1}"
+            )
     reps, index = _enumerate_classes(P, full_len)
     # s [v] for each generator s; stage d acts on reps of length <= length_bound + d
     act = [[index.get(_join(((g, 1),), w)) for g in range(k)] for w in reps]
-    fox, dual = _fox_map(ring, k, reps, index, n)
+    fox, dual = _fox_map(ring, plan, k, reps, index, n)
     # classes are numbered by their first words, which are sorted by length
     base_classes = range(sum(len(w) <= length_bound for w in reps))
     current = [{cls: 1} for cls in base_classes]

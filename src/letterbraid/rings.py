@@ -2,10 +2,9 @@
 
 Everything else in this package reduces, sooner or later, to linear
 algebra over one of these rings: echelon forms, kernels (saturated over
-Z, so quotients stay torsion-free), Smith normal form with invertible
-transforms, and exact solvability of linear systems.  Coefficients are
-Python ints and ``fractions.Fraction`` -- never floats, never
-fixed-width.
+Z, so quotients stay torsion-free), and Smith normal form with
+invertible transforms.  Coefficients are Python ints and
+``fractions.Fraction`` -- never floats, never fixed-width.
 
 There is one elimination, _echelon, with one step that reduces a row
 above the pivots, _reduce_tail.  It copies each input row once, on entry,
@@ -17,8 +16,6 @@ modified.  Conventions that keep runs byte-for-byte reproducible:
   row Hermite forms of [D | U] and of [D^T | V^T] alternate until D is
   diagonal, and a column sum repairs each break in the divisibility
   chain.  The diagonal is unique; U and V are not.
-* solve reads a solution off the echelon kernel of [-b | M], so it runs
-  on the same elimination.
 * Every Smith form is the integer one.  Z/m matrices are lifted to Z;
   the integer Smith form reduces mod m, after which each diagonal entry
   d is rescaled by a unit to gcd(d, m), the canonical divisor-of-m
@@ -36,7 +33,7 @@ modified.  Conventions that keep runs byte-for-byte reproducible:
   can exceed the minimal generator count.
 * Every kernel is one filtered_kernel call on sparse rows: H^0 of the
   bar and cyclic-bar complexes and both tensor bases (through
-  tensors._orbit_kernel), the group-ring oracle's stages, and solve.  It
+  tensors._orbit_kernel), and the group-ring oracle's stages.  It
   is read off one echelon form of [M^T | I]: the rows whose pivot lies
   in the identity block.  Only those rows are back-reduced; the others
   are dropped.  Over Z/m each generator's additive order is its
@@ -503,38 +500,6 @@ def _rank(ring: Ring, rows: list, cols: int) -> int:
     square = _pivot_rows(_Z, _transpose(list(pivots.values()), cols))
     _, d, _ = _snf_int(list(square.values()), len(pivots))
     return sum(1 for t, r in enumerate(d) if r.get(t, 0) % ring.modulus)
-
-
-# ---------------------------------------------------------------------------
-# Solving and span membership
-# ---------------------------------------------------------------------------
-
-
-def solve(M: IntMatrix, b) -> list | None:
-    """One solution x of M x = b over M's ring, or None when there is none.
-
-    The first coordinates t of the kernel vectors (t, x) of [-b | M], the
-    solutions of M x = t b, form an ideal.  Its generator leads the echelon
-    kernel row that pivots at coordinate 0 (Hermite, reduced echelon and
-    Howell forms alike), so M x = b is solvable iff that entry is 1, and x
-    is the rest of the row.
-    """
-    ring = M.ring
-    if len(b) != M.rows:
-        raise ShapeError("right-hand side of wrong length")
-    rows = [
-        canon_terms(ring, {0: -x, **{j + 1: y for j, y in r.items()}})
-        for x, r in zip(b, _sparse_rows(M))
-    ]
-    kernel = filtered_kernel(ring, rows, dict.fromkeys(range(M.cols + 1), 0))
-    if not kernel or kernel[0][1].get(0) != 1:
-        return None
-    return [kernel[0][1].get(j + 1, ring.zero()) for j in range(M.cols)]
-
-
-def in_column_span(M: IntMatrix, x) -> bool:
-    """Whether x is a combination of M's columns over M's ring."""
-    return solve(M, x) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ with the word's truncated Magnus series.  Evaluation computes it that
 way: one integer sweep over the letters (:class:`~letterbraid.words.MagnusPlan`)
 on the prefix trie of the tensor's index sequences, then one sum in the
 coefficient ring.  The cost is linear in word length times the number of
-trie nodes per generator, so long words are cheap, and a run of more than
-p equal letters, p the tensor's top weight, costs what p letters cost.
+trie nodes per generator, so long words are cheap; a run of more than p
+equal letters, p the tensor's top weight, costs what p letters cost, and
+a power u^k of a longer word with k > 2p + 1 what p copies of u cost.
 Extended linearly to the group ring, a tensor takes the product
 (s_{i_1} - 1)...(s_{i_k} - 1) to its coefficient at (i_1, ..., i_k): the
 coordinates are dual to the monomials.

@@ -16,7 +16,9 @@ it.  A prefix-closed set is closed under right multiplication by a
 letter, so the restriction is exact; the series is multiplicative, so
 unreduced spellings give the same values.  A run g^k of more than D equal
 letters, D the length of the longest monomial, is one closed-form step by
-E(g^k) = (1 + x_g)^k, and costs what D letters cost.
+E(g^k) = (1 + x_g)^k, and costs what D letters cost; a power u^k with
+k > 2D + 1 is interpolated from D + 1 powers of u, and costs what D
+copies of u cost.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ class MagnusPlan:
     prefix.  ``index`` maps each prefix to its node.  The trie nodes are
     grouped by their last generator, so a letter touches only the nodes
     that end in its generator, and a run of more than D letters, D the
-    longest monomial's length, touches each of them at most D times.
+    longest monomial's length, touches each of them at most D times; a
+    power u^k with k > 2D + 1 costs D sweeps of u.
     """
 
     __slots__ = ("index", "_depth", "_up", "_down", "_runs")
@@ -320,10 +323,11 @@ class MagnusPlan:
         letters, found in one scan of the spelling, is one step: s^k sets
         new[m] = old[m] + sum_t C(k, t) old[a_t], longest runs first, and
         s^-k, as old = new (1 + x_s)^k, new[m] = old[m] - sum_t C(k, t)
-        new[a_t], shortest first (a_t as in _run_passes).  Any spelling
-        works, reduced or not.  Given ``start``, the values of E(u) from
-        this plan, the sweep continues from them and returns E(u letters);
-        ``start`` itself is left unchanged.
+        new[a_t], shortest first (a_t as in _run_passes).  A whole spelling
+        u^k, |u| >= 2 and k > 2D + 1, is one step too (_power).  Any
+        spelling works, reduced or not.  Given ``start``, the values of E(v)
+        from this plan, the sweep continues from them and returns
+        E(v letters); ``start`` itself is left unchanged.
         """
         if start is None:
             values = [0] * len(self.index)
@@ -331,17 +335,21 @@ class MagnusPlan:
         else:
             values = list(start)
         letters = tuple(letters)
-        depth, done = self._depth, 0
-        if 0 < depth < len(letters):
-            # same[i] is 1 where letters i and i + 1 agree; a run of more
-            # than depth letters starts where depth ones in a row do
+        depth, done, n = self._depth, 0, len(letters)
+        if 0 < depth < n:
+            # same[i] is 1 where letters i and i + 1 agree: a period of the
+            # letters is one of same, with no 0 the spelling is one run, and
+            # a run of more than depth letters starts where depth 1s do
             same = bytes(map(operator.eq, letters, letters[1:]))
+            for p in range(2, n // (2 * depth + 2) + 1) if 0 in same else ():
+                if n % p == 0 and same[p:] == same[:-p] and letters[p:] == letters[:-p]:
+                    return self._power(values, letters[:p], n // p)
             long_run = b"\x01" * depth
             i = same.find(long_run)
             while i >= 0:
                 self._sweep(values, letters[done:i])
                 end = same.find(b"\x00", i + depth)
-                done = len(letters) if end < 0 else end + 1
+                done = n if end < 0 else end + 1
                 (g, s), k = letters[i], done - i
                 passes = self._run_passes(g)
                 for t, pairs in reversed(passes) if s > 0 else passes:
@@ -350,6 +358,24 @@ class MagnusPlan:
                         values[node] += c * values[cut]
                 i = same.find(long_run, done)
         self._sweep(values, letters[done:])
+        return values
+
+    def _power(self, values, root, k) -> list:
+        """E(root^k) from the values, E(v), of v: E(v root^k) = E(v) (1 + X)^k
+        = sum_(j <= D) C(k, j) E(v) X^j, X = E(root) - 1, is a polynomial of
+        degree <= D in k.  From V_i = E(v root^i), i = 0 ... D, Newton
+        interpolation gives sum_i c_i V_i with c_i = sum_(j=i..D) (-1)^(j-i)
+        C(k, j) C(j, i), on the nodes ending in a generator of root, the only
+        ones that change."""
+        touched = [m for g in {g for g, _ in root} for m, _ in self._down.get(g, ())]
+        coeffs = [sum((-1) ** (j - i) * comb(k, j) * comb(j, i) for j in range(i, self._depth + 1))
+                  for i in range(self._depth + 1)]
+        total = [coeffs[0] * values[m] for m in touched]
+        for c in coeffs[1:]:
+            values = self.expand(root, values)
+            total = [t + c * values[m] for t, m in zip(total, touched)]
+        for m, t in zip(touched, total):
+            values[m] = t
         return values
 
     def _sweep(self, values, letters):

@@ -38,7 +38,7 @@ from letterbraid.classfun import (
     weight_graded_monomials,
 )
 from letterbraid.dga import circle_model, cochain_algebra, torus_model, wedge_algebra
-from letterbraid.rings import IntMatrix, Ring, in_column_span
+from letterbraid.rings import IntMatrix, Ring
 from letterbraid.tensors import (
     BraidingTensor,
     cycle,
@@ -52,6 +52,7 @@ from letterbraid.words import (
     random_reduced_word,
     words_up_to,
 )
+from linalg_reference import in_column_span
 from magnus_reference import minus_one_product
 
 Z = Ring.integers()

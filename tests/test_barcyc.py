@@ -50,10 +50,10 @@ from letterbraid.rings import (
     matrix_rank,
     row_canonical_form,
     smith_normal_form,
-    solve,
 )
 from letterbraid.tensors import _ideal_rows, cycle, eval_word, weight_graded_monomials
 from letterbraid.words import GenSet, Word, parse_word, words_up_to
+from linalg_reference import solve
 
 Z = Ring.integers()
 Q = Ring.rationals()

@@ -33,7 +33,6 @@ from letterbraid.rings import (
     IntMatrix,
     Ring,
     canon_terms,
-    in_column_span,
     matrix_rank,
     row_canonical_form,
 )
@@ -49,6 +48,7 @@ from letterbraid.words import (
     _join,
     _reduced_spellings,
 )
+from linalg_reference import in_column_span
 from magnus_reference import magnus_oracle
 
 Z = Ring.integers()
@@ -178,16 +178,25 @@ def _three_generator_relator():
     return Presentation(gens, (r,))
 
 
+def _power_relator(root: str, k: int):
+    """The one-relator presentation on a, b of root^k, built by Word.__pow__."""
+    gens = GenSet.of("a", "b")
+    return lambda: Presentation(gens, (parse_word(root, gens) ** k,))
+
+
 @pytest.mark.parametrize(
     "ring", [Z, Ring.integers_mod(4), Ring.integers_mod(6), Ring.rationals()], ids=str
 )
 @pytest.mark.parametrize(
     "text",
-    [TORUS, "gens: a b\nrel: a b a^-1 b\n", KLEIN, "gens: a b\nrel: a^2\nrel: b^3\n", None,
+    [TORUS, "gens: a b\nrel: a b a^-1 b\n", KLEIN, "gens: a b\nrel: a^2\nrel: b^3\n",
+     _three_generator_relator,
      # runs longer than every weight bound: one closed-form step each
-     "gens: a b\nrel: a^7 b^-6\n", "gens: a b\nrel: a^-5 b a^9\n"],
+     "gens: a b\nrel: a^7 b^-6\n", "gens: a b\nrel: a^-5 b a^9\n",
+     # powers u^k with k > 2n + 1 for n <= 2: one interpolation step each
+     _power_relator("a b", 7), _power_relator("a b a^-1 b^-1", 6)],
     ids=["torus", "klein-a-b-a^-1-b", "klein-a-b-a-b^-1", "a2-b3", "three-generators",
-         "a7-b-6", "a-5-b-a9"],
+         "a7-b-6", "a-5-b-a9", "(ab)^7", "[a,b]^6"],
 )
 def test_relator_products_match_the_monomial_product_route(text, ring):
     """Each descend row, the ideal row of the relator series read from
@@ -195,7 +204,7 @@ def test_relator_products_match_the_monomial_product_route(text, ring):
     n, with E(r) from the independent series (magnus_reference); the rows
     come in the documented label order, and the one-sided rows are those
     with no prefix."""
-    P = parse_presentation(text) if text is not None else _three_generator_relator()
+    P = parse_presentation(text) if isinstance(text, str) else text()
     k = len(P.gens)
     for n in range(5):
         monomials = weight_graded_monomials(k, n)
@@ -771,6 +780,39 @@ def test_oracle_not_saturated():
         assert "length 1" in str(info.value)
         # the first base class outside the span, the same on every ring
         assert "(class of a^-1 is new)" in str(info.value)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_oracle_refuses_a_relator_longer_than_its_ball(m):
+    """No word of the ball of radius L + n + 1 takes a relator of more than
+    2 (L + n + 1) letters.  a^m b^-(m-1) has 2m - 1 letters and a nonzero
+    degree-1 term, so at n = 1 the oracle refuses L = m - 3 and names
+    L = m - 2, where it agrees with the pipeline: the group is Z, with one
+    function of each degree up to 1."""
+    P = parse_presentation(f"gens: a b\nrel: a^{m} b^-{m - 1}\n")
+    for ring in (Z, Ring.integers_mod(4), Ring.rationals()):
+        with pytest.raises(NotSaturatedError) as info:
+            oracle_group_ring_quotient(P, ring, 1, m - 3)
+        assert info.value.code == "not_saturated"
+        assert str(info.value) == (
+            f"no word of length <= {m - 1} takes the relator a^{m} b^-{m - 1} of "
+            f"{2 * m - 1} letters; raise the length bound to at least {m - 2}")
+        report = oracle_group_ring_quotient(P, ring, 1, m - 2)
+        assert report.ranks == (1, 2)
+        assert pairing_tables_agree(finite_type_basis(P, ring, 1).elements, report)
+        # at n = 0 every relator is 1 modulo I, and the oracle never refuses
+        assert oracle_group_ring_quotient(P, ring, 0, 1).ranks == (1,)
+
+
+def test_oracle_takes_a_long_relator_that_vanishes_below_its_type_bound():
+    """[a, b]^3 has 12 letters, more than any word of the ball of radius 4
+    takes, but E([a, b]^3) - 1 starts in degree 2: at n = 1 it is 0 in the
+    quotient, so the oracle runs, and gives the free group's ranks."""
+    gens = GenSet.of("a", "b")
+    P = Presentation(gens, (parse_word("a b a^-1 b^-1", gens) ** 3,))
+    report = oracle_group_ring_quotient(P, Z, 1, 2)
+    assert report.ranks == (1, 3)
+    assert pairing_tables_agree(finite_type_basis(P, Z, 1).elements, report)
 
 
 def _reference_partition(P, full_len):

@@ -13,7 +13,9 @@ from letterbraid.classfun import basis_from_obj
 from letterbraid.cli import main
 from letterbraid.dga import SimplicialSetModel, circle_model, model_to_obj, wedge_model
 from letterbraid.tensors import MAX_MONOMIALS
-from letterbraid.words import MAX_WORD_LETTERS
+from letterbraid.rings import Ring
+from letterbraid.words import MAX_WORD_LETTERS, GenSet, parse_word
+from magnus_reference import magnus_oracle
 
 TORUS_GRP = "gens: a b\nrel: a b a^-1 b^-1\n"
 CYCLIC2_GRP = "gens: s\nrel: s^2\n"
@@ -58,6 +60,22 @@ def test_eval_long_power_is_binomial(work, capsys):
     rc, out, _ = run(capsys, "eval", "--tensor", tensor, "--word", f"a^{MAX_WORD_LETTERS}")
     assert rc == 0
     assert out == f"{comb(MAX_WORD_LETTERS, 4)}\n"
+
+
+def test_eval_written_out_power_is_the_reference_value(work, capsys):
+    """[[a,b],c]^50, spelled letter by letter, is one interpolation step
+    of the Magnus sweep; the value is the independent series' pairing."""
+    gens = GenSet.of("a", "b", "c")
+    text = " ".join(["a b a^-1 b^-1 c b a b^-1 a^-1 c^-1"] * 50)
+    terms = {(0,): 2, (2, 1): -3, (0, 1): 5, (1, 0, 2): 7, (2, 2, 0): -1, (0, 1, 0): 4}
+    tensor = work / "abc.json"
+    tensor.write_text(json.dumps({"ring": "Z", "gens": list(gens.names), "terms": [
+        {"seq": [gens.names[g] for g in seq], "coeff": str(c)} for seq, c in terms.items()]}))
+    series = magnus_oracle(parse_word(text, gens), Ring.integers(), 3)
+    want = sum(c * series.get(seq, 0) for seq, c in terms.items())
+    assert want != 0
+    rc, out, err = run(capsys, "eval", "--tensor", tensor, "--word", text)
+    assert (rc, out, err) == (0, f"{want}\n", "")
 
 
 def test_eval_ring_mismatch(work, capsys):
@@ -463,6 +481,22 @@ def test_oracle_compare_not_saturated(work, capsys):
                      "--presentation", work / "torus.grp", "-n", 1, "-L", 1)
     assert rc == 2
     assert "-L" in err
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_oracle_compare_refuses_a_relator_longer_than_its_ball(work, capsys, m):
+    """a^m b^-(m-1) at -n 1: refused with exit 2 at -L m-3, which no word
+    of the ball can take, and agreeing at -L m-2."""
+    (work / "long.grp").write_text(f"gens: a b\nrel: a^{m} b^-{m - 1}\n")
+    argv = ["oracle-compare", "--ring", "Z", "--presentation", work / "long.grp", "-n", 1]
+    rc, out, err = run(capsys, *argv, "-L", m - 3)
+    assert (rc, out) == (2, "")
+    assert err == (f"verification failure: no word of length <= {m - 1} takes the relator "
+                   f"a^{m} b^-{m - 1} of {2 * m - 1} letters; raise the length bound to "
+                   f"at least {m - 2} (rerun with a larger -L)\n")
+    rc, out, err = run(capsys, *argv, "-L", m - 2)
+    assert (rc, err) == (0, "")
+    assert out == "degree pipeline oracle\n     0        1      1\n     1        2      2\npairing agree\n"
 
 
 @pytest.mark.parametrize("bound", [0, -3])

@@ -161,7 +161,8 @@ def test_not_saturated_only_when_length_bound_at_most_n():
     """When L > n the classes S_n of positive words of length <= n lie
     among the classes of words shorter than L, so the rewriting rows alone
     saturate: NotSaturatedError comes only with L <= n, where it does
-    arise."""
+    arise.  (A relator longer than 2 (L + n + 1) is refused at any L; the
+    corpus relators have at most 4 letters, which every ball takes.)"""
     raised = {True: 0, False: 0}
     for name, spec, n, L in FAST:
         outcome = _outcome(oracle_group_ring_quotient, name, spec, n, L)

@@ -68,3 +68,14 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(letterbraid.__all__)) == []
+
+
+def test_test_side_linear_algebra_is_not_exported():
+    """solve and in_column_span, which no engine code calls, live in
+    tests/linalg_reference.py, not in the package."""
+    import letterbraid
+    from letterbraid import rings
+
+    for name in ("solve", "in_column_span"):
+        assert not hasattr(rings, name)
+        assert name not in letterbraid.__all__

@@ -340,3 +340,133 @@ def test_magnus_plan_on_a_tensor_trie_is_the_restricted_series():
         assert plan.expand(v.letters, start=s) == want
         assert s == kept
         assert plan.expand((u * v).letters) == want
+
+
+# ---------------------------------------------------------------------------
+# Powers u^k: one interpolation step when |u| >= 2 and k > 2D + 1
+# ---------------------------------------------------------------------------
+
+# roots of 2 to 8 letters, as spellings: inverse letters, an internal run
+# longer than every depth below, and unreduced roots
+POWER_ROOTS = ["a b", "a b^-1", "a^-1 b^-1 a", "a^5 b", "a b a^-1 b^-1", "a a^-1 b",
+               "b a^-2 b^3 a^-1", "a b^-1 b a a^-1 b^2 a"]
+
+
+def spelled(text: str) -> tuple:
+    """The letters of a spelling token by token, with no reduction across tokens."""
+    return sum((parse_word(token, AB).letters for token in text.split()), ())
+
+
+def series_power(series: dict, k: int, n: int) -> dict:
+    """series^k truncated at degree n, by repeated squaring of the
+    independent series."""
+    out, square = {(): 1}, series
+    while k:
+        if k & 1:
+            out = truncated_product(Z, out, square, n)
+        square, k = truncated_product(Z, square, square, n), k >> 1
+    return out
+
+
+def reference_values(plan: MagnusPlan, series: dict) -> list:
+    return [series.get(mono, 0) for mono in sorted(plan.index, key=plan.index.get)]
+
+
+def primitive(root: tuple) -> bool:
+    """Whether a spelling is no power of a shorter one (so no run either)."""
+    return not any(len(root) % p == 0 and root[p:] == root[:-p] for p in range(1, len(root)))
+
+
+def power_cases(rng):
+    """(depth, root, plan) over depths 1..4, the fixed roots and random
+    primitive spellings of 2..8 letters, each on a sparse and a full trie."""
+    for depth in range(1, 5):
+        roots = [spelled(text) for text in POWER_ROOTS]
+        while len(roots) < len(POWER_ROOTS) + 4:
+            root = tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(2, 8)))
+            roots += [root] if primitive(root) else []
+        for root in roots:
+            for plan in (sparse_plan(rng, depth), MagnusPlan(weight_graded_monomials(2, depth))):
+                yield depth, root, plan
+
+
+@pytest.fixture
+def power_steps(monkeypatch):
+    """The (root, k) of every interpolation step taken while the test runs."""
+    steps = []
+    step = MagnusPlan._power
+
+    def counted(self, values, root, k):
+        steps.append((root, k))
+        return step(self, values, root, k)
+
+    monkeypatch.setattr(MagnusPlan, "_power", counted)
+    return steps
+
+
+def test_magnus_powers_match_the_series_oracle(power_steps):
+    """u^k for k = 2D + 1, which is swept, and 2D + 2, 2D + 3 and 100,
+    which are one step each, give the independent series, on sparse and
+    full tries; the step runs exactly when k > 2D + 1."""
+    rng = random.Random(20261023)
+    sparse = 0
+    for depth, root, plan in power_cases(rng):
+        sparse += len(plan.index) < len(weight_graded_monomials(2, depth))
+        series = magnus_oracle(Word(AB, root), Z, depth)
+        for k in (2 * depth + 1, 2 * depth + 2, 2 * depth + 3, 100):
+            del power_steps[:]
+            got = plan.expand(root * k)
+            assert got == reference_values(plan, series_power(series, k, depth)), (root, k)
+            assert power_steps == ([(root, k)] if k > 2 * depth + 1 else []), (root, k)
+    assert sparse > 30
+
+
+def test_magnus_power_continues_from_start_and_splits_by_chens_identity(power_steps):
+    """u^k expanded from start = E(v) gives E(v u^k) and leaves start as it
+    was; expanding u^a and then u^b from it gives E(u^(a+b))."""
+    rng = random.Random(20261024)
+    for depth, root, plan in power_cases(rng):
+        series = magnus_oracle(Word(AB, root), Z, depth)
+        v = random_reduced_word(rng, AB, 6)
+        start = plan.expand(v.letters)
+        kept = list(start)
+        k = rng.choice((2 * depth + 2, 37))
+        want = truncated_product(Z, magnus_oracle(v, Z, depth), series_power(series, k, depth), depth)
+        assert plan.expand(root * k, start) == reference_values(plan, want)
+        assert start == kept
+        for a, b in ((2 * depth + 2, 100), (1, 2 * depth + 2), (50, 3)):
+            head = plan.expand(root * a)
+            assert plan.expand(root * b, head) == plan.expand(root * (a + b)) == reference_values(
+                plan, series_power(series, a + b, depth)), (root, a, b)
+    assert power_steps
+
+
+def test_magnus_power_values_are_polynomials_of_degree_at_most_depth():
+    """E(u^k) = (1 + X)^k with X = E(u) - 1 without constant term, so every
+    value is a polynomial of degree <= D in k: the (D + 1)-th finite
+    difference over k = 1000 ... 1001 + D vanishes at every node."""
+    rng = random.Random(20261025)
+    for depth, root, plan in power_cases(rng):
+        values = [plan.expand(root * k) for k in range(1000, 1002 + depth)]
+        diff = [sum((-1) ** i * comb(depth + 1, i) * v[node] for i, v in enumerate(values))
+                for node in range(len(plan.index))]
+        assert diff == [0] * len(plan.index), root
+
+
+def test_magnus_near_powers_are_not_taken_for_powers(power_steps):
+    """u^k with its last letter inverted, or with one letter of the middle
+    copy changed, is no power of u, and gives the independent series.
+    Where no two neighbouring letters agree, its same-letter pattern still
+    repeats with period |u|, so only the letter comparison tells."""
+    rng = random.Random(20261026)
+    for depth, root, plan in power_cases(rng):
+        spelling = root * (2 * depth + 3)
+        g, s = spelling[-1]
+        middle = len(spelling) // 2
+        h, t = spelling[middle]
+        for near in (spelling[:-1] + ((g, -s),),
+                     spelling[:middle] + ((1 - h, t),) + spelling[middle + 1:]):
+            del power_steps[:]
+            want = magnus_oracle(Word(AB, near), Z, depth)
+            assert plan.expand(near) == reference_values(plan, want), (root, near)
+            assert all(len(r) * k == len(near) and r * k == near for r, k in power_steps)
