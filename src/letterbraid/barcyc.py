@@ -29,12 +29,7 @@ from itertools import accumulate, product as iproduct
 
 from .dga import FiniteDGA
 from .rings import Combination, Ring
-from .tensors import (
-    BraidingTensor,
-    FilteredBasis,
-    _orbit_kernel,
-    rotation_orbits,
-)
+from .tensors import BraidingTensor, FilteredBasis, _orbit_kernel
 from .words import GenSet
 
 
@@ -55,7 +50,7 @@ def _check_word(A: FiniteDGA, seq) -> tuple:
     seq = tuple(seq)
     basis = A.basis
     for d, i in seq:
-        if not (0 < d < len(basis) and 0 <= i < len(basis[d])):
+        if not (type(d) is type(i) is int and 0 < d < len(basis) and 0 <= i < len(basis[d])):
             raise ValueError(f"invalid tensor slot {(d, i)}: need a positive-degree basis direction")
     return seq
 
@@ -112,7 +107,7 @@ class CycElement(Combination):
                 raise ValueError("scalar-module elements have no m0 slot")
         else:
             d, i = m0
-            if not 0 <= i < self.algebra.dim(d):
+            if not (type(d) is type(i) is int and 0 <= i < self.algebra.dim(d)):
                 raise ValueError(f"invalid m0 slot {m0}")
             if self.module == "Abar" and d < 1:
                 raise ValueError("m0 must have positive degree in the Abar module")
@@ -272,7 +267,7 @@ def _h0(A: FiniteDGA, n: int, *, cyclic: bool) -> H0Basis:
     """Kernel of d_Bar on the degree-0 words of weight <= n, the words in
     the degree-1 basis of a connected algebra, or with cyclic on their
     necklace sums (tensors._orbit_kernel); no BarElement is built before
-    the output."""
+    the output, each member then one by the trusted constructor."""
     if not A.is_connected:
         raise NotConnectedAlgebraError(
             f"{A.name}: degree 0 has dimension {A.dim(0)}, need a single vertex"
@@ -280,8 +275,10 @@ def _h0(A: FiniteDGA, n: int, *, cyclic: bool) -> H0Basis:
     if n < 0:
         raise ValueError("weight bound must be >= 0")
     terms, added_at, anns = _orbit_kernel(A.ring, A.dim(1), _d_bar_series(A), n, cyclic)
+    slot = [(1, i) for i in range(A.dim(1))]  # one tuple per degree-1 direction
     elements = tuple(
-        BarElement(A, {tuple((1, i) for i in s): c for s, c in t.items()}) for t in terms
+        BarElement._canonical({tuple([slot[i] for i in s]): c for s, c in t.items()}, algebra=A)
+        for t in terms
     )
     return H0Basis(n, elements, added_at, anns)
 
@@ -297,18 +294,6 @@ def h0_cyc(A: FiniteDGA, n: int) -> H0Basis:
     (their shifted degrees are 0, so no sign), and its fixed vectors are
     free on the necklace sums, so this is the kernel of d_Bar on those."""
     return _h0(A, n, cyclic=True)
-
-
-def coinvariant_rank(names, p: int) -> int:
-    """Number of cyclic summands of the weight-p rotation coinvariants
-    (cokernel of sigma - 1 on words in degree-1 letters).
-
-    sigma permutes the words, so the cokernel is free on the rotation
-    orbits, over every ring: the count is the number of necklaces.
-    """
-    if p < 1:
-        raise ValueError("weight must be >= 1")
-    return len(rotation_orbits(list(iproduct(range(len(names)), repeat=p))))
 
 
 def bar_element_to_tensor(x: BarElement, gens: GenSet | None = None) -> BraidingTensor:

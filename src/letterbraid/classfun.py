@@ -229,7 +229,7 @@ def _descending_basis(P: Presentation, ring: Ring, n: int, *, cyclic: bool) -> T
     if n < 0:
         raise ValueError(f"weight bound must be >= 0, got {n}")
     terms, added_at, anns = _orbit_kernel(ring, len(P.gens), _relator_series(P, n), n, cyclic)
-    elements = tuple(BraidingTensor(ring, P.gens, t) for t in terms)
+    elements = tuple(BraidingTensor._canonical(t, ring=ring, gens=P.gens) for t in terms)
     return TensorBasis(n, elements, added_at, anns, ring, P.gens)
 
 

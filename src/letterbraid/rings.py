@@ -222,12 +222,24 @@ class Combination:
     fields that fix the space it lives in, each with the error raised
     when two operands differ in it.  The constructor cleans the terms (canon_terms), so operations
     accumulate plain sums and the ring is applied once, to the result.
+    Kernel output, canonical already, takes the one trusted constructor
+    _canonical instead; every public constructor keeps all its checks.
     """
 
     _SPACE = ()  # (field name, error class) pairs
 
     def __post_init__(self):
         self.terms = canon_terms(self.ring, {self._key(k): c for k, c in self.terms.items()})
+
+    @classmethod
+    def _canonical(cls, terms: dict, **space):
+        """The element with the other fields, given in field order, and terms
+        already canonical: valid keys, nonzero canonical coefficients, final order."""
+        self = object.__new__(cls)
+        for name, value in space.items():  # field order keeps instance dicts shared
+            setattr(self, name, value)
+        self.terms = terms
+        return self
 
     def _key(self, key):
         """The key in canonical form; raises if it lies outside the space."""

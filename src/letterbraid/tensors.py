@@ -50,9 +50,9 @@ from .words import (
     GenSet,
     GeneratorMismatchError,
     MagnusPlan,
-    UnknownGeneratorError,
     Word,
-    WordSyntaxError,
+    _check_generator,
+    _check_letter,
     _require_same_gens,
 )
 
@@ -75,8 +75,7 @@ class BraidingTensor(Combination):
     def _key(self, seq) -> tuple:
         seq = tuple(seq)
         for g in seq:
-            if not 0 <= g < len(self.gens):
-                raise UnknownGeneratorError(f"generator index {g} out of range")
+            _check_generator(g, len(self.gens))
         return seq
 
     # -- constructors ---------------------------------------------------
@@ -135,17 +134,14 @@ def eval_letters(T: BraidingTensor, letters):
 
     The letters are (generator index, +1 or -1) over T's generators, as
     in a :class:`~letterbraid.words.Word`, and are refused as Word
-    refuses them: an index out of range with UnknownGeneratorError, any
-    other sign with WordSyntaxError.  The result agrees with
-    :func:`eval_word` on the reduction of the spelling; tests exercise
-    exactly that invariance.
+    refuses them, by the same check: an index that is not an int in range
+    with UnknownGeneratorError, a sign other than the int +1 or -1 with
+    WordSyntaxError.  The result agrees with :func:`eval_word` on the
+    reduction of the spelling; tests exercise exactly that invariance.
     """
     letters = tuple(letters)
     for g, s in set(letters):  # each distinct letter once
-        if not 0 <= g < len(T.gens):
-            raise UnknownGeneratorError(f"generator index {g} out of range")
-        if s not in (1, -1):
-            raise WordSyntaxError(f"letter sign must be +-1, got {s}")
+        _check_letter(g, s, len(T.gens))
     return _evaluate(T, letters)
 
 
@@ -294,11 +290,13 @@ def _orbit_kernel(ring: Ring, k: int, series, n: int, cyclic: bool):
 
     Returns (terms, added_at_weight, annihilators) in the order of
     rings.filtered_kernel, each member a dict of index sequence ->
-    coefficient in (length, lex) order.  Each orbit stands in the column
-    order at its least rotation, where its members' leading column would
-    be, so the echelon basis (Hermite, reduced echelon or Howell) expands
-    to the echelon basis of the orbit-constant kernel vectors in word
-    coordinates.
+    canonical coefficient in (length, lex) order, built, not sorted by a
+    key: orbit j is word j without cyclic, and with cyclic the orbits come
+    by length, so one plain tuple sort per length merges their members.
+    Each orbit stands in the column order at its least rotation, where
+    its members' leading column would be, so the echelon basis (Hermite,
+    reduced echelon or Howell) expands to the echelon basis of the
+    orbit-constant kernel vectors in word coordinates.
     """
     words = weight_graded_monomials(k, n)
     orbits = rotation_orbits(words) if cyclic else [[s] for s in words]
@@ -316,23 +314,19 @@ def _orbit_kernel(ring: Ring, k: int, series, n: int, cyclic: bool):
     found = filtered_kernel(ring, projected, {j: len(o[0]) for j, o in enumerate(orbits)})
     terms = []
     for _, v in found:
-        members = ((s, c) for j, c in v.items() for s in orbits[j])
-        terms.append(dict(sorted(members, key=lambda sc: (len(sc[0]), sc[0]))))
+        if not cyclic:
+            terms.append({orbits[j][0]: v[j] for j in sorted(v)})
+            continue
+        member, block = {}, []
+        for j in sorted(v):
+            if block and len(block[0][0]) != len(orbits[j][0]):
+                member.update(sorted(block))  # distinct words: no coefficient is compared
+                block = []
+            block += [(s, v[j]) for s in orbits[j]]
+        member.update(sorted(block))
+        terms.append(member)
     anns = tuple(_vector_annihilator(ring, v.values()) for _, v in found)
     return terms, tuple(w for w, _ in found), anns
-
-
-def cycle_invariant_basis(gens: GenSet, p: int, ring: Ring):
-    """Orbit-sum basis of the cycle-invariant weight-p tensors.
-
-    One tensor per rotation orbit (necklace) of length-p generator
-    sequences, each the sum of the distinct rotations of its
-    representative, listed by lexicographically smallest representative.
-    """
-    if p < 1:
-        raise ValueError(f"weight must be >= 1, got {p}")
-    orbits = rotation_orbits(list(product(range(len(gens)), repeat=p)))
-    return [BraidingTensor(ring, gens, dict.fromkeys(orbit, ring.one())) for orbit in orbits]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ def _require_same_gens(a: GenSet, b: GenSet):
         raise GeneratorMismatchError(f"generator sets differ: {a.names} vs {b.names}")
 
 
+def _check_generator(g, k: int) -> None:
+    """Refuse g unless it is an int (not a bool) in range(k)."""
+    if type(g) is not int or not 0 <= g < k:
+        raise UnknownGeneratorError(f"generator index {g!r} is not an int in range({k})")
+
+
+def _check_letter(g, s, k: int) -> None:
+    """Refuse the letter (g, s) unless g is a generator index in range(k)
+    and s the int +1 or -1."""
+    _check_generator(g, k)
+    if type(s) is not int or s not in (1, -1):
+        raise WordSyntaxError(f"letter sign must be +-1, got {s!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Word:
     """Freely reduced word; letters are (generator index, +1 or -1)."""
@@ -104,12 +118,10 @@ class Word:
 
     def __post_init__(self):
         stack = []
+        k = len(self.gens)
         for letter in self.letters:
             g, s = letter
-            if not 0 <= g < len(self.gens):
-                raise UnknownGeneratorError(f"generator index {g} out of range")
-            if s not in (1, -1):
-                raise WordSyntaxError(f"letter sign must be +-1, got {s}")
+            _check_letter(g, s, k)
             if stack and stack[-1][0] == g and stack[-1][1] == -s:
                 stack.pop()
             else:

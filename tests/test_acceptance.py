@@ -19,7 +19,6 @@ from letterbraid.barcyc import (
     BarElement,
     CycElement,
     bar_differential,
-    coinvariant_rank,
     cyc_differential,
     h0_bar,
     h0_cyc,
@@ -39,12 +38,7 @@ from letterbraid.classfun import (
 )
 from letterbraid.dga import circle_model, cochain_algebra, torus_model, wedge_algebra
 from letterbraid.rings import IntMatrix, Ring
-from letterbraid.tensors import (
-    BraidingTensor,
-    cycle,
-    cycle_invariant_basis,
-    eval_word,
-)
+from letterbraid.tensors import BraidingTensor, cycle, eval_word
 from letterbraid.words import (
     GenSet,
     conjugate,
@@ -54,6 +48,7 @@ from letterbraid.words import (
 )
 from linalg_reference import in_column_span
 from magnus_reference import minus_one_product
+from necklace_reference import coinvariant_rank, cycle_invariant_basis
 
 Z = Ring.integers()
 

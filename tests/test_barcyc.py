@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from letterbraid import barcyc
+from letterbraid import barcyc, rings, tensors
 from letterbraid.barcyc import (
     BarElement,
     CycElement,
@@ -13,7 +13,6 @@ from letterbraid.barcyc import (
     NotConnectedAlgebraError,
     bar_differential,
     bar_element_to_tensor,
-    coinvariant_rank,
     connecting_map,
     cyc_differential,
     h0_bar,
@@ -54,6 +53,7 @@ from letterbraid.rings import (
 from letterbraid.tensors import _ideal_rows, cycle, eval_word, weight_graded_monomials
 from letterbraid.words import GenSet, Word, parse_word, words_up_to
 from linalg_reference import solve
+from necklace_reference import coinvariant_rank
 
 Z = Ring.integers()
 Q = Ring.rationals()
@@ -528,25 +528,48 @@ def test_d_bar_rows_match_the_bar_differential(spec):
 
 
 def test_h0_builds_no_bar_element_before_its_kernel(monkeypatch):
-    counts = {"d_bar": 0, "elements": 0}
+    """Elements are counted on both ways in, the public constructor and
+    the trusted one; after the kernel, building them runs no _key and no
+    canon_terms."""
+    counts = {"d_bar": 0, "elements": 0, "key": 0, "canon_terms": 0}
     seen_at_kernel = []
-    real_d, real_element, real_kernel = (
-        barcyc.bar_differential, barcyc.BarElement, barcyc._orbit_kernel)
+    real_d, real_kernel = barcyc.bar_differential, barcyc._orbit_kernel
+    real_canonical = BarElement._canonical.__func__
+    real_post_init, real_key, real_canon_terms = (
+        BarElement.__post_init__, BarElement._key, rings.canon_terms)
 
     def d_bar(x):
         counts["d_bar"] += 1
         return real_d(x)
 
-    def element(*args):
+    def canonical(cls, *args, **space):
         counts["elements"] += 1
-        return real_element(*args)
+        return real_canonical(cls, *args, **space)
+
+    def post_init(self):
+        counts["elements"] += 1
+        real_post_init(self)
+
+    def key(self, seq):
+        counts["key"] += 1
+        return real_key(self, seq)
+
+    def canon_terms(*args):
+        counts["canon_terms"] += 1
+        return real_canon_terms(*args)
 
     def kernel(*args):
         seen_at_kernel.append(counts["elements"])
-        return real_kernel(*args)
+        out = real_kernel(*args)
+        counts.update(key=0, canon_terms=0)
+        return out
 
     monkeypatch.setattr(barcyc, "bar_differential", d_bar)
-    monkeypatch.setattr(barcyc, "BarElement", element)
+    monkeypatch.setattr(BarElement, "_canonical", classmethod(canonical))
+    monkeypatch.setattr(BarElement, "__post_init__", post_init)
+    monkeypatch.setattr(BarElement, "_key", key)
+    monkeypatch.setattr(rings, "canon_terms", canon_terms)
+    monkeypatch.setattr(tensors, "canon_terms", canon_terms)
     monkeypatch.setattr(barcyc, "_orbit_kernel", kernel)
     for h0 in (h0_bar, h0_cyc):
         seen_at_kernel.clear()
@@ -555,7 +578,8 @@ def test_h0_builds_no_bar_element_before_its_kernel(monkeypatch):
         assert counts["d_bar"] == 0
         assert seen_at_kernel == [0]
         assert counts["elements"] == len(basis)  # the output elements only
-        assert all(isinstance(x, real_element) for x in basis)
+        assert all(type(x) is BarElement for x in basis)
+        assert counts["key"] == 0 and counts["canon_terms"] == 0  # while the output is built
 
 
 # ---------------------------------------------------------------------------

@@ -79,3 +79,15 @@ def test_test_side_linear_algebra_is_not_exported():
     for name in ("solve", "in_column_span"):
         assert not hasattr(rings, name)
         assert name not in letterbraid.__all__
+
+
+def test_test_side_necklace_helpers_are_not_exported():
+    """coinvariant_rank and cycle_invariant_basis, which no engine code
+    calls, live in tests/necklace_reference.py, not in the package."""
+    import letterbraid
+    from letterbraid import barcyc, tensors
+
+    for module, name in ((barcyc, "coinvariant_rank"), (tensors, "cycle_invariant_basis")):
+        assert not hasattr(module, name)
+        assert not hasattr(letterbraid, name)
+        assert name not in letterbraid.__all__

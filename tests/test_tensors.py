@@ -14,7 +14,6 @@ from letterbraid.rings import Ring, ShapeError
 from letterbraid.tensors import (
     BraidingTensor,
     cycle,
-    cycle_invariant_basis,
     eval_letters,
     eval_word,
     tensor_from_obj,
@@ -30,6 +29,7 @@ from letterbraid.words import (
     random_reduced_word,
 )
 from magnus_reference import magnus_oracle, minus_one_product
+from necklace_reference import cycle_invariant_basis
 
 Z = Ring.integers()
 Q = Ring.rationals()
